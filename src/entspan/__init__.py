@@ -22,7 +22,6 @@ from .construct import (
     SubspaceBasis,
     antisymmetric_basis_3x3,
     basis_from_json_dict,
-    basis_to_json_dict,
     build_diagonal_family,
     construct_fixed_rank_subspace,
     construct_max_rank_leq_subspace,
@@ -43,11 +42,10 @@ from .statemat import (
     StateMatrix,
     matrix_from_json_dict,
     matrix_of_state,
-    matrix_to_json_dict,
-    order_r_minors,
     rank_exact,
     schmidt_rank_numeric,
     state_of_matrix,
+    to_json,
 )
 from .tns import TnsMatrix, combination_nonzero_count, is_totally_nonsingular, vandermonde
 from .verify import (
@@ -59,6 +57,7 @@ from .verify import (
     pencil_low_rank,
     sample_verify_exact,
     structural_certificate,
+    structural_verify,
 )
 
 __version__ = "0.1.0"

@@ -1,123 +1,43 @@
-"""Hot numeric kernels: GF(p) subspace scans and singular-value descent.
+"""Hot loops: the GF(p) projective scan and the singular-value descent.
 
-Both kernels are tight loops over small matrices, which is exactly where
-interpreter overhead dominates, so they are compiled with numba when it is
-available.  Setting the environment variable ``ENTSPAN_NO_NUMBA=1`` (or
-running without numba installed) selects the pure-numpy path instead; the
-code is written once and runs identically either way.  When compiled, the
-original Python versions stay reachable through ``<kernel>.py_func``, which
-is what the benchmark uses to compare the two paths in one process.
+Both run as plain Python and numpy; there is one backend.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("ENTSPAN_NO_NUMBA", "").strip().lower()
-_DISABLED = _FLAG in ("1", "true", "yes", "on")
+from .statemat import gfp_eliminate
 
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by ENTSPAN_NO_NUMBA")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-    USING_NUMBA = False
+#: No compiled backend exists; perfbench/child.py records this constant in
+#: each run's provenance.
+USING_NUMBA = False
 
 
-def pure_python(kernel):
-    """The uncompiled version of a kernel (itself, when numba is off)."""
-    return getattr(kernel, "py_func", kernel)
-
-
-@njit(cache=True)
-def _powmod(base, exp, p):
-    result = 1
-    base = base % p
-    while exp > 0:
-        if exp & 1:
-            result = (result * base) % p
-        base = (base * base) % p
-        exp >>= 1
-    return result
-
-
-@njit(cache=True)
-def gfp_rank_inplace(m, p):
-    """Rank of an int64 matrix mod p; destroys its argument."""
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        piv = -1
-        for i in range(rank, rows):
-            if m[i, col] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            for j in range(cols):
-                tmp = m[rank, j]
-                m[rank, j] = m[piv, j]
-                m[piv, j] = tmp
-        inv = _powmod(m[rank, col], p - 2, p)
-        for i in range(rank + 1, rows):
-            if m[i, col] == 0:
-                continue
-            f = (m[i, col] * inv) % p
-            for j in range(col, cols):
-                m[i, j] = (m[i, j] - f * m[rank, j]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-@njit(cache=True)
 def gfp_min_rank_scan(stack, p, rows, cols):
     """Minimum rank mod p over every projective coefficient point.
 
-    ``stack`` holds the vectorized basis, one row per matrix, entries already
-    reduced mod p.  Points are normalized to first nonzero coordinate 1 and
-    walked with a base-p odometer, (p**dim - 1)/(p - 1) of them in total.
-    Returns (min_rank, coefficients of the first minimizer, point count).
+    ``stack`` holds the vectorized basis as lists of ints, one per matrix,
+    entries already reduced mod p.  Points are normalized to first nonzero
+    coordinate 1 and walked with a base-p odometer, (p**dim - 1)/(p - 1) of
+    them in total.  Returns (min_rank, coefficients of the first minimizer,
+    point count).
     """
-    dim = stack.shape[0]
+    dim = len(stack)
+    cells = list(zip(*stack))
     best_rank = min(rows, cols) + 1
-    best = np.zeros(dim, np.int64)
-    coeffs = np.zeros(dim, np.int64)
-    work = np.empty((rows, cols), np.int64)
+    best = [0] * dim
     count = 0
     for lead in range(dim):
-        for i in range(dim):
-            coeffs[i] = 0
+        coeffs = [0] * dim
         coeffs[lead] = 1
         while True:
             count += 1
-            for a in range(rows):
-                for b in range(cols):
-                    acc = 0
-                    for t in range(lead, dim):
-                        acc += coeffs[t] * stack[t, a * cols + b]
-                    work[a, b] = acc % p
-            rk = gfp_rank_inplace(work, p)
+            flat = [sum(c * v for c, v in zip(coeffs, cell)) for cell in cells]
+            rk = gfp_eliminate([flat[a * cols : (a + 1) * cols] for a in range(rows)], p)[0]
             if rk < best_rank:
                 best_rank = rk
-                for i in range(dim):
-                    best[i] = coeffs[i]
+                best = coeffs[:]
             pos = dim - 1
             while pos > lead:
                 coeffs[pos] += 1
@@ -130,7 +50,6 @@ def gfp_min_rank_scan(stack, p, rows, cols):
     return best_rank, best, count
 
 
-@njit(cache=True)
 def sigma_descent(A, P, r, iters, x0, rows, cols):
     """Drive the r-th singular value of a basis combination toward zero.
 
@@ -140,7 +59,6 @@ def sigma_descent(A, P, r, iters, x0, rows, cols):
     coefficients on the unit sphere.  Tracks the best relative value
     sigma_r / sigma_1 seen and the coefficients achieving it.
     """
-    n = x0.shape[0]
     nrm0 = np.sqrt(np.real(np.vdot(x0, x0)))
     x = x0 / nrm0
     best_val = np.inf

@@ -116,23 +116,6 @@ def bounds_table(dA: int, dB: int, r: int) -> BoundsTable:
     return BoundsTable(a, b, r, geq, leq, w_lo, w_hi, w_exact, w_reason, naive, affine, projective)
 
 
-def bounds_table_to_json_dict(t: BoundsTable) -> dict:
-    return {
-        "da": t.dA,
-        "db": t.dB,
-        "r": t.r,
-        "max_dim_geq": t.max_dim_geq,
-        "flanders_max_leq": t.flanders_max_leq,
-        "westwick_lo": t.westwick_lo,
-        "westwick_hi": t.westwick_hi,
-        "westwick_exact": t.westwick_exact,
-        "westwick_reason": t.westwick_reason,
-        "naive_fixed_upper": t.naive_fixed_upper,
-        "variety_dim_affine": t.variety_dim_affine,
-        "variety_dim_projective": t.variety_dim_projective,
-    }
-
-
 _TABLE_HEADER = f"{'da':>4} {'db':>4} {'r':>3} {'geq':>6} {'flanders':>9} {'westwick':>12} {'exact':>6} {'variety':>8}"
 
 
@@ -202,20 +185,6 @@ def mixed_state_report(d: int, p: float) -> MixedStateReport:
     )
 
 
-def mixed_state_report_to_json_dict(rep: MixedStateReport) -> dict:
-    return {
-        "d": rep.d,
-        "p": rep.p,
-        "r": rep.r,
-        "dim": rep.dim,
-        "rank_lower_paper": rep.rank_lower_paper,
-        "entropy_bits": rep.entropy_bits,
-        "schmidt_measure_lb": rep.schmidt_measure_lb,
-        "asymptotic_regime": rep.asymptotic_regime,
-        "justification": rep.justification,
-    }
-
-
 @dataclass(frozen=True)
 class RandomComparison:
     """Exact maximal dimension at rank fraction k versus the generic estimate.
@@ -252,16 +221,3 @@ def random_comparison(dA: int, dB: int, k: float) -> RandomComparison:
         asymptotic=(1.0 - k) ** 2 * a * b,
         random_bound_trivial=k >= threshold,
     )
-
-
-def random_comparison_to_json_dict(rep: RandomComparison) -> dict:
-    return {
-        "da": rep.dA,
-        "db": rep.dB,
-        "k": rep.k,
-        "r": rep.r,
-        "exact_dim": rep.exact_dim,
-        "threshold_k": rep.threshold_k,
-        "asymptotic": rep.asymptotic,
-        "random_bound_trivial": rep.random_bound_trivial,
-    }

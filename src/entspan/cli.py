@@ -14,13 +14,12 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from . import construct as construct_mod
 from . import verify as verify_mod
-from .construct import basis_from_json_dict, basis_to_json_dict
+from .construct import basis_from_json_dict
 from .errors import EntspanError
+from .statemat import to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -88,8 +87,7 @@ def cmd_construct(args) -> int:
             raise EntspanError("construct --kind random needs --dim")
         basis = construct_mod.random_subspace(args.da, args.db, args.dim, args.seed)
         bound = args.dim
-    payload = basis_to_json_dict(basis)
-    payload["metadata"] = dict(payload["metadata"])
+    payload = to_json(basis)
     payload["metadata"]["run"] = _flagset(args, ("da", "db", "r", "kind", "dim", "seed"))
     _write_atomic(args.out, _dump_json(payload))
     print(f"dim={basis.dimension} bound={bound}")
@@ -122,10 +120,9 @@ def cmd_verify(args) -> int:
             basis, r, restarts=args.restarts, iters=args.iters, seed=args.seed, tol=args.tol
         )
     else:
-        rng_report = _structural_scan(basis, r, args.samples, args.seed)
-        report = rng_report
+        report = verify_mod.structural_verify(basis, r, args.samples, args.seed)
     payload = verify_mod.report_to_json_dict(report)
-    payload["params"] = dict(payload["params"] or {})
+    payload["params"] = payload["params"] or {}
     payload["params"]["run"] = _flagset(
         args, ("basis", "mode", "r", "samples", "seed", "p", "restarts", "iters", "tol", "require", "cap")
     )
@@ -143,26 +140,6 @@ def cmd_verify(args) -> int:
     return _VERDICT_EXIT[report.verdict]
 
 
-def _structural_scan(basis, r: int, samples: int, seed: int) -> verify_mod.VerificationReport:
-    """Structural certificates for seeded combinations; every one must land."""
-    rng = np.random.default_rng(seed)
-    certs = []
-    for _ in range(samples):
-        coeffs = rng.integers(-verify_mod.SAMPLE_BOX, verify_mod.SAMPLE_BOX + 1, size=basis.dimension)
-        while not coeffs.any():
-            coeffs = rng.integers(-verify_mod.SAMPLE_BOX, verify_mod.SAMPLE_BOX + 1, size=basis.dimension)
-        certs.append(verify_mod.structural_certificate(basis, [int(c) for c in coeffs]))
-    return verify_mod.VerificationReport(
-        mode="structural",
-        samples_or_points=samples,
-        verdict=verify_mod.VERDICT_CONSISTENT,
-        min_rank_observed=r,
-        seed=seed,
-        witnesses=tuple(certs),
-        params={"r": r},
-    )
-
-
 def cmd_bounds(args) -> int:
     if args.grid:
         rs = range(2, min(args.da, args.db) + 1)
@@ -175,7 +152,7 @@ def cmd_bounds(args) -> int:
         text = _dump_json(
             {
                 "run": _flagset(args, ("da", "db", "r", "grid", "format")),
-                "rows": [bounds_mod.bounds_table_to_json_dict(t) for t in rows],
+                "rows": to_json(rows),
             }
         )
     else:
@@ -193,7 +170,7 @@ def cmd_report(args) -> int:
         if args.d is None or args.p is None:
             raise EntspanError("report --kind mixed needs --d and --p")
         rep = bounds_mod.mixed_state_report(args.d, args.p)
-        payload = bounds_mod.mixed_state_report_to_json_dict(rep)
+        payload = to_json(rep)
         line = (
             f"d={rep.d} p={rep.p} r={rep.r} dim={rep.dim} entropy_bits={rep.entropy_bits:.4f} "
             f"schmidt_measure_lb={rep.schmidt_measure_lb}"
@@ -202,7 +179,7 @@ def cmd_report(args) -> int:
         if args.da is None or args.db is None or args.k is None:
             raise EntspanError("report --kind random needs --da, --db and --k")
         rep = bounds_mod.random_comparison(args.da, args.db, args.k)
-        payload = bounds_mod.random_comparison_to_json_dict(rep)
+        payload = to_json(rep)
         line = (
             f"da={rep.dA} db={rep.dB} k={rep.k} exact_dim={rep.exact_dim} "
             f"asymptotic={rep.asymptotic:.1f} threshold_k={rep.threshold_k:.4f}"

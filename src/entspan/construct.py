@@ -16,7 +16,6 @@ and seeded random complex subspaces used as optimizer fodder.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -25,15 +24,14 @@ import numpy as np
 
 from .errors import CertificateError, DimensionError, DomainError, FieldMismatchError
 from .statemat import (
-    GFP,
-    RATIONAL,
+    COMPLEX,
     StateMatrix,
-    bareiss_rank,
+    _is_int,
+    bareiss,
     combine,
-    gfp_rank,
     matrix_from_json_dict,
-    matrix_to_json_dict,
     rank_exact,
+    schmidt_rank_numeric,
 )
 from .tns import TnsMatrix, default_tns
 
@@ -49,6 +47,17 @@ KINDS = (KIND_MIN_RANK, KIND_MAX_RANK, KIND_FIXED_RANK, KIND_ANTISYMMETRIC, KIND
 #: Number of seeded combinations each rational constructor rank-checks on exit.
 SELF_CHECK_SAMPLES = 32
 _SELF_CHECK_SEED = 0x5EED
+
+#: Sampled integer coefficients are drawn uniformly from [-SAMPLE_BOX, SAMPLE_BOX].
+SAMPLE_BOX = 9
+
+
+def draw_coeffs(rng: np.random.Generator, dim: int) -> list[int]:
+    """``dim`` seeded integer coefficients from the sample box, not all zero."""
+    coeffs = rng.integers(-SAMPLE_BOX, SAMPLE_BOX + 1, size=dim)
+    while not coeffs.any():
+        coeffs = rng.integers(-SAMPLE_BOX, SAMPLE_BOX + 1, size=dim)
+    return [int(c) for c in coeffs]
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,12 @@ class SubspaceBasis:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown basis kind {self.kind!r}")
+        if not (_is_int(self.dA) and _is_int(self.dB)):
+            raise DimensionError(f"basis dimensions must be integers, got {self.dA!r}x{self.dB!r}")
+        if self.r is not None and not (_is_int(self.r) and self.r >= 1):
+            raise DomainError(f"rank threshold must be a positive integer, got {self.r!r}")
+        if not isinstance(self.metadata, dict):
+            raise DomainError("basis metadata must be an object")
         if not self.matrices:
             raise DimensionError("a basis needs at least one matrix")
         head = self.matrices[0]
@@ -118,27 +133,14 @@ class SubspaceBasis:
     def combination(self, coeffs: Sequence) -> StateMatrix:
         return combine(self.matrices, coeffs)
 
-    def vectorized_stack(self) -> list[list]:
-        """dimension x (dA*dB) stack of the row-major matrix entries."""
-        return [list(m.entries) for m in self.matrices]
-
 
 def basis_stack_rank(basis: SubspaceBasis) -> int:
     """Exact (or, for complex, numeric) rank of the vectorized basis stack."""
-    stack = basis.vectorized_stack()
-    if basis.field == RATIONAL:
-        int_rows = []
-        for row in stack:
-            denom = math.lcm(*(f.denominator for f in row))
-            int_rows.append([int(f * denom) for f in row])
-        return bareiss_rank(int_rows)
-    if basis.field == GFP:
-        return gfp_rank(stack, basis.p)
-    a = np.array(stack, dtype=np.complex128)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > 1e-9 * sv[0]))
+    flat = tuple(v for m in basis.matrices for v in m.entries)
+    stack = StateMatrix(basis.dimension, basis.dA * basis.dB, basis.field, flat, basis.p)
+    if basis.field == COMPLEX:
+        return schmidt_rank_numeric(stack).rank
+    return rank_exact(stack)
 
 
 def _check_independent(basis: SubspaceBasis) -> None:
@@ -150,35 +152,20 @@ def _check_independent(basis: SubspaceBasis) -> None:
 
 
 def _self_check_rank_floor(basis: SubspaceBasis, r: int, samples: int = SELF_CHECK_SAMPLES) -> None:
+    """Exact ranks of seeded combinations of an integer diagonal basis.
+
+    Each matrix has single-diagonal support, so combinations are summed
+    sparsely over plain ints instead of paying Fraction overhead per cell.
+    """
     rng = np.random.default_rng(_SELF_CHECK_SEED)
-    dim = basis.dimension
-    if all(v.denominator == 1 for m in basis.matrices for v in m.entries):
-        # Integer entries with single-diagonal support: combine sparsely over
-        # plain ints instead of paying Fraction overhead per cell.
-        sparse = [
-            [(k, int(v)) for k, v in enumerate(m.entries) if v != 0] for m in basis.matrices
-        ]
-        size = basis.dA * basis.dB
-        for _ in range(samples):
-            coeffs = rng.integers(-9, 10, size=dim)
-            while not coeffs.any():
-                coeffs = rng.integers(-9, 10, size=dim)
-            acc = [0] * size
-            for c, cells in zip(coeffs, sparse):
-                if c:
-                    c = int(c)
-                    for k, v in cells:
-                        acc[k] += c * v
-            rows = [acc[i * basis.dB : (i + 1) * basis.dB] for i in range(basis.dA)]
-            got = bareiss_rank(rows)
-            if got < r:
-                raise CertificateError(f"self-check found a combination of rank {got} < {r}")
-        return
+    sparse = [[(k, int(v)) for k, v in enumerate(m.entries) if v != 0] for m in basis.matrices]
     for _ in range(samples):
-        coeffs = rng.integers(-9, 10, size=dim)
-        while not coeffs.any():
-            coeffs = rng.integers(-9, 10, size=dim)
-        got = rank_exact(basis.combination([int(c) for c in coeffs]))
+        acc = [0] * (basis.dA * basis.dB)
+        for c, cells in zip(draw_coeffs(rng, basis.dimension), sparse):
+            if c:
+                for k, v in cells:
+                    acc[k] += c * v
+        got = bareiss([acc[i * basis.dB : (i + 1) * basis.dB] for i in range(basis.dA)])[0]
         if got < r:
             raise CertificateError(f"self-check found a combination of rank {got} < {r}")
 
@@ -327,26 +314,15 @@ def random_subspace(dA: int, dB: int, dim: int, seed: int) -> SubspaceBasis:
     return basis
 
 
-# ---------------------------------------------------------------------------
-# JSON encoding
-# ---------------------------------------------------------------------------
-
-def basis_to_json_dict(basis: SubspaceBasis) -> dict:
-    return {
-        "da": basis.dA,
-        "db": basis.dB,
-        "r": basis.r,
-        "kind": basis.kind,
-        "field": basis.field,
-        "matrices": [matrix_to_json_dict(m) for m in basis.matrices],
-        "metadata": basis.metadata,
-    }
-
-
 def basis_from_json_dict(d: dict) -> SubspaceBasis:
+    """Decode a basis object; malformed input raises an EntspanError."""
+    if not isinstance(d, dict):
+        raise DomainError("a basis must be a JSON object")
     try:
-        dA, dB, kind = d["da"], d["db"], d["kind"]
-        matrices = tuple(matrix_from_json_dict(md) for md in d["matrices"])
+        dA, dB, kind, matrices = d["da"], d["db"], d["kind"], d["matrices"]
     except KeyError as exc:
         raise DomainError(f"basis object missing key {exc}") from None
+    if not isinstance(matrices, list):
+        raise DomainError("basis 'matrices' must be a list")
+    matrices = tuple(matrix_from_json_dict(md) for md in matrices)
     return SubspaceBasis(dA, dB, d.get("r"), kind, matrices, d.get("metadata", {}))

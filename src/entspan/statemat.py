@@ -13,11 +13,10 @@ ranks count singular values above a relative tolerance.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +32,14 @@ _FIELDS = (RATIONAL, COMPLEX, GFP)
 #: when strictly greater than DEFAULT_TOL times the largest one.
 DEFAULT_TOL = 1e-9
 
+#: GF(p) moduli must be primes below this, so every residue fits a signed
+#: 32-bit word and products of two fit 64 bits.
+MODULUS_LIMIT = 2**31
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -47,6 +54,16 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def check_modulus(p) -> None:
+    """Reject anything but a prime below MODULUS_LIMIT, range first.
+
+    The range test runs before any trial division, so a huge modulus is
+    refused at once instead of being factored.
+    """
+    if not (_is_int(p) and 2 <= p < MODULUS_LIMIT and is_prime(p)):
+        raise DomainError(f"GF(p) needs a prime p below 2**31, got {p!r}")
 
 
 def _coerce_entry(value, field: str, p: int | None):
@@ -79,13 +96,12 @@ class StateMatrix:
     p: int | None = None
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+        if not (_is_int(self.rows) and _is_int(self.cols)) or self.rows < 1 or self.cols < 1:
             raise DimensionError(f"need positive dimensions, got {self.rows}x{self.cols}")
         if self.field not in _FIELDS:
             raise DomainError(f"unknown field {self.field!r}")
         if self.field == GFP:
-            if self.p is None or not is_prime(self.p):
-                raise DomainError(f"GF(p) matrices need a prime p, got {self.p!r}")
+            check_modulus(self.p)
         elif self.p is not None:
             raise DomainError(f"field {self.field!r} takes no modulus")
         if len(self.entries) != self.rows * self.cols:
@@ -101,8 +117,7 @@ class StateMatrix:
         cols = len(rows_of_entries[0])
         if any(len(r) != cols for r in rows_of_entries):
             raise DimensionError("ragged rows")
-        flat = tuple(_coerce_entry(v, field, p) for r in rows_of_entries for v in r)
-        return cls(rows, cols, field, flat, p)
+        return matrix_of_state([v for r in rows_of_entries for v in r], rows, cols, field, p)
 
     @classmethod
     def rational(cls, rows_of_entries) -> "StateMatrix":
@@ -128,16 +143,6 @@ class StateMatrix:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    def to_numpy(self) -> np.ndarray:
-        """Dense numpy view: complex128 for complex, int64 for GF(p), object for rationals."""
-        if self.field == COMPLEX:
-            dtype = np.complex128
-        elif self.field == GFP:
-            dtype = np.int64
-        else:
-            dtype = object
-        return np.array(self.to_lists(), dtype=dtype)
-
     def transpose(self) -> "StateMatrix":
         flat = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
         return StateMatrix(self.cols, self.rows, self.field, flat, self.p)
@@ -145,15 +150,13 @@ class StateMatrix:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.entries)
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "StateMatrix":
-        flat = tuple(self.at(i, j) for i in row_idx for j in col_idx)
-        return StateMatrix(len(row_idx), len(col_idx), self.field, flat, self.p)
-
 
 def matrix_of_state(amplitudes: Sequence, dA: int, dB: int, field: str = RATIONAL, p: int | None = None) -> StateMatrix:
     """Arrange a flat amplitude list (index i*dB + j) into its dA x dB matrix."""
     if len(amplitudes) != dA * dB:
         raise DimensionError(f"{dA}x{dB} state needs {dA * dB} amplitudes, got {len(amplitudes)}")
+    if field == GFP:
+        check_modulus(p)
     flat = tuple(_coerce_entry(v, field, p) for v in amplitudes)
     return StateMatrix(dA, dB, field, flat, p)
 
@@ -222,33 +225,43 @@ def schmidt_rank_numeric(m: StateMatrix, tol: float = DEFAULT_TOL) -> SchmidtInf
 
 
 # ---------------------------------------------------------------------------
-# exact elimination
+# exact elimination: one routine per field, each returning (rank, det)
 # ---------------------------------------------------------------------------
 
-def _integer_rows(m: StateMatrix) -> list[list[int]]:
-    """Rational rows rescaled to integers (row scaling preserves rank)."""
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Rational rows scaled to integers, and the product of the row scales.
+
+    Row scaling keeps the rank; the determinant of the scaled rows is the
+    original one times the returned denominator.
+    """
     out = []
-    for row in m.to_lists():
-        denom = math.lcm(*(f.denominator for f in row)) if row else 1
-        out.append([int(f * denom) for f in row])
-    return out
+    denominator = 1
+    for row in rows:
+        d = math.lcm(*(f.denominator for f in row))
+        denominator *= d
+        out.append([f.numerator * (d // f.denominator) for f in row])
+    return out, denominator
 
 
-def bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination.
+def bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """(rank, determinant) of an integer matrix by fraction-free elimination.
 
     Intermediate entries are minors of the input, so all divisions are exact
-    and growth stays polynomial in the entry size.
+    and growth stays polynomial in the entry size.  The determinant is 0
+    unless the matrix is square and nonsingular (1 for the empty matrix).
     """
     m = [row[:] for row in rows]
     n_rows, n_cols = len(m), len(m[0]) if m else 0
     rank = 0
     prev = 1
+    sign = 1
     for col in range(n_cols):
         piv = next((i for i in range(rank, n_rows) if m[i][col] != 0), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
         pivot = m[rank][col]
         for i in range(rank + 1, n_rows):
             # Every row below the pivot is rescaled, zero head or not: the
@@ -261,173 +274,135 @@ def bareiss_rank(rows: list[list[int]]) -> int:
         rank += 1
         if rank == n_rows:
             break
-    return rank
+    return rank, sign * prev if rank == n_rows == n_cols else 0
 
 
-def gfp_rank(rows: list[list[int]], p: int) -> int:
-    """Rank over GF(p) by ordinary elimination with modular inverses."""
+def gfp_eliminate(rows: list[list[int]], p: int) -> tuple[int, int]:
+    """(rank, determinant mod p) by elimination with modular inverses.
+
+    Entries are Python ints, so no modulus can overflow.  The determinant is
+    0 unless the matrix is square and nonsingular mod p.
+    """
     m = [[v % p for v in row] for row in rows]
     n_rows, n_cols = len(m), len(m[0]) if m else 0
     rank = 0
+    det = 1
     for col in range(n_cols):
         piv = next((i for i in range(rank, n_rows) if m[i][col] != 0), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        row_p = m[rank]
+        det = det * row_p[col] % p
+        inv = pow(row_p[col], p - 2, p)
         for i in range(rank + 1, n_rows):
-            if m[i][col] == 0:
+            row_i = m[i]
+            if row_i[col] == 0:
                 continue
-            factor = (m[i][col] * inv) % p
-            row_i, row_p = m[i], m[rank]
+            factor = row_i[col] * inv % p
             for j in range(col, n_cols):
                 row_i[j] = (row_i[j] - factor * row_p[j]) % p
         rank += 1
         if rank == n_rows:
             break
-    return rank
+    return rank, det % p if rank == n_rows == n_cols else 0
 
 
 def rank_exact(m: StateMatrix) -> int:
     """Exact linear rank over an exact field (rationals or GF(p))."""
     if m.field == RATIONAL:
-        return bareiss_rank(_integer_rows(m))
+        return bareiss(_integer_rows(m.to_lists())[0])[0]
     if m.field == GFP:
-        return gfp_rank(m.to_lists(), m.p)
+        return gfp_eliminate(m.to_lists(), m.p)[0]
     raise FieldMismatchError("rank_exact needs an exact field; use schmidt_rank_numeric for complex")
-
-
-def exact_det(rows: list[list]) -> Fraction | int:
-    """Determinant of a square exact matrix by fraction-free elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    denom = Fraction(1)
-    int_rows = []
-    for row in rows:
-        fr = [Fraction(v) for v in row]
-        d = math.lcm(*(f.denominator for f in fr))
-        denom *= d
-        int_rows.append([int(f * d) for f in fr])
-    m = int_rows
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0) if denom != 1 else 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        for i in range(col + 1, n):
-            head = m[i][col]
-            row_i, row_p = m[i], m[col]
-            for j in range(col, n):
-                row_i[j] = (pivot * row_i[j] - head * row_p[j]) // prev
-        prev = pivot
-    det = sign * m[n - 1][n - 1]
-    if denom == 1:
-        return det
-    value = Fraction(det, 1) / denom
-    return value
-
-
-def _gfp_det(rows: list[list[int]], p: int) -> int:
-    n = len(rows)
-    m = [[v % p for v in row] for row in rows]
-    det = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = (-det) % p
-        pivot = m[col][col]
-        det = (det * pivot) % p
-        inv = pow(pivot, p - 2, p)
-        for i in range(col + 1, n):
-            if m[i][col] == 0:
-                continue
-            factor = (m[i][col] * inv) % p
-            for j in range(col, n):
-                m[i][j] = (m[i][j] - factor * m[col][j]) % p
-    return det
 
 
 def minor_value(m: StateMatrix, row_idx: Sequence[int], col_idx: Sequence[int]):
     """Determinant of the submatrix on the given (increasing) index sets."""
+    if len(row_idx) != len(col_idx):
+        raise DimensionError("a minor needs as many rows as columns")
     sub = [[m.at(i, j) for j in col_idx] for i in row_idx]
     if m.field == RATIONAL:
-        return Fraction(exact_det(sub))
+        int_rows, denominator = _integer_rows(sub)
+        return Fraction(bareiss(int_rows)[1], denominator)
     if m.field == GFP:
-        return _gfp_det(sub, m.p)
+        return gfp_eliminate(sub, m.p)[1]
     return complex(np.linalg.det(np.array(sub, dtype=np.complex128)))
 
 
-def order_r_minors(m: StateMatrix, r: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], object]]:
-    """Lazily yield every order-r minor as (row-set, col-set, determinant).
+# ---------------------------------------------------------------------------
+# JSON: one encoder for every package value; decoders validate their input
+# ---------------------------------------------------------------------------
 
-    There are C(rows, r) * C(cols, r) of them; callers scanning for a nonzero
-    one can stop at the first hit without paying for the rest.
+def to_json(obj):
+    """JSON-ready form of a matrix, basis, report or any value inside one.
+
+    Matrices carry ``p`` only over GF(p); dataclasses become objects keyed
+    by their lower-cased field names, and a basis adds its ``field``.
+    Tuples become lists, Fractions ``"n/d"`` strings and complex numbers
+    ``[re, im]`` pairs.
     """
-    if not 1 <= r <= min(m.rows, m.cols):
-        raise DimensionError(f"minor order {r} out of range for {m.rows}x{m.cols}")
-    for row_idx in itertools.combinations(range(m.rows), r):
-        for col_idx in itertools.combinations(range(m.cols), r):
-            yield row_idx, col_idx, minor_value(m, row_idx, col_idx)
-
-
-# ---------------------------------------------------------------------------
-# JSON encoding shared by every module
-# ---------------------------------------------------------------------------
-
-def _encode_entry(value, field: str):
-    if field == RATIONAL:
-        return f"{value.numerator}/{value.denominator}"
-    if field == COMPLEX:
-        return [value.real, value.imag]
-    return int(value)
+    if isinstance(obj, StateMatrix):
+        out = {"rows": obj.rows, "cols": obj.cols, "field": obj.field, "entries": to_json(obj.entries)}
+        if obj.field == GFP:
+            out["p"] = obj.p
+        return out
+    if is_dataclass(obj):
+        out = {f.name.lower(): to_json(getattr(obj, f.name)) for f in fields(obj)}
+        if hasattr(obj, "matrices"):
+            out["field"] = obj.field
+        return out
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    return obj
 
 
 def _decode_entry(value, field: str, p: int | None):
     if field == RATIONAL:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, int):
-            return Fraction(value)
+        if isinstance(value, str) or _is_int(value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
         raise DomainError(f"bad rational entry {value!r}")
     if field == COMPLEX:
-        re, im = value
-        return complex(re, im)
-    if field == GFP:
-        if p is None:
-            raise DomainError("GF(p) matrix object is missing its modulus field 'p'")
-        return int(value) % p
-    raise DomainError(f"unknown field {field!r}")
-
-
-def matrix_to_json_dict(m: StateMatrix) -> dict:
-    out = {
-        "rows": m.rows,
-        "cols": m.cols,
-        "field": m.field,
-        "entries": [_encode_entry(v, m.field) for v in m.entries],
-    }
-    if m.field == GFP:
-        out["p"] = m.p
-    return out
+        try:
+            re, im = value
+            z = complex(re, im)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"complex entries are [re, im] number pairs, got {value!r}") from None
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise NumericError(f"non-finite entry {value!r}")
+        return z
+    if not _is_int(value):
+        raise DomainError(f"bad GF(p) entry {value!r}")
+    return value % p
 
 
 def matrix_from_json_dict(d: dict) -> StateMatrix:
+    if not isinstance(d, dict):
+        raise DomainError("a matrix must be a JSON object")
     try:
         rows, cols, field = d["rows"], d["cols"], d["field"]
         entries = d["entries"]
     except KeyError as exc:
         raise DomainError(f"matrix object missing key {exc}") from None
+    if field not in _FIELDS:
+        raise DomainError(f"unknown field {field!r}")
+    if not isinstance(entries, list):
+        raise DomainError("matrix 'entries' must be a list")
     p = d.get("p")
+    if field == GFP:
+        if p is None:
+            raise DomainError("GF(p) matrix object is missing its modulus field 'p'")
+        check_modulus(p)
     flat = tuple(_decode_entry(v, field, p) for v in entries)
     return StateMatrix(rows, cols, field, flat, p)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import DimensionError, DomainError
-from .statemat import GFP, RATIONAL, StateMatrix, exact_det
+from .statemat import GFP, StateMatrix, _integer_rows, bareiss
 
 #: Largest size for which construction proves total non-singularity by
 #: enumerating every minor; the count grows like C(2m, m), so beyond this the
@@ -47,9 +47,6 @@ class TnsMatrix:
     def to_lists(self) -> list[list[Fraction]]:
         s = self.size
         return [list(self.entries[i * s : (i + 1) * s]) for i in range(s)]
-
-    def as_state_matrix(self) -> StateMatrix:
-        return StateMatrix(self.size, self.size, RATIONAL, self.entries)
 
     def leading_column(self, length: int, j: int) -> list[Fraction]:
         """Column j of the leading length x length submatrix."""
@@ -78,12 +75,14 @@ def is_totally_nonsingular(matrix, order_cap: int | None = None) -> tuple[bool, 
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionError("total non-singularity is defined for square matrices")
+    # Scaling a row by a nonzero integer scales each minor through it by the
+    # same factor, so integer rows have the same vanishing minors.
+    rows = _integer_rows(rows)[0]
     cap = n if order_cap is None else min(order_cap, n)
     for order in range(1, cap + 1):
         for row_idx in itertools.combinations(range(n), order):
             for col_idx in itertools.combinations(range(n), order):
-                sub = [[rows[i][j] for j in col_idx] for i in row_idx]
-                if exact_det(sub) == 0:
+                if bareiss([[rows[i][j] for j in col_idx] for i in row_idx])[1] == 0:
                     return False, (row_idx, col_idx)
     return True, None
 
@@ -147,11 +146,3 @@ def combination_nonzero_count(tns: TnsMatrix, cols: Sequence[int], coeffs: Seque
             count += 1
     return count
 
-
-def tns_to_json_dict(t: TnsMatrix) -> dict:
-    from .statemat import matrix_to_json_dict
-
-    out = matrix_to_json_dict(t.as_state_matrix())
-    out["nodes"] = None if t.nodes is None else [f"{x.numerator}/{x.denominator}" for x in t.nodes]
-    out["certified"] = t.certified
-    return out

@@ -28,17 +28,19 @@ import numpy as np
 import scipy.linalg
 
 from . import _kernels
-from .construct import KIND_FIXED_RANK, KIND_MIN_RANK, SubspaceBasis, diagonals
+from .construct import KIND_FIXED_RANK, KIND_MIN_RANK, SAMPLE_BOX, SubspaceBasis, diagonals, draw_coeffs
 from .errors import CertificateError, DimensionError, DomainError, FieldMismatchError
 from .statemat import (
     COMPLEX,
+    GFP,
     RATIONAL,
     StateMatrix,
-    is_prime,
-    matrix_to_json_dict,
+    check_modulus,
+    gfp_eliminate,
     minor_value,
     rank_exact,
     schmidt_rank_numeric,
+    to_json,
 )
 
 VERDICT_CONSISTENT = "consistent"
@@ -59,8 +61,9 @@ PENCIL_TOL = 1e-8
 #: Default ceiling on the number of projective points enumerated over GF(p).
 GFP_ENUMERATION_CAP = 10**6
 
-#: Sampled integer coefficients are drawn uniformly from this box.
-SAMPLE_BOX = 9
+#: The one encoder, under the name perfbench/tracer.py times report
+#: encoding by; the CLI encodes reports through this name.
+report_to_json_dict = to_json
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,8 @@ def structural_certificate(basis: SubspaceBasis, coeffs: Sequence) -> RankCertif
     if basis.kind not in (KIND_MIN_RANK, KIND_FIXED_RANK):
         raise DomainError(f"structural certificates need a diagonal-construction basis, not kind {basis.kind!r}")
     per_matrix = basis.metadata.get("per_matrix")
-    if not per_matrix or len(per_matrix) != basis.dimension:
+    labels = [m.get("k") for m in per_matrix if isinstance(m, dict)] if isinstance(per_matrix, list) else []
+    if len(labels) != basis.dimension or not all(k in range(1 - basis.dA, basis.dB) for k in labels):
         raise DomainError("basis lacks per-matrix diagonal metadata")
     if basis.field != RATIONAL:
         raise FieldMismatchError("structural certificates are exact; basis must be rational")
@@ -123,7 +127,7 @@ def structural_certificate(basis: SubspaceBasis, coeffs: Sequence) -> RankCertif
     r = basis.r
     cs = [Fraction(c) for c in coeffs]
     support = _nonzero_indices(cs)
-    kappa = max(per_matrix[i]["k"] for i in support)
+    kappa = max(labels[i] for i in support)
     combo = basis.combination(cs)
     diag = next(d for d in diagonals(basis.dA, basis.dB) if d.k == kappa)
     nonzero_cells = [(i, j) for (i, j) in diag.cells if combo.at(i, j) != 0]
@@ -146,11 +150,21 @@ def structural_certificate(basis: SubspaceBasis, coeffs: Sequence) -> RankCertif
     )
 
 
-def _draw_coeffs(rng: np.random.Generator, dim: int) -> list[int]:
-    coeffs = rng.integers(-SAMPLE_BOX, SAMPLE_BOX + 1, size=dim)
-    while not coeffs.any():
-        coeffs = rng.integers(-SAMPLE_BOX, SAMPLE_BOX + 1, size=dim)
-    return [int(c) for c in coeffs]
+def structural_verify(basis: SubspaceBasis, r: int, n: int, seed: int) -> VerificationReport:
+    """Structural certificates for n seeded combinations; every one must land."""
+    if n < 1:
+        raise DomainError(f"need at least one sample, got {n}")
+    rng = np.random.default_rng(seed)
+    certs = tuple(structural_certificate(basis, draw_coeffs(rng, basis.dimension)) for _ in range(n))
+    return VerificationReport(
+        mode="structural",
+        samples_or_points=n,
+        verdict=VERDICT_CONSISTENT,
+        min_rank_observed=r,
+        seed=seed,
+        witnesses=certs,
+        params={"r": r},
+    )
 
 
 def sample_verify_exact(
@@ -177,7 +191,7 @@ def sample_verify_exact(
     lo, hi = None, None
     witnesses: list[RankCertificate] = []
     for _ in range(n):
-        coeffs = _draw_coeffs(rng, basis.dimension)
+        coeffs = draw_coeffs(rng, basis.dimension)
         combo = basis.combination(coeffs)
         rank = rank_exact(combo)
         lo = rank if lo is None else min(lo, rank)
@@ -217,8 +231,7 @@ def gfp_exhaustive_min_rank(
     evidence for the rational statement while a drop below r proves nothing
     about it; the verdict is "inconclusive" in that case, never "refuted".
     """
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
+    check_modulus(p)
     r = basis.r if r is None else r
     if r is None:
         raise DomainError("no rank threshold: basis carries none and r was not given")
@@ -233,17 +246,11 @@ def gfp_exhaustive_min_rank(
         raise FieldMismatchError("GF(p) enumeration needs an exact integer basis")
     if basis.field != RATIONAL and basis.p != p:
         raise DomainError(f"basis lives over GF({basis.p}); re-reducing mod {p} is undefined")
-    stack = np.empty((dim, basis.dA * basis.dB), dtype=np.int64)
-    for i, m in enumerate(basis.matrices):
-        for k, v in enumerate(m.entries):
-            if basis.field == RATIONAL:
-                if v.denominator != 1:
-                    raise DomainError(f"basis entry {v} is not an integer; reduce mod {p} undefined")
-                stack[i, k] = int(v) % p
-            else:
-                stack[i, k] = int(v) % p
-    check = stack.copy()
-    if _kernels.gfp_rank_inplace(check, p) != dim:
+    fraction = next((v for m in basis.matrices for v in m.entries if v.denominator != 1), None)
+    if fraction is not None:
+        raise DomainError(f"basis entry {fraction} is not an integer; reduce mod {p} undefined")
+    stack = [[int(v) % p for v in m.entries] for m in basis.matrices]
+    if gfp_eliminate(stack, p)[0] != dim:
         raise DomainError(f"basis loses linear independence when reduced mod {p}")
     min_rank, argmin, count = _kernels.gfp_min_rank_scan(stack, p, basis.dA, basis.dB)
     if count != points:
@@ -252,8 +259,8 @@ def gfp_exhaustive_min_rank(
         mode="gfp_exhaustive",
         samples_or_points=points,
         verdict=VERDICT_CONSISTENT if min_rank >= r else VERDICT_INCONCLUSIVE,
-        min_rank_observed=int(min_rank),
-        params={"p": p, "r": r, "argmin_coeffs": [int(c) for c in argmin]},
+        min_rank_observed=min_rank,
+        params={"p": p, "r": r, "argmin_coeffs": argmin},
     )
 
 
@@ -292,6 +299,10 @@ def minimize_sigma_r(
         raise DomainError(f"r={r} exceeds min(dA, dB) = {min(basis.dA, basis.dB)}")
     if restarts < 1 or iters < 1:
         raise DomainError("need at least one restart and one iteration")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    if basis.field == GFP:
+        raise FieldMismatchError("sigma descent runs over the complex numbers, not GF(p)")
     A = _complex_stack(basis)
     P = np.linalg.pinv(A)
     rng = np.random.default_rng(seed)
@@ -403,44 +414,3 @@ def pencil_low_rank(a, b, residual_tol: float = PENCIL_TOL) -> PencilResult:
                 finite.append(x)
                 residuals.append(res)
     return PencilResult(tuple(finite), infinite, False, tuple(residuals))
-
-
-# ---------------------------------------------------------------------------
-# JSON encoding
-# ---------------------------------------------------------------------------
-
-def _encode_scalar(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, (int, float)):
-        return v
-    return str(v)
-
-
-def certificate_to_json_dict(c: RankCertificate) -> dict:
-    return {
-        "kind": c.kind,
-        "coeffs": [_encode_scalar(v) for v in c.coeffs],
-        "kappa": c.kappa,
-        "positions": None if c.positions is None else [list(pos) for pos in c.positions],
-        "minor_value": None if c.minor_value is None else _encode_scalar(c.minor_value),
-        "rank_found": c.rank_found,
-        "matrix": None if c.matrix is None else matrix_to_json_dict(c.matrix),
-    }
-
-
-def report_to_json_dict(rep: VerificationReport) -> dict:
-    return {
-        "mode": rep.mode,
-        "samples_or_points": rep.samples_or_points,
-        "verdict": rep.verdict,
-        "min_rank_observed": rep.min_rank_observed,
-        "max_rank_observed": rep.max_rank_observed,
-        "min_sigma_r": rep.min_sigma_r,
-        "tolerance": rep.tolerance,
-        "seed": rep.seed,
-        "witnesses": [certificate_to_json_dict(w) for w in rep.witnesses],
-        "params": rep.params,
-    }

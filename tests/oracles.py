@@ -35,14 +35,18 @@ def perm_det(rows):
     return total
 
 
-def minor_rank(rows):
-    """Rank as the largest order of a nonzero minor (perm_det underneath)."""
+def minor_rank(rows, p=None):
+    """Rank as the largest order of a nonzero minor (perm_det underneath).
+
+    With a prime ``p``, the rank mod p: minors count when nonzero mod p.
+    """
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
     for order in range(min(n_rows, n_cols), 0, -1):
         for ri in itertools.combinations(range(n_rows), order):
             for ci in itertools.combinations(range(n_cols), order):
-                if perm_det([[rows[i][j] for j in ci] for i in ri]) != 0:
+                det = perm_det([[rows[i][j] for j in ci] for i in ri])
+                if (det if p is None else det % p) != 0:
                     return order
     return 0
 

@@ -18,6 +18,7 @@ from entspan.construct import (
     construct_max_rank_leq_subspace,
     construct_min_rank_subspace,
     diagonals,
+    draw_coeffs,
     random_subspace,
 )
 from entspan.statemat import rank_exact
@@ -46,13 +47,6 @@ def criterion(num, description, budget_s):
     assert elapsed < budget_s, f"criterion {num} blew its {budget_s}s budget: {elapsed:.2f}s"
 
 
-def _seeded_coeffs(rng, dim):
-    coeffs = rng.integers(-9, 10, size=dim)
-    while not coeffs.any():
-        coeffs = rng.integers(-9, 10, size=dim)
-    return [int(c) for c in coeffs]
-
-
 def test_criterion_01_dimension_formula():
     with criterion(1, "constructed dimension equals (dA-r+1)(dB-r+1) on the grid", 5):
         for dA, dB, r in GRID:
@@ -76,7 +70,7 @@ def test_criterion_03_rank_floor_with_certificates():
             basis = construct_min_rank_subspace(dA, dB, r)
             rng = np.random.default_rng(1000 + case_index)
             for _ in range(1000):
-                coeffs = _seeded_coeffs(rng, basis.dimension)
+                coeffs = draw_coeffs(rng, basis.dimension)
                 assert rank_exact(basis.combination(coeffs)) >= r
                 cert = structural_certificate(basis, coeffs)
                 assert cert.minor_value != 0

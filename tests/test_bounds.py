@@ -6,13 +6,10 @@ from entspan.bounds import (
     BoundsTable,
     bounds_table,
     bounds_table_text,
-    bounds_table_to_json_dict,
     flanders_max_leq,
     max_dim_geq,
     mixed_state_report,
-    mixed_state_report_to_json_dict,
     random_comparison,
-    random_comparison_to_json_dict,
     variety_dim,
     westwick_range,
 )
@@ -23,6 +20,7 @@ from entspan.construct import (
     construct_min_rank_subspace,
 )
 from entspan.errors import DomainError
+from entspan.statemat import to_json
 
 
 class TestMaxDimGeq:
@@ -146,7 +144,7 @@ class TestBoundsTable:
         assert lines[2].split() == ["3", "4", "3", "2", "12", "[2,2]", "2", "10"]
 
     def test_json_keys(self):
-        d = bounds_table_to_json_dict(bounds_table(3, 3, 2))
+        d = to_json(bounds_table(3, 3, 2))
         assert d["max_dim_geq"] == 4
         assert d["westwick_exact"] == 3
 
@@ -185,7 +183,7 @@ class TestMixedStateReport:
             mixed_state_report(10, 1.0)
 
     def test_json(self):
-        d = mixed_state_report_to_json_dict(mixed_state_report(10, 0.5))
+        d = to_json(mixed_state_report(10, 0.5))
         assert d["dim"] == 36
         assert "justification" in d
 
@@ -223,5 +221,5 @@ class TestRandomComparison:
             random_comparison(3, 4, 1.5)
 
     def test_json(self):
-        d = random_comparison_to_json_dict(random_comparison(100, 100, 0.5))
+        d = to_json(random_comparison(100, 100, 0.5))
         assert d["exact_dim"] == 2601

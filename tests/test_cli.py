@@ -158,6 +158,50 @@ class TestVerify:
             assert code == 0
 
 
+def _user_basis(field, entries, **extra):
+    matrix = {"rows": 2, "cols": 2, "field": field, "entries": entries, **extra}
+    return {"da": 2, "db": 2, "r": 2, "kind": "user", "matrices": [matrix]}
+
+
+_RANK_ONE = _user_basis("rational", [3, 5, 6, 10])
+_DIAGONAL = {
+    "da": 3, "db": 3, "r": 2, "kind": "min_rank_geq_r",
+    "matrices": [{"rows": 3, "cols": 3, "field": "rational", "entries": [1, 0, 0, 0, 2, 0, 0, 0, 3]}],
+    "metadata": {"per_matrix": [{"k": 0, "tns_column": 0}]},
+}
+
+#: (basis document, verify flags) that must exit 2 with one stderr line.
+BAD_INPUTS = {
+    # Above 2**31 the residues of a word-sized elimination overflowed and
+    # this rank-1 basis read "consistent" with minimum rank 2.
+    "modulus_above_2_31": (_RANK_ONE, ["--mode", "gfp", "--p", "4294967311"]),
+    # A prime this large used to be trial-divided for minutes.
+    "huge_prime_modulus": (_RANK_ONE, ["--mode", "gfp", "--p", "2305843009213693951"]),
+    "zero_denominator": (_user_basis("rational", ["1/0", 5, 6, 10]), ["--mode", "sample"]),
+    "negative_tolerance": (_user_basis("complex", [[1, 0], [0, 0], [0, 0], [1, 0]]), ["--mode", "sigma", "--tol", "-1"]),
+    "structural_without_samples": (_DIAGONAL, ["--mode", "structural", "--samples", "0"]),
+    "structural_without_diagonal_labels": (
+        {**_DIAGONAL, "metadata": {"per_matrix": [{"tns_column": 0}]}},
+        ["--mode", "structural", "--samples", "2"],
+    ),
+    "complex_entry_as_string": (_user_basis("complex", ["1+2j", [0, 0], [0, 0], [1, 0]]), ["--mode", "sigma"]),
+    "sigma_on_gfp_basis": (_user_basis("gfp", [1, 0, 0, 1], p=5), ["--mode", "sigma"]),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exits_2_with_one_line(self, capsys, tmp_path, case):
+        doc, flags = BAD_INPUTS[case]
+        basis_path, out_path = tmp_path / "basis.json", tmp_path / "rep.json"
+        basis_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--basis", str(basis_path), *flags, "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out_path.exists()
+
+
 class TestBoundsCommand:
     def test_single_row(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--da", "3", "--db", "4", "--r", "2")

@@ -1,23 +1,27 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entspan.construct import (
     KIND_FIXED_RANK,
+    SubspaceBasis,
     antisymmetric_basis_3x3,
     basis_from_json_dict,
     basis_stack_rank,
-    basis_to_json_dict,
     build_diagonal_family,
     construct_fixed_rank_subspace,
     construct_max_rank_leq_subspace,
     construct_min_rank_subspace,
     diagonals,
+    draw_coeffs,
     random_subspace,
 )
-from entspan.errors import DimensionError, DomainError
-from entspan.statemat import rank_exact
+from entspan.errors import DimensionError, DomainError, EntspanError
+from entspan.statemat import rank_exact, to_json
 from entspan.tns import default_tns
 
 GRID = [
@@ -26,13 +30,6 @@ GRID = [
     for dB in range(dA, 9)
     for r in range(2, dA + 1)
 ]
-
-
-def _random_nonzero_coeffs(rng, dim, lo=-9, hi=9):
-    coeffs = rng.integers(lo, hi + 1, size=dim)
-    while not coeffs.any():
-        coeffs = rng.integers(lo, hi + 1, size=dim)
-    return [int(c) for c in coeffs]
 
 
 class TestDiagonals:
@@ -97,7 +94,7 @@ class TestBuildDiagonalFamily:
         fam = build_diagonal_family(diag, 2, default_tns(3))
         rng = np.random.default_rng(31)
         for _ in range(500):
-            a, b = _random_nonzero_coeffs(rng, 2)
+            a, b = draw_coeffs(rng, 2)
             combo = [a * fam[0].at(i, i) + b * fam[1].at(i, i) for i in range(3)]
             assert sum(1 for v in combo if v != 0) >= 2
 
@@ -177,7 +174,7 @@ class TestMinRankConstruction:
         for dA, dB, r in [(3, 3, 2), (4, 5, 3), (2, 4, 2)]:
             basis = construct_min_rank_subspace(dA, dB, r)
             for _ in range(100):
-                coeffs = _random_nonzero_coeffs(rng, basis.dimension)
+                coeffs = draw_coeffs(rng, basis.dimension)
                 assert rank_exact(basis.combination(coeffs)) >= r
 
 
@@ -187,7 +184,7 @@ class TestMaxRankConstruction:
         assert basis.dimension == 8
         rng = np.random.default_rng(33)
         for _ in range(200):
-            coeffs = _random_nonzero_coeffs(rng, 8)
+            coeffs = draw_coeffs(rng, 8)
             assert rank_exact(basis.combination(coeffs)) <= 2
 
     def test_full_rank_gives_whole_space(self):
@@ -199,7 +196,7 @@ class TestMaxRankConstruction:
         assert basis.dimension == 5
         rng = np.random.default_rng(34)
         for _ in range(100):
-            coeffs = _random_nonzero_coeffs(rng, 5)
+            coeffs = draw_coeffs(rng, 5)
             assert rank_exact(basis.combination(coeffs)) == 1
 
     def test_tall_matrices_use_columns(self):
@@ -208,7 +205,7 @@ class TestMaxRankConstruction:
         assert basis.metadata["factor_side"] == "cols"
         rng = np.random.default_rng(35)
         for _ in range(100):
-            coeffs = _random_nonzero_coeffs(rng, 10)
+            coeffs = draw_coeffs(rng, 10)
             assert rank_exact(basis.combination(coeffs)) <= 2
 
     def test_r_out_of_range(self):
@@ -230,7 +227,7 @@ class TestFixedRankConstruction:
         assert basis.dimension == 3
         rng = np.random.default_rng(36)
         for _ in range(500):
-            coeffs = _random_nonzero_coeffs(rng, 3)
+            coeffs = draw_coeffs(rng, 3)
             assert rank_exact(basis.combination(coeffs)) == 2
 
     def test_orientation_enforced(self):
@@ -250,7 +247,7 @@ class TestAntisymmetric:
         basis = antisymmetric_basis_3x3()
         rng = np.random.default_rng(37)
         for _ in range(500):
-            coeffs = _random_nonzero_coeffs(rng, 3)
+            coeffs = draw_coeffs(rng, 3)
             combo = basis.combination(coeffs)
             assert rank_exact(combo) == 2
             assert combo.transpose().entries == tuple(-v for v in combo.entries)
@@ -276,15 +273,59 @@ class TestRandomSubspace:
 class TestBasisJson:
     def test_round_trip(self):
         basis = construct_min_rank_subspace(3, 4, 2)
-        d = basis_to_json_dict(basis)
+        d = to_json(basis)
         again = basis_from_json_dict(json.loads(json.dumps(d)))
         assert again == basis
 
     def test_keys_match_schema(self):
-        d = basis_to_json_dict(antisymmetric_basis_3x3())
+        d = to_json(antisymmetric_basis_3x3())
         assert set(d) == {"da", "db", "r", "kind", "field", "matrices", "metadata"}
 
     def test_complex_round_trip(self):
         basis = random_subspace(2, 3, 4, seed=9)
-        again = basis_from_json_dict(basis_to_json_dict(basis))
+        again = basis_from_json_dict(to_json(basis))
         assert again == basis
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+VALID_DOCS = [
+    to_json(construct_min_rank_subspace(2, 3, 2)),
+    to_json(random_subspace(2, 2, 2, seed=0)),
+    {
+        "da": 2, "db": 2, "r": 2, "kind": "user", "metadata": {},
+        "matrices": [{"rows": 2, "cols": 2, "field": "gfp", "p": 5, "entries": [1, 2, 3, 4]}],
+    },
+]
+
+
+class TestDecoderFuzz:
+    """Malformed basis documents raise EntspanError, never anything else."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_returns_basis_or_raises_entspan_error(self, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(VALID_DOCS)))
+        how = data.draw(st.sampled_from(["whole", "basis_key", "matrix_key", "entry"]))
+        matrix = data.draw(st.sampled_from(doc["matrices"]))
+        if how == "whole":
+            doc = data.draw(JSON_VALUES)
+        elif how == "entry":
+            matrix["entries"][data.draw(st.integers(0, len(matrix["entries"]) - 1))] = data.draw(JSON_VALUES)
+        else:
+            target = doc if how == "basis_key" else matrix
+            key = data.draw(st.sampled_from(sorted(target) + ["p"]))
+            if data.draw(st.booleans()):
+                target.pop(key, None)
+            else:
+                target[key] = data.draw(JSON_VALUES)
+        try:
+            basis = basis_from_json_dict(doc)
+        except EntspanError:
+            return
+        assert isinstance(basis, SubspaceBasis)
+

@@ -1,0 +1,73 @@
+"""Golden artifacts: the exact bytes of every exact-mode CLI artifact.
+
+Each case runs the CLI in a scratch directory with relative paths (the
+verify artifacts repeat the ``--basis`` path), hashes the artifact and
+compares the exit code and sha256 with pinned values.  Any change to
+encoding, sampling order or arithmetic shows up here.  Sigma mode and
+``--kind random`` are left out: their floats depend on LAPACK and numpy.
+"""
+
+import hashlib
+
+import pytest
+
+from entspan.cli import main
+
+#: (name, argv) in run order; later cases read the bases earlier ones wrote.
+CASES = [
+    ("construct_geq", ["construct", "--da", "4", "--db", "5", "--r", "3", "--out", "geq.json"]),
+    ("construct_flanders", ["construct", "--kind", "flanders", "--da", "3", "--db", "4", "--r", "2", "--out", "flanders.json"]),
+    ("construct_fixed", ["construct", "--kind", "fixed", "--da", "3", "--db", "5", "--out", "fixed.json"]),
+    ("construct_antisym", ["construct", "--kind", "antisym", "--da", "3", "--db", "3", "--out", "antisym.json"]),
+    ("construct_geq_small", ["construct", "--da", "3", "--db", "3", "--r", "2", "--out", "small.json"]),
+    ("verify_sample", ["verify", "--basis", "geq.json", "--mode", "sample", "--samples", "40", "--seed", "4", "--out", "sample.json"]),
+    ("verify_sample_refuted", ["verify", "--basis", "flanders.json", "--mode", "sample", "--r", "3", "--samples", "6", "--seed", "1", "--out", "refuted.json"]),
+    ("verify_structural", ["verify", "--basis", "geq.json", "--mode", "structural", "--samples", "20", "--seed", "5", "--out", "structural.json"]),
+    ("verify_gfp", ["verify", "--basis", "small.json", "--mode", "gfp", "--p", "3", "--out", "gfp.json"]),
+    ("verify_gfp_inconclusive", ["verify", "--basis", "geq.json", "--mode", "gfp", "--p", "3", "--out", "gfp_drop.json"]),
+    ("bounds_grid", ["bounds", "--da", "4", "--db", "6", "--grid", "--format", "json", "--out", "bounds.json"]),
+    ("report_mixed", ["report", "--kind", "mixed", "--d", "10", "--p", "0.5", "--format", "json", "--out", "mixed.json"]),
+    ("report_random", ["report", "--kind", "random", "--da", "100", "--db", "100", "--k", "0.5", "--out", "random.json"]),
+]
+
+GOLDEN = {
+    "construct_geq": (0, '2eea1620f26ce1b7b10924b66aba902c7e6fcc4c94d3861f7c64192672238416'),
+    "construct_flanders": (0, '1cea7759f2bb7c2f2cb817ec9c2bb151afa6ec779023023bc8fc4b453186e935'),
+    "construct_fixed": (0, '35d27a868bacefb3e9757d2de7745a28a406ee892a88f7c30376c8c7fcbcf2f2'),
+    "construct_antisym": (0, 'db2e34a64c0594149d6322eab74926530f03ac8c0d488021ebbd8197d3e5d878'),
+    "construct_geq_small": (0, 'db25781fb7348548e6fa88e30c6b21895308dd3e4f659f773aef532bbac7b3dd'),
+    "verify_sample": (0, '0871ea88cf8b4ae8a7b587022b40bc9e2f1a130e4cce2cd388caf1cbefe998c2'),
+    "verify_sample_refuted": (3, 'ea5e01c1838903eff94c2c37ca3a93dd436635e0bd3f8e42b95118eef4f10b11'),
+    "verify_structural": (0, 'bf5c843a8748a2e73be072bf1a3a1f4d5920df00d294852248e9eb3ca14ced84'),
+    "verify_gfp": (0, '286a9d4be816fafa3b902f71d6449617b6dd1741d4dada4bde3221ea8ec3645c'),
+    "verify_gfp_inconclusive": (4, '83d8e2502b72372f959dd62d926599592b462b47279993dee7fb38d12b338f73'),
+    "bounds_grid": (0, 'b9c9e83351256096344e1c2e01eb6f26a595b2ff9b12c08e9dcaa8ef469b056f'),
+    "report_mixed": (0, '35df22fbec65d4fcf9cf82cfdcb862ae75a7dfcb009dcae367df459184cbbb54'),
+    "report_random": (0, '9b755df08796b73d2a015bbb23c72cc83be8e9f62f8e9e3d4d5b4662b6fc4141'),
+}
+
+
+def run_cases(directory, monkeypatch):
+    """Run every case in ``directory``; return {name: (exit code, sha256)}."""
+    monkeypatch.chdir(directory)
+    out = {}
+    for name, argv in CASES:
+        code = main(argv)
+        digest = hashlib.sha256((directory / argv[argv.index("--out") + 1]).read_bytes()).hexdigest()
+        out[name] = (code, digest)
+    return out
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    monkeypatch = pytest.MonkeyPatch()
+    try:
+        yield run_cases(tmp_path_factory.mktemp("golden"), monkeypatch)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CASES])
+def test_artifact_bytes_are_pinned(artifacts, name, capsys):
+    capsys.readouterr()
+    assert artifacts[name] == GOLDEN[name]

@@ -1,72 +1,35 @@
-"""The numba kernels and their pure-python fallbacks must agree exactly."""
-
-import os
-import subprocess
-import sys
+"""The GF(p) scan and the sigma descent kernels."""
 
 import numpy as np
-import pytest
 
 from entspan import _kernels
 from entspan.construct import construct_min_rank_subspace, random_subspace
-from entspan.verify import _complex_stack
+from entspan.verify import _complex_stack, gfp_exhaustive_min_rank
 
 
-def _int_stack(basis, p):
-    stack = np.array(
-        [[int(v) % p for v in m.entries] for m in basis.matrices], dtype=np.int64
-    )
-    return stack
+def _random_stack(seed, p, dim, cells):
+    return np.random.default_rng(seed).integers(0, p, size=(dim, cells)).tolist()
 
 
 class TestGfpScan:
-    def test_compiled_and_python_paths_agree(self):
-        basis = construct_min_rank_subspace(3, 3, 2)
-        stack = _int_stack(basis, 3)
-        fast = _kernels.gfp_min_rank_scan(stack.copy(), 3, 3, 3)
-        slow = _kernels.pure_python(_kernels.gfp_min_rank_scan)(stack.copy(), 3, 3, 3)
-        assert fast[0] == slow[0]
-        assert np.array_equal(fast[1], slow[1])
-        assert fast[2] == slow[2]
-
-    def test_rank_inplace_paths_agree(self):
-        rng = np.random.default_rng(50)
-        for p in (2, 3, 7):
-            for _ in range(50):
-                m = rng.integers(0, p, size=(4, 5)).astype(np.int64)
-                fast = _kernels.gfp_rank_inplace(m.copy(), p)
-                slow = _kernels.pure_python(_kernels.gfp_rank_inplace)(m.copy(), p)
-                assert fast == slow
-
     def test_point_count_formula(self):
         for p, dim in [(2, 3), (3, 4), (5, 2), (7, 3)]:
-            rng = np.random.default_rng(51)
-            stack = rng.integers(0, p, size=(dim, 6)).astype(np.int64)
-            _, _, count = _kernels.gfp_min_rank_scan(stack, p, 2, 3)
+            _, _, count = _kernels.gfp_min_rank_scan(_random_stack(51, p, dim, 6), p, 2, 3)
             assert count == (p**dim - 1) // (p - 1)
 
     def test_first_coordinate_normalization(self):
         # The reported minimizer must be a projective representative with
         # first nonzero coordinate 1.
-        rng = np.random.default_rng(52)
-        stack = rng.integers(0, 5, size=(3, 4)).astype(np.int64)
-        _, best, _ = _kernels.gfp_min_rank_scan(stack, 5, 2, 2)
+        _, best, _ = _kernels.gfp_min_rank_scan(_random_stack(52, 5, 3, 4), 5, 2, 2)
         nz = [i for i, c in enumerate(best) if c != 0]
         assert best[nz[0]] == 1
 
+    def test_end_to_end_verdict(self):
+        rep = gfp_exhaustive_min_rank(construct_min_rank_subspace(3, 3, 2), 3)
+        assert [rep.verdict, rep.min_rank_observed, rep.samples_or_points] == ["consistent", 2, 40]
+
 
 class TestSigmaDescent:
-    def test_compiled_and_python_paths_agree(self):
-        basis = random_subspace(3, 3, 5, seed=1)
-        A = _complex_stack(basis)
-        P = np.linalg.pinv(A)
-        rng = np.random.default_rng(53)
-        x0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        fast_val, fast_x = _kernels.sigma_descent(A, P, 2, 100, x0.copy(), 3, 3)
-        slow_val, slow_x = _kernels.pure_python(_kernels.sigma_descent)(A, P, 2, 100, x0.copy(), 3, 3)
-        assert fast_val == pytest.approx(slow_val, rel=1e-9, abs=1e-12)
-        assert np.allclose(fast_x, slow_x)
-
     def test_descent_is_monotone_enough_to_converge(self):
         basis = random_subspace(3, 3, 5, seed=7)
         A = _complex_stack(basis)
@@ -78,42 +41,3 @@ class TestSigmaDescent:
             val, _ = _kernels.sigma_descent(A, P, 2, 400, x0, 3, 3)
             best = min(best, val)
         assert best < 1e-6
-
-
-class TestEnvFlag:
-    def test_flag_disables_numba(self):
-        env = dict(os.environ, ENTSPAN_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "import entspan._kernels as k; print(k.USING_NUMBA)"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "False"
-
-    def test_default_uses_numba_when_available(self):
-        env = {k: v for k, v in os.environ.items() if k != "ENTSPAN_NO_NUMBA"}
-        out = subprocess.run(
-            [sys.executable, "-c", "import entspan._kernels as k; print(k.USING_NUMBA)"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "True"
-
-    def test_fallback_end_to_end(self):
-        # A whole verification run under the numpy path must give the same
-        # exact answer as the compiled one.
-        env = dict(os.environ, ENTSPAN_NO_NUMBA="1")
-        code = (
-            "from entspan.construct import construct_min_rank_subspace\n"
-            "from entspan.verify import gfp_exhaustive_min_rank\n"
-            "rep = gfp_exhaustive_min_rank(construct_min_rank_subspace(3, 3, 2), 3)\n"
-            "print(rep.verdict, rep.min_rank_observed, rep.samples_or_points)\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
-        assert out.stdout.split() == ["consistent", "2", "40"]

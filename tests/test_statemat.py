@@ -12,18 +12,18 @@ from entspan.statemat import (
     GFP,
     RATIONAL,
     StateMatrix,
+    bareiss,
     combine,
-    gfp_rank,
+    gfp_eliminate,
     matrix_from_json_dict,
     matrix_of_state,
-    matrix_to_json_dict,
     minor_value,
-    order_r_minors,
     rank_exact,
     schmidt_rank_numeric,
     state_of_matrix,
+    to_json,
 )
-from oracles import minor_rank, perm_det
+from oracles import all_minors_vanish, minor_rank, perm_det
 
 
 def rational(rows):
@@ -154,7 +154,7 @@ class TestRankExact:
             rows = rng.integers(-9, 10, size=(dA, dB)).tolist()
             rq = rank_exact(rational(rows))
             for p in (2, 3, 5):
-                assert gfp_rank(rows, p) <= rq
+                assert gfp_eliminate(rows, p)[0] <= rq
 
     def test_numeric_agrees_with_exact_500_trials(self):
         rng = np.random.default_rng(8)
@@ -185,18 +185,27 @@ def _random_invertible(rng, n):
             return cand
 
 
+def order_r_minors(m, r):
+    """Every order-r minor as (row-set, col-set, minor_value)."""
+    return [
+        (ri, ci, minor_value(m, ri, ci))
+        for ri in itertools.combinations(range(m.rows), r)
+        for ci in itertools.combinations(range(m.cols), r)
+    ]
+
+
 class TestOrderRMinors:
     def test_identity_single_minor(self):
-        minors = list(order_r_minors(rational([[1, 0], [0, 1]]), 2))
+        minors = order_r_minors(rational([[1, 0], [0, 1]]), 2)
         assert minors == [((0, 1), (0, 1), Fraction(1))]
 
     def test_all_ones_single_zero_minor(self):
-        minors = list(order_r_minors(rational([[1, 1], [1, 1]]), 2))
+        minors = order_r_minors(rational([[1, 1], [1, 1]]), 2)
         assert minors == [((0, 1), (0, 1), Fraction(0))]
 
     def test_vandermonde_all_2x2_minors_nonzero(self):
         m = rational([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
-        minors = list(order_r_minors(m, 2))
+        minors = order_r_minors(m, 2)
         assert len(minors) == 9
         assert all(value != 0 for _, _, value in minors)
 
@@ -205,20 +214,12 @@ class TestOrderRMinors:
         rows = rng.integers(-5, 6, size=(3, 4)).tolist()
         m = rational(rows)
         for r in (1, 2, 3):
-            got = list(order_r_minors(m, r))
+            got = order_r_minors(m, r)
             assert len(got) == len(list(itertools.combinations(range(3), r))) * len(
                 list(itertools.combinations(range(4), r))
             )
             for ri, ci, value in got:
                 assert value == perm_det([[rows[i][j] for j in ci] for i in ri])
-
-    def test_out_of_range(self):
-        with pytest.raises(DimensionError):
-            next(order_r_minors(rational([[1, 0], [0, 1]]), 3))
-
-    def test_lazy(self):
-        gen = order_r_minors(rational([[1, 0], [0, 1]]), 1)
-        assert next(gen) == ((0,), (0,), Fraction(1))
 
     def test_rank_below_r_iff_all_minors_vanish_exhaustive(self):
         rng = np.random.default_rng(12)
@@ -237,8 +238,7 @@ class TestOrderRMinors:
                 continue
             rank = rank_exact(m)
             for r in range(1, min(m.rows, m.cols) + 1):
-                vanish = all(value == 0 for _, _, value in order_r_minors(m, r))
-                assert (rank < r) == vanish
+                assert (rank < r) == all_minors_vanish(rows, r)
 
 
 class TestCombineAndMinorValue:
@@ -255,24 +255,61 @@ class TestCombineAndMinorValue:
         value = minor_value(m, (0, 2, 3), (1, 2, 3))
         assert value == perm_det([[rows[i][j] for j in (1, 2, 3)] for i in (0, 2, 3)])
 
+    def test_minor_value_fractional_and_gfp(self):
+        rows = [[Fraction(1, 2), Fraction(2, 3), 1], [3, Fraction(-1, 4), 0], [Fraction(5, 7), 2, -1]]
+        assert minor_value(rational(rows), (0, 1, 2), (0, 1, 2)) == perm_det(rows)
+        ints = [[4, 9, 1], [3, 8, 0], [5, 2, 6]]
+        assert minor_value(StateMatrix.gfp(ints, 7), (0, 1, 2), (0, 1, 2)) == perm_det(ints) % 7
+
+
+class TestElimination:
+    """Both eliminations against the permutation-expansion oracles."""
+
+    def test_bareiss_matches_oracles(self):
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            n_rows, n_cols = (int(v) for v in rng.integers(1, 5, size=2))
+            rows = rng.integers(-4, 5, size=(n_rows, n_cols)).tolist()
+            if rng.random() < 0.3:  # force rank deficiency now and then
+                rows[-1] = [2 * v for v in rows[0]]
+            rank, det = bareiss(rows)
+            assert rank == minor_rank(rows)
+            assert det == (perm_det(rows) if n_rows == n_cols else 0)
+
+    def test_gfp_eliminate_matches_oracles(self):
+        rng = np.random.default_rng(16)
+        for p in (2, 3, 7, 2**31 - 1):
+            for _ in range(80):
+                n_rows, n_cols = (int(v) for v in rng.integers(1, 5, size=2))
+                rows = rng.integers(-10**12, 10**12, size=(n_rows, n_cols)).tolist()
+                if rng.random() < 0.3:
+                    rows[-1] = [v + p * 5 for v in rows[0]]
+                rank, det = gfp_eliminate(rows, p)
+                assert rank == minor_rank(rows, p)
+                assert det == (perm_det(rows) % p if n_rows == n_cols else 0)
+
+    def test_empty_matrix(self):
+        assert bareiss([]) == (0, 1)
+        assert gfp_eliminate([], 5) == (0, 1)
+
 
 class TestJson:
     def test_rational_round_trip(self):
         m = rational([[Fraction(1, 2), 3], [-4, Fraction(-5, 7)]])
-        d = matrix_to_json_dict(m)
+        d = to_json(m)
         assert d["field"] == RATIONAL
         assert d["entries"][0] == "1/2"
         assert matrix_from_json_dict(d) == m
 
     def test_complex_round_trip(self):
         m = StateMatrix.complex_([[1 + 2j, 0], [0.5, -1j]])
-        d = matrix_to_json_dict(m)
+        d = to_json(m)
         assert d["entries"][0] == [1.0, 2.0]
         assert matrix_from_json_dict(d) == m
 
     def test_gfp_round_trip(self):
         m = StateMatrix.gfp([[1, 2], [3, 4]], p=5)
-        d = matrix_to_json_dict(m)
+        d = to_json(m)
         assert d["p"] == 5
         assert matrix_from_json_dict(d) == m
 
@@ -283,4 +320,4 @@ class TestJson:
         dens = data.draw(st.lists(st.integers(1, 9), min_size=dA * dB, max_size=dA * dB))
         flat = [Fraction(n, d) for n, d in zip(nums, dens)]
         m = matrix_of_state(flat, dA, dB)
-        assert matrix_from_json_dict(matrix_to_json_dict(m)) == m
+        assert matrix_from_json_dict(to_json(m)) == m

@@ -13,7 +13,6 @@ from entspan.tns import (
     combination_nonzero_count,
     default_tns,
     is_totally_nonsingular,
-    tns_to_json_dict,
     vandermonde,
 )
 from oracles import perm_det
@@ -174,10 +173,3 @@ def _solve_exact(rows, target):
                 aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
     return [aug[i][n] for i in range(n)]
 
-
-class TestSerialization:
-    def test_json_carries_nodes_and_certification(self):
-        d = tns_to_json_dict(vandermonde([1, 2, 3]))
-        assert d["nodes"] == ["1/1", "2/1", "3/1"]
-        assert d["certified"] == CERTIFIED_EXHAUSTIVE
-        assert d["rows"] == d["cols"] == 3

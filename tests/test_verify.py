@@ -10,7 +10,7 @@ from entspan.construct import (
     random_subspace,
 )
 from entspan.errors import DomainError
-from entspan.statemat import StateMatrix, rank_exact, schmidt_rank_numeric
+from entspan.statemat import StateMatrix, gfp_eliminate, rank_exact, schmidt_rank_numeric, to_json
 from entspan.verify import (
     CERT_STRUCTURAL,
     CERT_WITNESS_GT,
@@ -22,9 +22,9 @@ from entspan.verify import (
     gfp_exhaustive_min_rank,
     minimize_sigma_r,
     pencil_low_rank,
-    report_to_json_dict,
     sample_verify_exact,
     structural_certificate,
+    structural_verify,
 )
 from oracles import perm_det
 
@@ -69,6 +69,15 @@ class TestStructuralCertificate:
             rows = [[combo.at(i, j) for j in [c for _, c in cert.positions]] for i in [r for r, _ in cert.positions]]
             assert perm_det(rows) == cert.minor_value != 0
             assert rank_exact(combo) >= 3
+
+    @pytest.mark.parametrize("dA,dB,r", [(3, 3, 2), (4, 5, 3), (5, 4, 2), (3, 6, 3), (4, 4, 4)])
+    def test_every_certificate_minor_matches_perm_det(self, dA, dB, r):
+        basis = construct_min_rank_subspace(dA, dB, r)
+        report = structural_verify(basis, r, 30, seed=dA + dB + r)
+        for cert in report.witnesses:
+            combo = basis.combination(cert.coeffs)
+            rows = [[combo.at(i, j) for _, j in cert.positions] for i, _ in cert.positions]
+            assert perm_det(rows) == cert.minor_value != 0
 
     def test_kappa_is_max_used_diagonal(self):
         basis = construct_min_rank_subspace(3, 4, 2)
@@ -127,9 +136,7 @@ class TestSampleVerifyExact:
         a = sample_verify_exact(basis, 2, 50, seed=11)
         b = sample_verify_exact(basis, 2, 50, seed=11)
         assert a == b
-        assert json.dumps(report_to_json_dict(a), sort_keys=True) == json.dumps(
-            report_to_json_dict(b), sort_keys=True
-        )
+        assert json.dumps(to_json(a), sort_keys=True) == json.dumps(to_json(b), sort_keys=True)
 
     def test_bad_args(self):
         basis = construct_min_rank_subspace(3, 3, 2)
@@ -163,6 +170,18 @@ class TestGfpExhaustive:
         basis = construct_min_rank_subspace(3, 3, 2)
         with pytest.raises(DomainError, match="prime"):
             gfp_exhaustive_min_rank(basis, 4)
+
+    @pytest.mark.parametrize("p", [4294967311, 2**61 - 1, 2**31 + 11, 1, 0, -7])
+    def test_modulus_must_be_prime_below_2_31(self, p):
+        basis = construct_min_rank_subspace(3, 3, 2)
+        with pytest.raises(DomainError, match="below 2\\*\\*31"):
+            gfp_exhaustive_min_rank(basis, p)
+        with pytest.raises(DomainError, match="below 2\\*\\*31"):
+            StateMatrix.gfp([[1, 0], [0, 1]], p=p)
+
+    def test_largest_allowed_modulus(self):
+        rep = gfp_exhaustive_min_rank(_single_matrix_basis(StateMatrix.rational([[3, 5], [6, 10]]), r=2), 2**31 - 1)
+        assert (rep.verdict, rep.min_rank_observed) == (VERDICT_INCONCLUSIVE, 1)
 
     def test_cap_refusal_names_required_cap(self):
         basis = construct_min_rank_subspace(3, 3, 2)
@@ -210,8 +229,6 @@ class TestGfpExhaustive:
         p = 5
         report = gfp_exhaustive_min_rank(basis, p)
         # Independent enumeration: all projective points, python arithmetic.
-        from entspan.statemat import gfp_rank
-
         ranks = []
         count = 0
         for lead in range(2):
@@ -224,7 +241,7 @@ class TestGfpExhaustive:
                 count += 1
                 combo = basis.combination(coeffs)
                 rows = [[int(v) % p for v in row] for row in combo.to_lists()]
-                ranks.append(gfp_rank(rows, p))
+                ranks.append(gfp_eliminate(rows, p)[0])
         assert count == report.samples_or_points
         assert min(ranks) == report.min_rank_observed
 
@@ -269,9 +286,7 @@ class TestMinimizeSigmaR:
         b = minimize_sigma_r(basis, 2, restarts=4, iters=50, seed=9)
         assert a[1] == b[1]
         assert np.array_equal(a[0], b[0])
-        assert json.dumps(report_to_json_dict(a[2]), sort_keys=True) == json.dumps(
-            report_to_json_dict(b[2]), sort_keys=True
-        )
+        assert json.dumps(to_json(a[2]), sort_keys=True) == json.dumps(to_json(b[2]), sort_keys=True)
 
     def test_rational_basis_accepted(self):
         basis = construct_min_rank_subspace(2, 2, 2)
