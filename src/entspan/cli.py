@@ -101,6 +101,9 @@ def _load_basis(path: str):
             data = json.load(f)
     except json.JSONDecodeError as exc:
         raise EntspanError(f"malformed basis file {path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:
+        # Also raised by json for an integer literal over 4300 digits.
+        raise EntspanError(f"malformed basis file {path}: {exc}") from None
     return basis_from_json_dict(data)
 
 

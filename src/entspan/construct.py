@@ -27,7 +27,6 @@ from .statemat import (
     COMPLEX,
     StateMatrix,
     _is_int,
-    bareiss,
     combine,
     matrix_from_json_dict,
     rank_exact,
@@ -91,7 +90,7 @@ def diagonals(dA: int, dB: int) -> list[DiagonalIndex]:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Ordered linearly independent basis of a matrix subspace."""
+    """Ordered basis of a matrix subspace; construction checks its independence."""
 
     dA: int
     dB: int
@@ -117,6 +116,9 @@ class SubspaceBasis:
                 raise DimensionError(f"basis is {self.dA}x{self.dB} but found a {m.rows}x{m.cols} matrix")
             if (m.field, m.p) != (head.field, head.p):
                 raise FieldMismatchError("basis matrices must share one field")
+        rank = basis_stack_rank(self)
+        if rank != self.dimension:
+            raise DomainError(f"basis is not linearly independent: stack rank {rank} != {self.dimension}")
 
     @property
     def dimension(self) -> int:
@@ -143,29 +145,11 @@ def basis_stack_rank(basis: SubspaceBasis) -> int:
     return rank_exact(stack)
 
 
-def _check_independent(basis: SubspaceBasis) -> None:
-    rank = basis_stack_rank(basis)
-    if rank != basis.dimension:
-        raise CertificateError(
-            f"constructed basis is not linearly independent: stack rank {rank} != {basis.dimension}"
-        )
-
-
 def _self_check_rank_floor(basis: SubspaceBasis, r: int, samples: int = SELF_CHECK_SAMPLES) -> None:
-    """Exact ranks of seeded combinations of an integer diagonal basis.
-
-    Each matrix has single-diagonal support, so combinations are summed
-    sparsely over plain ints instead of paying Fraction overhead per cell.
-    """
+    """Exact ranks of seeded combinations must all reach r."""
     rng = np.random.default_rng(_SELF_CHECK_SEED)
-    sparse = [[(k, int(v)) for k, v in enumerate(m.entries) if v != 0] for m in basis.matrices]
     for _ in range(samples):
-        acc = [0] * (basis.dA * basis.dB)
-        for c, cells in zip(draw_coeffs(rng, basis.dimension), sparse):
-            if c:
-                for k, v in cells:
-                    acc[k] += c * v
-        got = bareiss([acc[i * basis.dB : (i + 1) * basis.dB] for i in range(basis.dA)])[0]
+        got = rank_exact(basis.combination(draw_coeffs(rng, basis.dimension)))
         if got < r:
             raise CertificateError(f"self-check found a combination of rank {got} < {r}")
 
@@ -219,7 +203,6 @@ def construct_min_rank_subspace(dA: int, dB: int, r: int) -> SubspaceBasis:
             "tns_certified": tns.certified,
         },
     )
-    _check_independent(basis)
     _self_check_rank_floor(basis, r)
     return basis
 
@@ -245,7 +228,7 @@ def construct_max_rank_leq_subspace(dA: int, dB: int, r: int) -> SubspaceBasis:
         entries[i][j] = Fraction(1)
         matrices.append(StateMatrix.rational(entries))
         per_matrix.append({"row": i, "col": j})
-    basis = SubspaceBasis(
+    return SubspaceBasis(
         dA,
         dB,
         r,
@@ -253,8 +236,6 @@ def construct_max_rank_leq_subspace(dA: int, dB: int, r: int) -> SubspaceBasis:
         tuple(matrices),
         {"factor_side": factor_side, "factor_count": r, "per_matrix": per_matrix},
     )
-    _check_independent(basis)
-    return basis
 
 
 def construct_fixed_rank_subspace(dA: int, dB: int) -> SubspaceBasis:
@@ -284,7 +265,7 @@ def antisymmetric_basis_3x3() -> SubspaceBasis:
         entries[i][j] = Fraction(1)
         entries[j][i] = Fraction(-1)
         matrices.append(StateMatrix.rational(entries))
-    basis = SubspaceBasis(
+    return SubspaceBasis(
         3,
         3,
         2,
@@ -292,8 +273,6 @@ def antisymmetric_basis_3x3() -> SubspaceBasis:
         tuple(matrices),
         {"generators": [f"E{i}{j}-E{j}{i}" for i, j in pairs]},
     )
-    _check_independent(basis)
-    return basis
 
 
 def random_subspace(dA: int, dB: int, dim: int, seed: int) -> SubspaceBasis:
@@ -309,9 +288,7 @@ def random_subspace(dA: int, dB: int, dim: int, seed: int) -> SubspaceBasis:
     for _ in range(dim):
         a = rng.standard_normal((dA, dB)) + 1j * rng.standard_normal((dA, dB))
         matrices.append(StateMatrix.complex_(a.tolist()))
-    basis = SubspaceBasis(dA, dB, None, KIND_RANDOM, tuple(matrices), {"seed": seed})
-    _check_independent(basis)
-    return basis
+    return SubspaceBasis(dA, dB, None, KIND_RANDOM, tuple(matrices), {"seed": seed})
 
 
 def basis_from_json_dict(d: dict) -> SubspaceBasis:

@@ -14,8 +14,10 @@ ranks count singular values above a relative tolerance.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +37,10 @@ DEFAULT_TOL = 1e-9
 #: GF(p) moduli must be primes below this, so every residue fits a signed
 #: 32-bit word and products of two fit 64 bits.
 MODULUS_LIMIT = 2**31
+
+#: Rational text the decoder takes: the encoder's "n/d" form, so no exponents.
+#: Fraction(str) would expand "1e999999999" into a billion-digit integer.
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _is_int(value) -> bool:
@@ -150,6 +156,15 @@ class StateMatrix:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.entries)
 
+    @cached_property
+    def _cells(self) -> tuple[int, tuple]:
+        """(scale, nonzero (flat index, scale * entry) pairs); scale clears rational denominators."""
+        nonzero = [(k, v) for k, v in enumerate(self.entries) if v != 0]
+        if self.field != RATIONAL:
+            return 1, tuple(nonzero)
+        scale = math.lcm(*(v.denominator for _, v in nonzero))
+        return scale, tuple((k, v.numerator * (scale // v.denominator)) for k, v in nonzero)
+
 
 def matrix_of_state(amplitudes: Sequence, dA: int, dB: int, field: str = RATIONAL, p: int | None = None) -> StateMatrix:
     """Arrange a flat amplitude list (index i*dB + j) into its dA x dB matrix."""
@@ -167,7 +182,7 @@ def state_of_matrix(m: StateMatrix) -> list:
 
 
 def combine(matrices: Sequence[StateMatrix], coeffs: Sequence) -> StateMatrix:
-    """Linear combination sum_i coeffs[i] * matrices[i] over the shared field."""
+    """Sum of coeffs[i] * matrices[i] over nonzero cells; rational terms share one denominator."""
     if not matrices:
         raise DimensionError("empty combination")
     if len(matrices) != len(coeffs):
@@ -177,21 +192,23 @@ def combine(matrices: Sequence[StateMatrix], coeffs: Sequence) -> StateMatrix:
         if (m.rows, m.cols, m.field, m.p) != (head.rows, head.cols, head.field, head.p):
             raise FieldMismatchError("combination over mismatched matrices")
     cs = [_coerce_entry(c, head.field, head.p) for c in coeffs]
-    n = head.rows * head.cols
-    if head.field == GFP:
-        acc = [0] * n
-        for c, m in zip(cs, matrices):
-            for k in range(n):
-                acc[k] = (acc[k] + c * m.entries[k]) % head.p
+    if head.field == RATIONAL:
+        # c_i * M_i = c_i.numerator * cells_i / (c_i.denominator * scale_i)
+        scales = [c.denominator * m._cells[0] for c, m in zip(cs, matrices)]
+        denominator = math.lcm(*scales)
+        cs = [c.numerator * (denominator // s) for c, s in zip(cs, scales)]
+    acc = [0] * (head.rows * head.cols)
+    for c, m in zip(cs, matrices):
+        if c:
+            for k, v in m._cells[1]:
+                acc[k] += c * v
+    if head.field == RATIONAL:
+        flat = tuple(Fraction(a, denominator) for a in acc)
+    elif head.field == GFP:
+        flat = tuple(a % head.p for a in acc)
     else:
-        zero = Fraction(0) if head.field == RATIONAL else 0j
-        acc = [zero] * n
-        for c, m in zip(cs, matrices):
-            if c == 0:
-                continue
-            for k in range(n):
-                acc[k] += c * m.entries[k]
-    return StateMatrix(head.rows, head.cols, head.field, tuple(acc), head.p)
+        flat = tuple(complex(a) for a in acc)
+    return StateMatrix(head.rows, head.cols, head.field, flat, head.p)
 
 
 @dataclass(frozen=True)
@@ -367,16 +384,17 @@ def to_json(obj):
 
 def _decode_entry(value, field: str, p: int | None):
     if field == RATIONAL:
-        if isinstance(value, str) or _is_int(value):
+        text = _RATIONAL_TEXT.fullmatch(value) if isinstance(value, str) else None
+        if text or _is_int(value):
             try:
-                return Fraction(value)
+                return Fraction(int(text[1]), int(text[2] or 1)) if text else Fraction(value)
             except (ValueError, ZeroDivisionError):
                 pass
-        raise DomainError(f"bad rational entry {value!r}")
+        raise DomainError(f"bad rational entry {value!r}; use an int or an 'n' or 'n/d' string")
     if field == COMPLEX:
         try:
-            re, im = value
-            z = complex(re, im)
+            real, imag = value
+            z = complex(real, imag)
         except (TypeError, ValueError, OverflowError):
             raise DomainError(f"complex entries are [re, im] number pairs, got {value!r}") from None
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):

@@ -271,7 +271,7 @@ def _complex_stack(basis: SubspaceBasis) -> np.ndarray:
         v = np.asarray(m.to_lists(), dtype=np.complex128).reshape(-1)
         nrm = np.linalg.norm(v)
         if nrm == 0.0:
-            raise DomainError("basis contains the zero matrix")
+            raise DomainError("a basis matrix is too small to normalize: its norm underflows to zero")
         cols.append(v / nrm)
     return np.column_stack(cols)
 

@@ -186,6 +186,20 @@ BAD_INPUTS = {
     ),
     "complex_entry_as_string": (_user_basis("complex", ["1+2j", [0, 0], [0, 0], [1, 0]]), ["--mode", "sigma"]),
     "sigma_on_gfp_basis": (_user_basis("gfp", [1, 0, 0, 1], p=5), ["--mode", "sigma"]),
+    # Fraction would expand this exponent into a 3.3-billion-bit integer.
+    "rational_exponent": (_user_basis("rational", ["1e999999999", 5, 6, 11]), ["--mode", "sample"]),
+    "rational_decimal": (_user_basis("rational", ["1.5", 5, 6, 11]), ["--mode", "sample"]),
+    "rational_padded": (_user_basis("rational", [" 3", 5, 6, 11]), ["--mode", "sample"]),
+    # json raises a plain ValueError on integer literals over 4300 digits.
+    "dimension_of_5001_digits": (
+        '{"da": ' + "9" * 5001 + ', "db": 2, "kind": "user", "matrices": []}',
+        ["--mode", "sample"],
+    ),
+    # Read "consistent" when loaded bases were not checked for independence.
+    "duplicated_matrix": (
+        {**_RANK_ONE, "matrices": _RANK_ONE["matrices"] * 2},
+        ["--mode", "sample", "--require", "leq", "--samples", "5"],
+    ),
 }
 
 
@@ -194,7 +208,7 @@ class TestBadInput:
     def test_exits_2_with_one_line(self, capsys, tmp_path, case):
         doc, flags = BAD_INPUTS[case]
         basis_path, out_path = tmp_path / "basis.json", tmp_path / "rep.json"
-        basis_path.write_text(json.dumps(doc))
+        basis_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run_cli(capsys, "verify", "--basis", str(basis_path), *flags, "--out", str(out_path))
         assert code == 2
         assert out == ""

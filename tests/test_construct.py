@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from entspan.construct import (
     KIND_FIXED_RANK,
     SubspaceBasis,
+    _self_check_rank_floor,
     antisymmetric_basis_3x3,
     basis_from_json_dict,
     basis_stack_rank,
@@ -20,8 +21,8 @@ from entspan.construct import (
     draw_coeffs,
     random_subspace,
 )
-from entspan.errors import DimensionError, DomainError, EntspanError
-from entspan.statemat import rank_exact, to_json
+from entspan.errors import CertificateError, DimensionError, DomainError, EntspanError
+from entspan.statemat import COMPLEX, GFP, RATIONAL, StateMatrix, rank_exact, to_json
 from entspan.tns import default_tns
 
 GRID = [
@@ -178,6 +179,13 @@ class TestMinRankConstruction:
                 assert rank_exact(basis.combination(coeffs)) >= r
 
 
+class TestSelfCheck:
+    def test_fires_when_combinations_fall_below_r(self):
+        # Every combination of the r=1 Flanders basis has rank at most 1.
+        with pytest.raises(CertificateError, match="rank 1 < 2"):
+            _self_check_rank_floor(construct_max_rank_leq_subspace(3, 3, 1), 2)
+
+
 class TestMaxRankConstruction:
     def test_3x4_r2(self):
         basis = construct_max_rank_leq_subspace(3, 4, 2)
@@ -268,6 +276,14 @@ class TestRandomSubspace:
     def test_independent(self):
         basis = random_subspace(3, 4, 7, seed=5)
         assert basis_stack_rank(basis) == 7
+
+
+class TestIndependence:
+    @pytest.mark.parametrize("field, p", [(RATIONAL, None), (GFP, 7), (COMPLEX, None)])
+    def test_zero_matrix_rejected(self, field, p):
+        matrices = tuple(StateMatrix.from_rows(rows, field, p) for rows in ([[1, 0], [0, 1]], [[0, 0], [0, 0]]))
+        with pytest.raises(DomainError, match="not linearly independent"):
+            SubspaceBasis(2, 2, 2, "user", matrices, {})
 
 
 class TestBasisJson:

@@ -8,10 +8,25 @@ encoding, sampling order or arithmetic shows up here.  Sigma mode and
 """
 
 import hashlib
+import json
 
 import pytest
 
 from entspan.cli import main
+
+#: A user basis with fractional entries, written before the cases run, so
+#: that a witness in a refuted report carries fractional cells.
+FRACTIONAL_BASIS = {
+    "da": 2,
+    "db": 3,
+    "r": 2,
+    "kind": "user",
+    "matrices": [
+        {"rows": 2, "cols": 3, "field": "rational", "entries": ["1/2", 0, "-3/4", 0, 0, 0]},
+        {"rows": 2, "cols": 3, "field": "rational", "entries": [0, "2/3", 0, "-5/6", 0, 1]},
+        {"rows": 2, "cols": 3, "field": "rational", "entries": [1, 0, 0, 0, "7/8", "-1/3"]},
+    ],
+}
 
 #: (name, argv) in run order; later cases read the bases earlier ones wrote.
 CASES = [
@@ -22,6 +37,7 @@ CASES = [
     ("construct_geq_small", ["construct", "--da", "3", "--db", "3", "--r", "2", "--out", "small.json"]),
     ("verify_sample", ["verify", "--basis", "geq.json", "--mode", "sample", "--samples", "40", "--seed", "4", "--out", "sample.json"]),
     ("verify_sample_refuted", ["verify", "--basis", "flanders.json", "--mode", "sample", "--r", "3", "--samples", "6", "--seed", "1", "--out", "refuted.json"]),
+    ("verify_sample_fractional", ["verify", "--basis", "frac.json", "--mode", "sample", "--r", "1", "--require", "leq", "--samples", "6", "--seed", "3", "--out", "frac_refuted.json"]),
     ("verify_structural", ["verify", "--basis", "geq.json", "--mode", "structural", "--samples", "20", "--seed", "5", "--out", "structural.json"]),
     ("verify_gfp", ["verify", "--basis", "small.json", "--mode", "gfp", "--p", "3", "--out", "gfp.json"]),
     ("verify_gfp_inconclusive", ["verify", "--basis", "geq.json", "--mode", "gfp", "--p", "3", "--out", "gfp_drop.json"]),
@@ -38,6 +54,7 @@ GOLDEN = {
     "construct_geq_small": (0, 'db25781fb7348548e6fa88e30c6b21895308dd3e4f659f773aef532bbac7b3dd'),
     "verify_sample": (0, '0871ea88cf8b4ae8a7b587022b40bc9e2f1a130e4cce2cd388caf1cbefe998c2'),
     "verify_sample_refuted": (3, 'ea5e01c1838903eff94c2c37ca3a93dd436635e0bd3f8e42b95118eef4f10b11'),
+    "verify_sample_fractional": (3, '4a6a29f50ce8040bd2c9d2eb07db1fe226069e3c6126b011d4c5f47af77d532b'),
     "verify_structural": (0, 'bf5c843a8748a2e73be072bf1a3a1f4d5920df00d294852248e9eb3ca14ced84'),
     "verify_gfp": (0, '286a9d4be816fafa3b902f71d6449617b6dd1741d4dada4bde3221ea8ec3645c'),
     "verify_gfp_inconclusive": (4, '83d8e2502b72372f959dd62d926599592b462b47279993dee7fb38d12b338f73'),
@@ -50,6 +67,7 @@ GOLDEN = {
 def run_cases(directory, monkeypatch):
     """Run every case in ``directory``; return {name: (exit code, sha256)}."""
     monkeypatch.chdir(directory)
+    (directory / "frac.json").write_text(json.dumps(FRACTIONAL_BASIS))
     out = {}
     for name, argv in CASES:
         code = main(argv)

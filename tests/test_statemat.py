@@ -241,12 +241,43 @@ class TestOrderRMinors:
                 assert (rank < r) == all_minors_vanish(rows, r)
 
 
+def _draw_scalar(rng, field, p):
+    """A seeded scalar of the field, zero about a third of the time."""
+    if rng.random() < 1 / 3:
+        return 0
+    if field == RATIONAL:
+        return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+    if field == GFP:
+        return int(rng.integers(-3 * p, 3 * p))
+    return complex(*rng.standard_normal(2))
+
+
 class TestCombineAndMinorValue:
-    def test_combine_rational(self):
-        a = rational([[1, 0], [0, 0]])
-        b = rational([[0, 0], [0, 1]])
-        got = combine([a, b], [2, Fraction(1, 3)])
-        assert got.to_lists() == [[2, 0], [0, Fraction(1, 3)]]
+    @pytest.mark.parametrize(
+        "field, p",
+        [(RATIONAL, None), (GFP, 2), (GFP, 7), (GFP, 2**31 - 1), (COMPLEX, None)],
+        ids=["rational", "gfp2", "gfp7", "gfp2147483647", "complex"],
+    )
+    def test_combine_matches_dense_sum(self, field, p):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            rows, cols = (int(v) for v in rng.integers(1, 5, size=2))
+            pool = [
+                StateMatrix.from_rows(
+                    [[_draw_scalar(rng, field, p) for _ in range(cols)] for _ in range(rows)], field, p
+                )
+                for _ in range(4)
+            ]
+            # Each pool matrix serves several calls, some twice in one call,
+            # so its cached nonzero cells are reused.
+            for _ in range(6):
+                picks = [pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 6)))]
+                coeffs = [_draw_scalar(rng, field, p) for _ in picks]
+                got = combine(picks, coeffs)
+                for k, value in enumerate(got.entries):
+                    dense = sum(c * m.entries[k] for c, m in zip(coeffs, picks))
+                    assert value == (dense % p if field == GFP else dense)
+                    assert type(value) is {RATIONAL: Fraction, GFP: int, COMPLEX: complex}[field]
 
     def test_minor_value_matches_oracle(self):
         rng = np.random.default_rng(13)

@@ -189,8 +189,9 @@ class TestGfpExhaustive:
             gfp_exhaustive_min_rank(basis, 3, cap=10)
 
     def test_independence_loss_mod_p_rejected(self):
+        # Independent over the rationals, but diag(1, 4) is I mod 3.
         a = StateMatrix.rational([[1, 0], [0, 1]])
-        b = StateMatrix.rational([[4, 0], [0, 4]])
+        b = StateMatrix.rational([[1, 0], [0, 4]])
         from entspan.construct import SubspaceBasis
 
         basis = SubspaceBasis(2, 2, 2, "user", (a, b), {})
