@@ -112,6 +112,8 @@ def cmd_verify(args) -> int:
     r = args.r if args.r is not None else basis.r
     if r is None:
         raise EntspanError("basis carries no rank threshold; pass --r")
+    if r < 1:
+        raise EntspanError(f"--r must be at least 1, got {r}")
     if args.mode == "sample":
         report = verify_mod.sample_verify_exact(basis, r, args.samples, args.seed, require=args.require)
     elif args.mode == "gfp":
@@ -260,6 +262,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every seeded subcommand hands --seed to numpy, which takes no negatives.
+        if getattr(args, "seed", 0) < 0:
+            raise EntspanError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except EntspanError as exc:
         print(f"error: {exc}", file=sys.stderr)

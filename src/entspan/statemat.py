@@ -220,6 +220,20 @@ class SchmidtInfo:
     tolerance_used: float | None = None
 
 
+def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a / 2**e, e), e the binary exponent of a's largest real or imaginary part.
+
+    The scaled parts lie below 1 with the largest at least 1/2, so a norm or
+    an SVD of them neither overflows nor underflows.  Dividing by a power of
+    two is exact, so anything scale-invariant computed from the result, such
+    as a rank or a normalized vector, matches the unscaled one bit for bit.
+    ``a`` must be a C-contiguous complex128 array.
+    """
+    parts = a.view(np.float64)
+    e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
+    return np.ldexp(parts, -e).view(np.complex128), e
+
+
 def schmidt_rank_numeric(m: StateMatrix, tol: float = DEFAULT_TOL) -> SchmidtInfo:
     """Numeric Schmidt rank: singular values above ``tol * sigma_max`` count.
 
@@ -233,12 +247,11 @@ def schmidt_rank_numeric(m: StateMatrix, tol: float = DEFAULT_TOL) -> SchmidtInf
     a = np.asarray(m.to_lists(), dtype=np.complex128)
     if not np.all(np.isfinite(a.view(np.float64))):
         raise NumericError("matrix contains non-finite entries")
-    sv = np.linalg.svd(a, compute_uv=False)
-    smax = float(sv[0]) if sv.size else 0.0
-    if smax == 0.0:
-        return SchmidtInfo(0, tuple(float(s) for s in sv), tol)
-    rank = int(np.sum(sv > tol * smax))
-    return SchmidtInfo(rank, tuple(float(s) for s in sv), tol)
+    scaled, e = unit_scaled(a)
+    sv = np.linalg.svd(scaled, compute_uv=False)
+    rank = int(np.sum(sv > tol * sv[0])) if sv[0] > 0.0 else 0
+    with np.errstate(over="ignore"):
+        return SchmidtInfo(rank, tuple(float(s) for s in np.ldexp(sv, e)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -294,37 +307,59 @@ def bareiss(rows: list[list[int]]) -> tuple[int, int]:
     return rank, sign * prev if rank == n_rows == n_cols else 0
 
 
-def gfp_eliminate(rows: list[list[int]], p: int) -> tuple[int, int]:
-    """(rank, determinant mod p) by elimination with modular inverses.
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x**(p-2) mod p elementwise: the inverse of each nonzero residue (Fermat)."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
 
-    Entries are Python ints, so no modulus can overflow.  The determinant is
-    0 unless the matrix is square and nonsingular mod p.
+
+def gfp_eliminate(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, determinants mod p) of an (N, m, n) stack, one elimination for all N.
+
+    Nested lists of Python ints too large for int64 are reduced mod p before
+    the cast, so any integer input stays exact.  Residues are below p < 2**31
+    (``check_modulus``), so every product of two stays below 2**62 and is
+    reduced before the next operation.  A determinant is 0 unless its matrix
+    is square and nonsingular mod p (1 for the empty matrix).
     """
-    m = [[v % p for v in row] for row in rows]
-    n_rows, n_cols = len(m), len(m[0]) if m else 0
-    rank = 0
-    det = 1
-    for col in range(n_cols):
-        piv = next((i for i in range(rank, n_rows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            det = -det
-        row_p = m[rank]
-        det = det * row_p[col] % p
-        inv = pow(row_p[col], p - 2, p)
-        for i in range(rank + 1, n_rows):
-            row_i = m[i]
-            if row_i[col] == 0:
-                continue
-            factor = row_i[col] * inv % p
-            for j in range(col, n_cols):
-                row_i[j] = (row_i[j] - factor * row_p[j]) % p
-        rank += 1
-        if rank == n_rows:
+    a = np.asarray(stack)
+    if a.dtype.kind != "i":
+        a = np.asarray(stack, dtype=object) % p
+    a = a.astype(np.int64) % p
+    if a.ndim != 3:
+        raise DimensionError(f"need an (N, rows, cols) stack, got shape {a.shape}")
+    n_mats, n_rows, n_cols = a.shape
+    every = np.arange(n_mats)
+    row_ids = np.arange(n_rows)
+    ranks = np.zeros(n_mats, dtype=np.int64)
+    dets = np.ones(n_mats, dtype=np.int64)
+    for col in range(n_cols if n_rows else 0):
+        # Each matrix pivots on its first nonzero entry at or below its next pivot row.
+        candidates = (a[:, :, col] != 0) & (row_ids >= ranks[:, None])
+        found = candidates.any(axis=1)
+        top = np.minimum(ranks, n_rows - 1)
+        piv = np.where(found, candidates.argmax(axis=1), top)
+        moved = np.flatnonzero(piv != top)
+        dets[moved] = p - dets[moved]  # a row swap negates the determinant
+        a[moved, top[moved]], a[moved, piv[moved]] = a[moved, piv[moved]], a[moved, top[moved]]
+        pivot_rows = a[every, top]
+        pivots = np.where(found, pivot_rows[:, col], 1)
+        dets = dets * pivots % p
+        # Rows below the pivot take -(head / pivot) times the pivot row; the
+        # columns left of col are already zero there.
+        below = (row_ids > ranks[:, None]) & found[:, None]
+        factors = (p - a[:, :, col]) * _inverse_mod(pivots, p)[:, None] % p * below
+        a[:, :, col:] = (a[:, :, col:] + factors[:, :, None] * pivot_rows[:, None, col:]) % p
+        ranks += found
+        if (ranks == n_rows).all():
             break
-    return rank, det % p if rank == n_rows == n_cols else 0
+    return ranks, np.where((ranks == n_rows) & (n_rows == n_cols), dets, 0)
 
 
 def rank_exact(m: StateMatrix) -> int:
@@ -332,7 +367,7 @@ def rank_exact(m: StateMatrix) -> int:
     if m.field == RATIONAL:
         return bareiss(_integer_rows(m.to_lists())[0])[0]
     if m.field == GFP:
-        return gfp_eliminate(m.to_lists(), m.p)[0]
+        return int(gfp_eliminate([m.to_lists()], m.p)[0][0])
     raise FieldMismatchError("rank_exact needs an exact field; use schmidt_rank_numeric for complex")
 
 
@@ -345,7 +380,8 @@ def minor_value(m: StateMatrix, row_idx: Sequence[int], col_idx: Sequence[int]):
         int_rows, denominator = _integer_rows(sub)
         return Fraction(bareiss(int_rows)[1], denominator)
     if m.field == GFP:
-        return gfp_eliminate(sub, m.p)[1]
+        stack = np.array(sub, dtype=object).reshape(1, len(row_idx), len(col_idx))
+        return int(gfp_eliminate(stack, m.p)[1][0])
     return complex(np.linalg.det(np.array(sub, dtype=np.complex128)))
 
 

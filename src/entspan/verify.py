@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels
 from .construct import KIND_FIXED_RANK, KIND_MIN_RANK, SAMPLE_BOX, SubspaceBasis, diagonals, draw_coeffs
@@ -41,6 +40,7 @@ from .statemat import (
     rank_exact,
     schmidt_rank_numeric,
     to_json,
+    unit_scaled,
 )
 
 VERDICT_CONSISTENT = "consistent"
@@ -120,6 +120,8 @@ def structural_certificate(basis: SubspaceBasis, coeffs: Sequence) -> RankCertif
     labels = [m.get("k") for m in per_matrix if isinstance(m, dict)] if isinstance(per_matrix, list) else []
     if len(labels) != basis.dimension or not all(k in range(1 - basis.dA, basis.dB) for k in labels):
         raise DomainError("basis lacks per-matrix diagonal metadata")
+    if basis.r is None:
+        raise DomainError("structural certificates need the basis's rank threshold r")
     if basis.field != RATIONAL:
         raise FieldMismatchError("structural certificates are exact; basis must be rational")
     if len(coeffs) != basis.dimension:
@@ -151,9 +153,15 @@ def structural_certificate(basis: SubspaceBasis, coeffs: Sequence) -> RankCertif
 
 
 def structural_verify(basis: SubspaceBasis, r: int, n: int, seed: int) -> VerificationReport:
-    """Structural certificates for n seeded combinations; every one must land."""
+    """Structural certificates for n seeded combinations; every one must land.
+
+    Each certificate is an order-``basis.r`` minor, so it proves rank >= r
+    only for r up to the basis's own threshold.
+    """
     if n < 1:
         raise DomainError(f"need at least one sample, got {n}")
+    if basis.r is not None and r > basis.r:
+        raise DomainError(f"structural certificates prove rank >= {basis.r} (the basis's r), not {r}")
     rng = np.random.default_rng(seed)
     certs = tuple(structural_certificate(basis, draw_coeffs(rng, basis.dimension)) for _ in range(n))
     return VerificationReport(
@@ -250,7 +258,7 @@ def gfp_exhaustive_min_rank(
     if fraction is not None:
         raise DomainError(f"basis entry {fraction} is not an integer; reduce mod {p} undefined")
     stack = [[int(v) % p for v in m.entries] for m in basis.matrices]
-    if gfp_eliminate(stack, p)[0] != dim:
+    if gfp_eliminate([stack], p)[0][0] != dim:
         raise DomainError(f"basis loses linear independence when reduced mod {p}")
     min_rank, argmin, count = _kernels.gfp_min_rank_scan(stack, p, basis.dA, basis.dB)
     if count != points:
@@ -268,11 +276,8 @@ def _complex_stack(basis: SubspaceBasis) -> np.ndarray:
     """Vectorized basis as columns of a complex matrix, unit Frobenius each."""
     cols = []
     for m in basis.matrices:
-        v = np.asarray(m.to_lists(), dtype=np.complex128).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            raise DomainError("a basis matrix is too small to normalize: its norm underflows to zero")
-        cols.append(v / nrm)
+        v = unit_scaled(np.asarray(m.entries, dtype=np.complex128))[0]
+        cols.append(v / np.linalg.norm(v))
     return np.column_stack(cols)
 
 
@@ -384,6 +389,10 @@ def pencil_low_rank(a, b, residual_tol: float = PENCIL_TOL) -> PencilResult:
     classify each one: beta ~ 0 means an infinite root (b singular in that
     direction), both ~ 0 means the pencil is identically singular.
     """
+    # Imported here, not at module level: scipy.linalg adds about 27 MiB and
+    # 0.2 s to every process that imports the CLI, which never needs it.
+    import scipy.linalg
+
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entspan.cli import main
 from entspan.construct import basis_from_json_dict
@@ -200,6 +205,21 @@ BAD_INPUTS = {
         {**_RANK_ONE, "matrices": _RANK_ONE["matrices"] * 2},
         ["--mode", "sample", "--require", "leq", "--samples", "5"],
     ),
+    # Structural certificates are order-2 minors here; this read "consistent"
+    # with min_rank_observed 9.
+    "structural_r_above_basis_r": (_DIAGONAL, ["--mode", "structural", "--r", "9", "--samples", "2"]),
+    # A traceback: structural certificates used the missing r as a minor order.
+    "structural_without_basis_r": (
+        {k: v for k, v in _DIAGONAL.items() if k != "r"},
+        ["--mode", "structural", "--r", "1", "--samples", "2"],
+    ),
+    # Each read "consistent".
+    "gfp_negative_r": (_DIAGONAL, ["--mode", "gfp", "--p", "3", "--r", "-3"]),
+    "sample_zero_r": (_DIAGONAL, ["--mode", "sample", "--r", "0", "--samples", "2"]),
+    # numpy raised a ValueError traceback from default_rng(-1).
+    "sample_negative_seed": (_DIAGONAL, ["--mode", "sample", "--seed", "-1", "--samples", "2"]),
+    "sigma_negative_seed": (_user_basis("complex", [[1, 0], [0, 0], [0, 0], [1, 0]]), ["--mode", "sigma", "--seed", "-1"]),
+    "structural_negative_seed": (_DIAGONAL, ["--mode", "structural", "--seed", "-1", "--samples", "2"]),
 }
 
 
@@ -214,6 +234,91 @@ class TestBadInput:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out_path.exists()
+
+    def test_construct_negative_seed(self, capsys, tmp_path):
+        out_path = tmp_path / "b.json"
+        code, out, err = run_cli(
+            capsys, "construct", "--kind", "random", "--da", "2", "--db", "2", "--dim", "2",
+            "--seed", "-1", "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out_path.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases(tmp_path_factory):
+    """Small basis files over every field: diagonal, antisymmetric, GF(5), complex."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    for name, argv in [
+        ("geq", ["--da", "3", "--db", "3", "--r", "2"]),
+        ("antisym", ["--kind", "antisym", "--da", "3", "--db", "3"]),
+        ("random", ["--kind", "random", "--da", "2", "--db", "3", "--dim", "3", "--seed", "4"]),
+    ]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["construct", *argv, "--out", str(directory / f"{name}.json")]) == 0
+    gfp = [{"rows": 2, "cols": 2, "field": "gfp", "p": 5, "entries": e} for e in ([1, 2, 0, 3], [0, 1, 1, 0], [4, 0, 0, 1])]
+    (directory / "gfp5.json").write_text(json.dumps({"da": 2, "db": 2, "r": 2, "kind": "user", "matrices": gfp}))
+    return sorted(str(path) for path in directory.glob("*.json"))
+
+
+#: Verify flags the fuzz test draws, each from a small range with negative,
+#: zero and boundary values.  The count flags are always given, since their
+#: defaults (1000 samples, 64 restarts of 500 iterations) are slow.
+FUZZ_COUNTS = {
+    "--seed": st.integers(-2, 3),
+    "--samples": st.integers(-1, 4),
+    "--restarts": st.integers(-1, 3),
+    "--iters": st.integers(-1, 5),
+}
+FUZZ_OPTIONAL = {
+    "--r": st.integers(-2, 4),
+    "--p": st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 7, 2**31 - 1, 2**31]),
+    "--cap": st.sampled_from([-1, 0, 1, 40, 10**6]),
+    "--tol": st.sampled_from([-1.0, 0.0, 1e-7, 0.5, 1.0, 2.0, math.inf, math.nan]),
+    "--require": st.sampled_from(["geq", "leq", "eq"]),
+}
+
+
+class TestCliFuzz:
+    """Any verify flag set ends in a verdict with an artifact, or exit 2 with one line."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_or_one_error_line(self, fuzz_bases, tmp_path_factory, data):
+        out_path = tmp_path_factory.mktemp("run") / "rep.json"
+        mode = data.draw(st.sampled_from(["sample", "gfp", "sigma", "structural"]), label="mode")
+        argv = ["verify", "--basis", data.draw(st.sampled_from(fuzz_bases), label="basis"), "--mode", mode]
+        for flag, values in FUZZ_COUNTS.items():
+            argv += [flag, str(data.draw(values, label=flag))]
+        for flag, values in FUZZ_OPTIONAL.items():
+            value = data.draw(st.none() | values, label=flag)
+            argv += [] if value is None else [flag, str(value)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(out_path)])
+        if code == 2:
+            assert out.getvalue() == "" and not out_path.exists()
+            assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+        else:
+            assert code in (0, 3, 4) and err.getvalue() == ""
+            assert json.loads(out_path.read_text())["params"]["run"]["mode"] == mode
+
+
+class TestNumericScale:
+    """Complex bases at the ends of the double range load and verify."""
+
+    @pytest.mark.parametrize("scale", [1e308, 1e-200])
+    def test_loads_and_verifies(self, capsys, tmp_path, scale):
+        basis_path = tmp_path / "basis.json"
+        doc = _user_basis("complex", [[scale, 0], [scale, 0], [0, 0], [scale, 0]])
+        basis_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "verify", "--basis", str(basis_path), "--mode", "sigma", "--r", "2",
+            "--restarts", "2", "--iters", "20", "--out", str(tmp_path / "rep.json"),
+        )
+        assert (code, err) == (0, "")
+        assert "verdict=consistent" in out
 
 
 class TestBoundsCommand:

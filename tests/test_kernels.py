@@ -1,14 +1,47 @@
 """The GF(p) scan and the sigma descent kernels."""
 
+import itertools
+
 import numpy as np
+import pytest
 
 from entspan import _kernels
 from entspan.construct import construct_min_rank_subspace, random_subspace
 from entspan.verify import _complex_stack, gfp_exhaustive_min_rank
 
+from oracles import minor_rank
+
 
 def _random_stack(seed, p, dim, cells):
     return np.random.default_rng(seed).integers(0, p, size=(dim, cells)).tolist()
+
+
+def _oracle_scan(stack, p, rows, cols):
+    """(min rank, first minimizer, count) by walking the odometer point by point."""
+    dim = len(stack)
+    best_rank, best, count = None, None, 0
+    for lead in range(dim):
+        for tail in itertools.product(range(p), repeat=dim - lead - 1):
+            coeffs = [0] * lead + [1, *tail]
+            flat = [sum(c * m[k] for c, m in zip(coeffs, stack)) % p for k in range(rows * cols)]
+            rank = minor_rank([flat[i * cols : (i + 1) * cols] for i in range(rows)], p)
+            if best_rank is None or rank < best_rank:
+                best_rank, best = rank, coeffs
+            count += 1
+    return best_rank, best, count
+
+
+def _oracle_cases(n):
+    """Seeded small bases, every other one sparse so that low ranks and ties occur."""
+    rng = np.random.default_rng(55)
+    for _ in range(n):
+        p = int(rng.choice([2, 3, 5, 7]))
+        rows, cols = (int(v) for v in rng.integers(1, 4, size=2))
+        dim = int(rng.integers(1, 5 if p < 5 else 3))
+        stack = rng.integers(0, p, size=(dim, rows * cols))
+        if rng.random() < 0.5:
+            stack *= rng.random(stack.shape) < 0.3
+        yield stack.tolist(), p, rows, cols
 
 
 class TestGfpScan:
@@ -23,6 +56,23 @@ class TestGfpScan:
         _, best, _ = _kernels.gfp_min_rank_scan(_random_stack(52, 5, 3, 4), 5, 2, 2)
         nz = [i for i, c in enumerate(best) if c != 0]
         assert best[nz[0]] == 1
+
+    @pytest.mark.parametrize("case", list(_oracle_cases(40)), ids=lambda c: f"p{c[1]}_{c[2]}x{c[3]}_dim{len(c[0])}")
+    def test_matches_oracle_enumeration(self, case):
+        stack, p, rows, cols = case
+        assert _kernels.gfp_min_rank_scan(stack, p, rows, cols) == _oracle_scan(stack, p, rows, cols)
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 7])
+    def test_chunk_boundaries(self, monkeypatch, points):
+        # Chunks of a few points split each leading coordinate's run at many
+        # places; the result must equal the one-chunk scan.  The first of
+        # this basis's rank-0 points is [1, 0, 1, 2], the sixth point; a scan
+        # with its first free coordinate fastest would report [1, 2, 1, 0].
+        stack, p, rows, cols = _random_stack(66, 3, 4, 4), 3, 2, 2
+        whole = _kernels.gfp_min_rank_scan(stack, p, rows, cols)
+        monkeypatch.setattr(_kernels, "SCAN_CHUNK_BYTES", points * 8 * rows * cols)
+        assert _kernels.gfp_min_rank_scan(stack, p, rows, cols) == whole
+        assert whole == _oracle_scan(stack, p, rows, cols)
 
     def test_end_to_end_verdict(self):
         rep = gfp_exhaustive_min_rank(construct_min_rank_subspace(3, 3, 2), 3)

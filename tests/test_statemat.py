@@ -82,6 +82,24 @@ class TestSchmidtRankNumeric:
         with pytest.raises(NumericError):
             StateMatrix.complex_([[1, float("inf")], [0, 1]])
 
+    def test_entries_near_overflow(self):
+        # The largest singular value, 2e308, overflows unless the matrix is
+        # scaled first; it read rank 0 with singular values (inf, 0).
+        m = StateMatrix.complex_([[1e308, 1e308], [1e308, 1e308]])
+        assert schmidt_rank_numeric(m).rank == 1
+        assert schmidt_rank_numeric(StateMatrix.complex_([[1e308, 0], [0, -1e308]])).rank == 2
+
+    def test_rank_invariant_under_power_of_two_scaling(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            a = np.outer(rng.standard_normal(3), rng.standard_normal(4)) + 1j * np.eye(3, 4)
+            info = schmidt_rank_numeric(StateMatrix.complex_(a.tolist()))
+            for shift in (-1000, -600, 600, 1020):
+                scaled = schmidt_rank_numeric(StateMatrix.complex_(np.ldexp(a.real, shift) + 1j * np.ldexp(a.imag, shift)))
+                assert scaled.rank == info.rank
+                if abs(shift) == 600:
+                    assert scaled.singular_values == tuple(np.ldexp(info.singular_values, shift))
+
     def test_singular_values_descending(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -154,7 +172,7 @@ class TestRankExact:
             rows = rng.integers(-9, 10, size=(dA, dB)).tolist()
             rq = rank_exact(rational(rows))
             for p in (2, 3, 5):
-                assert gfp_eliminate(rows, p)[0] <= rq
+                assert gfp_eliminate([rows], p)[0][0] <= rq
 
     def test_numeric_agrees_with_exact_500_trials(self):
         rng = np.random.default_rng(8)
@@ -315,13 +333,30 @@ class TestElimination:
                 rows = rng.integers(-10**12, 10**12, size=(n_rows, n_cols)).tolist()
                 if rng.random() < 0.3:
                     rows[-1] = [v + p * 5 for v in rows[0]]
-                rank, det = gfp_eliminate(rows, p)
+                (rank,), (det,) = gfp_eliminate([rows], p)
                 assert rank == minor_rank(rows, p)
                 assert det == (perm_det(rows) % p if n_rows == n_cols else 0)
 
+    @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+    def test_gfp_eliminate_mixed_rank_stack(self, p):
+        # One call over 4x4 matrices of rational rank 0 to 4, rows shuffled so
+        # that pivots need swaps, entries shifted by p * 10**20 beyond int64.
+        rng = np.random.default_rng(17)
+        stack = []
+        for target in range(5):
+            for _ in range(6):
+                left = rng.integers(-9, 10, size=(4, target))
+                rows = (left @ rng.integers(-9, 10, size=(target, 4))).tolist()
+                rng.shuffle(rows)
+                stack.append([[v + p * 10**20 for v in row] for row in rows])
+        ranks, dets = gfp_eliminate(stack, p)
+        assert ranks.tolist() == [minor_rank(rows, p) for rows in stack]
+        assert dets.tolist() == [int(perm_det(rows) % p) for rows in stack]
+
     def test_empty_matrix(self):
         assert bareiss([]) == (0, 1)
-        assert gfp_eliminate([], 5) == (0, 1)
+        ranks, dets = gfp_eliminate(np.zeros((1, 0, 0), dtype=np.int64), 5)
+        assert (ranks.tolist(), dets.tolist()) == ([0], [1])
 
 
 class TestJson:

@@ -10,7 +10,7 @@ from entspan.construct import (
     random_subspace,
 )
 from entspan.errors import DomainError
-from entspan.statemat import StateMatrix, gfp_eliminate, rank_exact, schmidt_rank_numeric, to_json
+from entspan.statemat import StateMatrix, rank_exact, schmidt_rank_numeric, to_json
 from entspan.verify import (
     CERT_STRUCTURAL,
     CERT_WITNESS_GT,
@@ -26,7 +26,7 @@ from entspan.verify import (
     structural_certificate,
     structural_verify,
 )
-from oracles import perm_det
+from oracles import minor_rank, perm_det
 
 
 def _single_matrix_basis(matrix, r=2):
@@ -242,7 +242,7 @@ class TestGfpExhaustive:
                 count += 1
                 combo = basis.combination(coeffs)
                 rows = [[int(v) % p for v in row] for row in combo.to_lists()]
-                ranks.append(gfp_eliminate(rows, p)[0])
+                ranks.append(minor_rank(rows, p))
         assert count == report.samples_or_points
         assert min(ranks) == report.min_rank_observed
 
@@ -293,6 +293,28 @@ class TestMinimizeSigmaR:
         basis = construct_min_rank_subspace(2, 2, 2)
         _, value, report = minimize_sigma_r(basis, 2, restarts=4, iters=100, seed=0)
         assert value > 0
+
+    def test_entries_near_underflow(self):
+        # np.linalg.norm squared these entries to zero, and the basis was
+        # rejected as "norm underflows to zero".
+        basis = _single_matrix_basis(StateMatrix.complex_([[1e-200, 0], [0, 1e-200]]))
+        _, value, report = minimize_sigma_r(basis, 2, restarts=2, iters=20, seed=0)
+        assert report.verdict == VERDICT_CONSISTENT
+        assert value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("shift", [-600, 600])
+    def test_power_of_two_scaling_keeps_verdict_and_value(self, shift):
+        from entspan.construct import SubspaceBasis
+
+        for basis in (random_subspace(3, 3, 5, seed=1), random_subspace(3, 4, 3, seed=2)):
+            scaled = SubspaceBasis(
+                basis.dA, basis.dB, None, "user",
+                tuple(StateMatrix(m.rows, m.cols, m.field, tuple(z * 2.0**shift for z in m.entries)) for m in basis.matrices),
+                {},
+            )
+            _, _, plain = minimize_sigma_r(basis, 2, restarts=4, iters=100, seed=0)
+            _, _, big = minimize_sigma_r(scaled, 2, restarts=4, iters=100, seed=0)
+            assert (big.verdict, big.min_sigma_r) == (plain.verdict, plain.min_sigma_r)
 
     def test_bad_r(self):
         basis = random_subspace(3, 3, 2, seed=0)
