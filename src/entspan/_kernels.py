@@ -81,10 +81,7 @@ def sigma_descent(A, P, r, iters, x0, rows, cols):
             best_x = x.copy()
         if val == 0.0:
             break
-        if r == 1:
-            T = np.zeros((rows, cols), np.complex128)
-        else:
-            T = (u[:, : r - 1] * s[: r - 1]) @ np.ascontiguousarray(vh[: r - 1, :])
+        T = (u[:, : r - 1] * s[: r - 1]) @ np.ascontiguousarray(vh[: r - 1, :])
         y = P @ T.reshape(rows * cols)
         nrm = np.sqrt(np.real(np.vdot(y, y)))
         if nrm < 1e-150:

@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.grid:
-        rs = range(2, min(args.da, args.db) + 1)
+        rs = range(2, min(bounds_mod._normalize(args.da, args.db)) + 1)
     else:
         if args.r is None:
             raise EntspanError("bounds needs --r or --grid")

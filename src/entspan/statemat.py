@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +47,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+@lru_cache(maxsize=64)  # trial division up to 2**31 takes milliseconds; every matrix checks its modulus
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -162,8 +163,8 @@ class StateMatrix:
         nonzero = [(k, v) for k, v in enumerate(self.entries) if v != 0]
         if self.field != RATIONAL:
             return 1, tuple(nonzero)
-        scale = math.lcm(*(v.denominator for _, v in nonzero))
-        return scale, tuple((k, v.numerator * (scale // v.denominator)) for k, v in nonzero)
+        (scaled,), scale = _integer_rows([[v for _, v in nonzero]])
+        return scale, tuple(zip((k for k, _ in nonzero), scaled))
 
 
 def matrix_of_state(amplitudes: Sequence, dA: int, dB: int, field: str = RATIONAL, p: int | None = None) -> StateMatrix:
@@ -220,18 +221,29 @@ class SchmidtInfo:
     tolerance_used: float | None = None
 
 
-def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(a / 2**e, e), e the binary exponent of a's largest real or imaginary part.
+def unit_scaled(m: StateMatrix) -> tuple[np.ndarray, int]:
+    """(a, e): m as a complex128 matrix a * 2**e whose largest real or imaginary part lies in [1/2, 1).
 
-    The scaled parts lie below 1 with the largest at least 1/2, so a norm or
-    an SVD of them neither overflows nor underflows.  Dividing by a power of
-    two is exact, so anything scale-invariant computed from the result, such
-    as a rank or a normalized vector, matches the unscaled one bit for bit.
-    ``a`` must be a C-contiguous complex128 array.
+    So a norm or an SVD of ``a`` neither overflows nor underflows.  Rationals are rounded once from
+    their integer form (``int / int`` after a power-of-two shift), so entries beyond the double range
+    convert too; where an entry's own double is normal, ``a`` holds it times 2**-e, bit for bit.
     """
+    if m.field == GFP:
+        raise FieldMismatchError("GF(p) has no numeric values: numeric rank and sigma descent run over the complex numbers")
+    if m.field == COMPLEX:
+        a, shift = np.array(m.entries, dtype=np.complex128), 0
+    else:
+        scale, cells = m._cells
+        top = max((abs(v) for _, v in cells), default=0)
+        shift = top.bit_length() - scale.bit_length()  # so top / scale / 2**shift lies in (1/2, 2)
+        lift, den = max(-shift, 0), scale << max(shift, 0)
+        a = np.zeros(m.rows * m.cols, dtype=np.complex128)
+        a[[k for k, _ in cells]] = [(v << lift) / den for _, v in cells]
     parts = a.view(np.float64)
+    if not np.all(np.isfinite(parts)):
+        raise NumericError("matrix contains non-finite entries")
     e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
-    return np.ldexp(parts, -e).view(np.complex128), e
+    return np.ldexp(parts, -e).view(np.complex128).reshape(m.rows, m.cols), shift + e
 
 
 def schmidt_rank_numeric(m: StateMatrix, tol: float = DEFAULT_TOL) -> SchmidtInfo:
@@ -242,12 +254,7 @@ def schmidt_rank_numeric(m: StateMatrix, tol: float = DEFAULT_TOL) -> SchmidtInf
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    if m.field == GFP:
-        raise FieldMismatchError("numeric rank is undefined over GF(p)")
-    a = np.asarray(m.to_lists(), dtype=np.complex128)
-    if not np.all(np.isfinite(a.view(np.float64))):
-        raise NumericError("matrix contains non-finite entries")
-    scaled, e = unit_scaled(a)
+    scaled, e = unit_scaled(m)
     sv = np.linalg.svd(scaled, compute_uv=False)
     rank = int(np.sum(sv > tol * sv[0])) if sv[0] > 0.0 else 0
     with np.errstate(over="ignore"):

@@ -31,7 +31,6 @@ from .construct import KIND_FIXED_RANK, KIND_MIN_RANK, SAMPLE_BOX, SubspaceBasis
 from .errors import CertificateError, DimensionError, DomainError, FieldMismatchError
 from .statemat import (
     COMPLEX,
-    GFP,
     RATIONAL,
     StateMatrix,
     check_modulus,
@@ -274,11 +273,8 @@ def gfp_exhaustive_min_rank(
 
 def _complex_stack(basis: SubspaceBasis) -> np.ndarray:
     """Vectorized basis as columns of a complex matrix, unit Frobenius each."""
-    cols = []
-    for m in basis.matrices:
-        v = unit_scaled(np.asarray(m.entries, dtype=np.complex128))[0]
-        cols.append(v / np.linalg.norm(v))
-    return np.column_stack(cols)
+    cols = [unit_scaled(m)[0].ravel() for m in basis.matrices]
+    return np.column_stack([v / np.linalg.norm(v) for v in cols])
 
 
 def minimize_sigma_r(
@@ -306,8 +302,6 @@ def minimize_sigma_r(
         raise DomainError("need at least one restart and one iteration")
     if not 0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    if basis.field == GFP:
-        raise FieldMismatchError("sigma descent runs over the complex numbers, not GF(p)")
     A = _complex_stack(basis)
     P = np.linalg.pinv(A)
     rng = np.random.default_rng(seed)

@@ -306,12 +306,18 @@ class TestCliFuzz:
 
 
 class TestNumericScale:
-    """Complex bases at the ends of the double range load and verify."""
+    """Bases at the ends of the double range, and rational ones beyond it, load and verify."""
 
-    @pytest.mark.parametrize("scale", [1e308, 1e-200])
+    @pytest.mark.parametrize(
+        "scale", [1e308, 1e-200, pytest.param("1" + "0" * 400, id="10^400"), pytest.param("1/1" + "0" * 400, id="1/10^400")]
+    )
     def test_loads_and_verifies(self, capsys, tmp_path, scale):
         basis_path = tmp_path / "basis.json"
-        doc = _user_basis("complex", [[scale, 0], [scale, 0], [0, 0], [scale, 0]])
+        if isinstance(scale, str):
+            # Doubles of these rationals overflow or round to 0.
+            doc = _user_basis("rational", [scale, scale, 0, scale])
+        else:
+            doc = _user_basis("complex", [[scale, 0], [scale, 0], [0, 0], [scale, 0]])
         basis_path.write_text(json.dumps(doc))
         code, out, err = run_cli(
             capsys, "verify", "--basis", str(basis_path), "--mode", "sigma", "--r", "2",
@@ -334,6 +340,12 @@ class TestBoundsCommand:
         rows = [line.split() for line in out.splitlines()[1:]]
         assert [r[2] for r in rows] == ["2", "3"]
         assert [r[3] for r in rows] == ["4", "1"]
+
+    @pytest.mark.parametrize("dims", [("-2", "3"), ("3", "0")], ids=["negative_da", "zero_db"])
+    def test_grid_needs_positive_dimensions(self, capsys, dims):
+        code, out, err = run_cli(capsys, "bounds", "--da", dims[0], "--db", dims[1], "--grid")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_transposed_dims_match(self, capsys):
         _, a, _ = run_cli(capsys, "bounds", "--da", "5", "--db", "3", "--r", "2")

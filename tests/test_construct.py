@@ -1,5 +1,6 @@
 import copy
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from entspan.construct import (
     draw_coeffs,
     random_subspace,
 )
+from entspan import statemat
 from entspan.errors import CertificateError, DimensionError, DomainError, EntspanError
 from entspan.statemat import COMPLEX, GFP, RATIONAL, StateMatrix, rank_exact, to_json
 from entspan.tns import default_tns
@@ -284,6 +286,28 @@ class TestIndependence:
         matrices = tuple(StateMatrix.from_rows(rows, field, p) for rows in ([[1, 0], [0, 1]], [[0, 0], [0, 0]]))
         with pytest.raises(DomainError, match="not linearly independent"):
             SubspaceBasis(2, 2, 2, "user", matrices, {})
+
+
+class TestModulusCheck:
+    def test_prime_tested_once_per_load(self):
+        # Trial division up to 2**31 costs milliseconds, and every matrix, the
+        # stack of the independence check and every combination check p.
+        p = 2**31 - 1
+        matrices = [{"rows": 2, "cols": 5, "field": "gfp", "p": p, "entries": [int(k == i) for k in range(10)]} for i in range(10)]
+        divisions = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and (code.co_name, code.co_filename) == ("is_prime", statemat.__file__):
+                divisions.append(frame.f_locals["n"])
+
+        sys.setprofile(profile)
+        try:
+            basis = basis_from_json_dict({"da": 2, "db": 5, "kind": "user", "matrices": matrices})
+        finally:
+            sys.setprofile(None)
+        assert basis.dimension == 10
+        assert divisions.count(p) <= 1
 
 
 class TestBasisJson:

@@ -81,6 +81,8 @@ class TestSchmidtRankNumeric:
     def test_nonfinite_entries(self):
         with pytest.raises(NumericError):
             StateMatrix.complex_([[1, float("inf")], [0, 1]])
+        with pytest.raises(NumericError):  # built directly, so no entry was coerced
+            schmidt_rank_numeric(StateMatrix(1, 2, COMPLEX, (1j, complex("nan"))))
 
     def test_entries_near_overflow(self):
         # The largest singular value, 2e308, overflows unless the matrix is
@@ -99,6 +101,18 @@ class TestSchmidtRankNumeric:
                 assert scaled.rank == info.rank
                 if abs(shift) == 600:
                     assert scaled.singular_values == tuple(np.ldexp(info.singular_values, shift))
+
+    @pytest.mark.parametrize("s", [Fraction(10**400), Fraction(1, 10**400)], ids=["10^400", "1/10^400"])
+    def test_rational_entries_beyond_double_range(self, s):
+        # Their doubles overflow (OverflowError) or round to 0 (rank 0).
+        for rows in (
+            [[s, 2 * s], [3 * s, 6 * s]],
+            [[s, -s, 0], [2 * s, s / 3, 3 * s]],
+            [[s / 7, 0], [0, 0], [0, -s]],
+            [[0, 0], [0, 0]],
+        ):
+            m = rational(rows)
+            assert schmidt_rank_numeric(m).rank == rank_exact(m)
 
     def test_singular_values_descending(self):
         rng = np.random.default_rng(11)
