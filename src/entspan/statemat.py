@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -274,7 +274,7 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
     out = []
     denominator = 1
     for row in rows:
-        d = math.lcm(*(f.denominator for f in row))
+        d = math.lcm(*[f.denominator for f in row])  # a list, not a generator: see matrix_from_json_dict
         denominator *= d
         out.append([f.numerator * (d // f.denominator) for f in row])
     return out, denominator
@@ -369,10 +369,40 @@ def gfp_eliminate(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     return ranks, np.where((ranks == n_rows) & (n_rows == n_cols), dets, 0)
 
 
+def block_rank(cells: Iterable[tuple[int, int]], width: int) -> int:
+    """Rank of the integer matrix with ``width`` columns and these (flat index, value) cells.
+
+    Rows linked by shared columns, directly or through other rows, form a
+    block.  Blocks span subspaces on disjoint columns, so the rank is the sum
+    of one ``bareiss`` per block, each over its own columns only.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for k, v in cells:
+        rows.setdefault(k // width, {})[k % width] = v
+    root: dict[int, int] = {}
+
+    def find(c: int) -> int:
+        while root.setdefault(c, c) != c:
+            root[c] = c = root[root[c]]
+        return c
+
+    blocks: dict[int, list] = {}
+    for row in rows.values():
+        for c in row:
+            root[find(c)] = find(next(iter(row)))
+    for row in rows.values():
+        blocks.setdefault(find(next(iter(row))), []).append(row)
+    rank = 0
+    for block in blocks.values():
+        cols = set().union(*block)
+        rank += bareiss([[row.get(c, 0) for c in cols] for row in block])[0]
+    return rank
+
+
 def rank_exact(m: StateMatrix) -> int:
     """Exact linear rank over an exact field (rationals or GF(p))."""
     if m.field == RATIONAL:
-        return bareiss(_integer_rows(m.to_lists())[0])[0]
+        return block_rank(m._cells[1], m.cols)
     if m.field == GFP:
         return int(gfp_eliminate([m.to_lists()], m.p)[0][0])
     raise FieldMismatchError("rank_exact needs an exact field; use schmidt_rank_numeric for complex")
@@ -465,5 +495,20 @@ def matrix_from_json_dict(d: dict) -> StateMatrix:
         if p is None:
             raise DomainError("GF(p) matrix object is missing its modulus field 'p'")
         check_modulus(p)
-    flat = tuple(_decode_entry(v, field, p) for v in entries)
-    return StateMatrix(rows, cols, field, flat, p)
+    if field != RATIONAL:
+        return StateMatrix(rows, cols, field, tuple(_decode_entry(v, field, p) for v in entries), p)
+    # Each distinct text decodes once (most cells of a constructed basis read "0/1"),
+    # and nonzero cells are found by text, not by comparing each Fraction with zero.
+    decoded = {}
+    for v in entries:
+        if type(v) is not str or v not in decoded:
+            decoded[v] = _decode_entry(v, field, p)
+    m = StateMatrix(rows, cols, field, tuple(map(decoded.__getitem__, entries)), p)
+    zero = {v for v, f in decoded.items() if not f}
+    nonzero = [k for k, v in enumerate(entries) if v not in zero]
+    (scaled,), scale = _integer_rows([[m.entries[k] for k in nonzero]])
+    # What m._cells would compute.  The tuple is built from a list: tuple() of a
+    # generator resizes its result, and each resized small tuple is parked in
+    # CPython's free list of its new size, which grew a loop of loads by ~1.5 MiB.
+    object.__setattr__(m, "_cells", (scale, tuple([*zip(nonzero, scaled)])))
+    return m

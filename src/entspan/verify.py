@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .construct import KIND_FIXED_RANK, KIND_MIN_RANK, SAMPLE_BOX, SubspaceBasis, diagonals, draw_coeffs
+from .construct import KIND_FIXED_RANK, KIND_MIN_RANK, SAMPLE_BOX, SubspaceBasis, coeff_stream, draw_coeffs
 from .errors import CertificateError, DimensionError, DomainError, FieldMismatchError
 from .statemat import (
     COMPLEX,
@@ -59,6 +59,10 @@ PENCIL_TOL = 1e-8
 
 #: Default ceiling on the number of projective points enumerated over GF(p).
 GFP_ENUMERATION_CAP = 10**6
+
+#: Largest denominator of the rational point a numeric witness on a rational
+#: basis is rounded to before its exact rank is checked.
+WITNESS_DENOMINATOR = 10**4
 
 #: The one encoder, under the name perfbench/tracer.py times report
 #: encoding by; the CLI encodes reports through this name.
@@ -130,15 +134,14 @@ def structural_certificate(basis: SubspaceBasis, coeffs: Sequence) -> RankCertif
     support = _nonzero_indices(cs)
     kappa = max(labels[i] for i in support)
     combo = basis.combination(cs)
-    diag = next(d for d in diagonals(basis.dA, basis.dB) if d.k == kappa)
-    nonzero_cells = [(i, j) for (i, j) in diag.cells if combo.at(i, j) != 0]
+    cells = [(i, i + kappa) for i in range(max(0, -kappa), min(basis.dA, basis.dB - kappa))]
+    nonzero_cells = [(i, j) for (i, j) in cells if combo.at(i, j) != 0]
     if len(nonzero_cells) < r:
         raise CertificateError(
             f"construction bug: diagonal k={kappa} holds {len(nonzero_cells)} nonzero entries, needs {r}"
         )
     chosen = nonzero_cells[:r]
-    row_idx = tuple(i for i, _ in chosen)
-    col_idx = tuple(j for _, j in chosen)
+    row_idx, col_idx = zip(*chosen)
     value = minor_value(combo, row_idx, col_idx)
     if value == 0:
         raise CertificateError(f"construction bug: triangular minor at rows {row_idx} cols {col_idx} vanished")
@@ -161,7 +164,7 @@ def structural_verify(basis: SubspaceBasis, r: int, n: int, seed: int) -> Verifi
         raise DomainError(f"need at least one sample, got {n}")
     if basis.r is not None and r > basis.r:
         raise DomainError(f"structural certificates prove rank >= {basis.r} (the basis's r), not {r}")
-    rng = np.random.default_rng(seed)
+    rng = coeff_stream(seed)
     certs = tuple(structural_certificate(basis, draw_coeffs(rng, basis.dimension)) for _ in range(n))
     return VerificationReport(
         mode="structural",
@@ -194,7 +197,7 @@ def sample_verify_exact(
         raise DomainError(f"unknown requirement {require!r}")
     if basis.field != RATIONAL:
         raise FieldMismatchError("exact sampling needs a rational basis")
-    rng = np.random.default_rng(seed)
+    rng = coeff_stream(seed)
     lo, hi = None, None
     witnesses: list[RankCertificate] = []
     for _ in range(n):
@@ -277,6 +280,21 @@ def _complex_stack(basis: SubspaceBasis) -> np.ndarray:
     return np.column_stack([v / np.linalg.norm(v) for v in cols])
 
 
+def _exact_drop(basis: SubspaceBasis, x: np.ndarray, r: int) -> bool:
+    """Whether the witness x, phase-normalized and rounded to rationals, has exact rank below r.
+
+    Column i of the descent's stack is M_i * 2**-e_i / n_i (``_complex_stack``), so x weighs M_i
+    by x_i * 2**-e_i / n_i; the weights are scaled so the largest has size about 1, turned by its
+    phase, and each real part is rounded by ``limit_denominator``.
+    """
+    weights = [(c / np.linalg.norm(a), e) for c, (a, e) in zip(x, map(unit_scaled, basis.matrices))]
+    top = max(math.frexp(abs(c))[1] - e for c, e in weights if c)
+    z = [complex(math.ldexp(c.real, -e - top), math.ldexp(c.imag, -e - top)) for c, e in weights]
+    turn = abs(lead := max(z, key=abs)) / lead
+    coeffs = [Fraction((v * turn).real).limit_denominator(WITNESS_DENOMINATOR) for v in z]
+    return any(coeffs) and rank_exact(basis.combination(coeffs)) < r
+
+
 def minimize_sigma_r(
     basis: SubspaceBasis,
     r: int,
@@ -291,8 +309,9 @@ def minimize_sigma_r(
     rank r-1, refit coefficients by least squares, renormalize, repeat.  The
     objective sigma_r / sigma_1 is scale invariant.  A best value below
     ``tol`` is re-checked with a numeric rank computation before a witness is
-    emitted; floors at least sqrt(tol) count as consistent, and anything in
-    between is inconclusive, never refuted.
+    emitted, and on a rational basis also with ``_exact_drop``; floors at least
+    sqrt(tol) count as consistent, and anything in between is inconclusive,
+    never refuted.
     """
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
@@ -322,7 +341,8 @@ def minimize_sigma_r(
         combo_vec = A @ best_x
         combo = StateMatrix.complex_(combo_vec.reshape(basis.dA, basis.dB).tolist())
         info = schmidt_rank_numeric(combo, tol=1e-6)
-        if info.rank < r:
+        # Over a rational basis the numeric witness counts only once an exact rank confirms it.
+        if info.rank < r and (basis.field == COMPLEX or _exact_drop(basis, best_x, r)):
             witnesses = (
                 RankCertificate(
                     kind=CERT_WITNESS_LT,

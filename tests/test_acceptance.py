@@ -14,6 +14,7 @@ from entspan.cli import main as cli_main
 from entspan.construct import (
     antisymmetric_basis_3x3,
     basis_stack_rank,
+    coeff_stream,
     construct_fixed_rank_subspace,
     construct_max_rank_leq_subspace,
     construct_min_rank_subspace,
@@ -68,7 +69,7 @@ def test_criterion_03_rank_floor_with_certificates():
     with criterion(3, "1000 seeded samples per case: exact rank >= r and structural certificate", 60):
         for case_index, (dA, dB, r) in enumerate([(3, 3, 2), (4, 5, 3), (5, 5, 4), (6, 7, 2)]):
             basis = construct_min_rank_subspace(dA, dB, r)
-            rng = np.random.default_rng(1000 + case_index)
+            rng = coeff_stream(1000 + case_index)
             for _ in range(1000):
                 coeffs = draw_coeffs(rng, basis.dimension)
                 assert rank_exact(basis.combination(coeffs)) >= r

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entspan.cli import main
+import entspan
+from entspan.cli import build_parser, main
 from entspan.construct import basis_from_json_dict
 
 
@@ -220,6 +222,15 @@ BAD_INPUTS = {
     "sample_negative_seed": (_DIAGONAL, ["--mode", "sample", "--seed", "-1", "--samples", "2"]),
     "sigma_negative_seed": (_user_basis("complex", [[1, 0], [0, 0], [0, 0], [1, 0]]), ["--mode", "sigma", "--seed", "-1"]),
     "structural_negative_seed": (_DIAGONAL, ["--mode", "structural", "--seed", "-1", "--samples", "2"]),
+    # The independence stack splits into blocks of rows sharing columns; the
+    # dependency (second = first / 3) lies inside one of them.
+    "dependency_inside_one_block": (
+        {**_RANK_ONE, "matrices": [
+            {"rows": 2, "cols": 2, "field": "rational", "entries": e}
+            for e in ([1, 2, 0, 0], ["1/3", "2/3", 0, 0], [0, 0, 0, 5])
+        ]},
+        ["--mode", "sample", "--samples", "5"],
+    ),
 }
 
 
@@ -303,6 +314,73 @@ class TestCliFuzz:
         else:
             assert code in (0, 3, 4) and err.getvalue() == ""
             assert json.loads(out_path.read_text())["params"]["run"]["mode"] == mode
+
+
+def test_sigma_on_ill_conditioned_rational_basis_exits_4(capsys, tmp_path):
+    # Every element of this basis has exact rank 2; the numeric witness is not confirmed.
+    basis_path = tmp_path / "basis.json"
+    basis_path.write_text(json.dumps(_user_basis("rational", [10**10, 0, 0, 1])))
+    code, out, err = run_cli(
+        capsys, "verify", "--basis", str(basis_path), "--mode", "sigma", "--r", "2", "--out", str(tmp_path / "r.json")
+    )
+    assert (code, err) == (4, "")
+    assert "verdict=inconclusive" in out
+
+
+class TestParserCache:
+    def test_successive_calls_share_no_state(self, capsys, tmp_path):
+        basis, first, second = tmp_path / "b.json", tmp_path / "r1.json", tmp_path / "r2.json"
+        run_cli(capsys, "construct", "--da", "3", "--db", "3", "--r", "2", "--out", str(basis))
+        code, _, _ = run_cli(
+            capsys, "verify", "--basis", str(basis), "--mode", "sample", "--samples", "3", "--seed", "5",
+            "--r", "3", "--require", "leq", "--out", str(first),
+        )
+        assert code == 0
+        code, _, _ = run_cli(capsys, "verify", "--basis", str(basis), "--mode", "structural", "--out", str(second))
+        assert code == 0
+        run = json.loads(second.read_text())["params"]["run"]
+        assert (run["mode"], run["samples"], run["seed"], run["r"], run["require"]) == ("structural", 1000, 0, None, "geq")
+        assert build_parser() is build_parser()
+
+    def test_bad_flag_still_exits_2(self, capsys, tmp_path):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["bounds", "--da", "3", "--db", "3", "--bogus", "1"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
+        code, _, _ = run_cli(capsys, "bounds", "--da", "3", "--db", "3", "--r", "2")
+        assert code == 0
+
+
+_FOOTPRINT = """
+import sys
+from entspan.cli import main
+basis, report = sys.argv[1] + "/b.json", sys.argv[1] + "/r.json"
+assert main(["construct", "--kind", "geq", "--da", "3", "--db", "4", "--r", "2", "--out", basis]) == 0
+for flags in sys.argv[2:]:
+    assert main(["verify", "--basis", basis, *flags.split(), "--out", report]) in (0, 4)
+print("numpy.random" in sys.modules)
+"""
+
+
+class TestImportFootprint:
+    """numpy.random costs every process about 6 MiB; only the Gaussian draws need it."""
+
+    def _imports_numpy_random(self, tmp_path, *modes):
+        path = [os.path.dirname(os.path.dirname(entspan.__file__)), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT, str(tmp_path), *modes], capture_output=True, text=True, env=env, check=True
+        )
+        return {"True": True, "False": False}[out.stdout.splitlines()[-1]]
+
+    def test_exact_and_gfp_paths_do_not_import_it(self, tmp_path):
+        modes = ("--mode sample --samples 20", "--mode structural --samples 20", "--mode gfp --p 3")
+        assert not self._imports_numpy_random(tmp_path, *modes)
+
+    def test_sigma_mode_does(self, tmp_path):
+        # The guard above can see the import.
+        assert self._imports_numpy_random(tmp_path, "--mode sigma --restarts 1 --iters 5")
 
 
 class TestNumericScale:

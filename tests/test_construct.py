@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from entspan.construct import (
     KIND_FIXED_RANK,
+    SAMPLE_BOX,
     SubspaceBasis,
     _self_check_rank_floor,
     antisymmetric_basis_3x3,
     basis_from_json_dict,
     basis_stack_rank,
     build_diagonal_family,
+    coeff_stream,
     construct_fixed_rank_subspace,
     construct_max_rank_leq_subspace,
     construct_min_rank_subspace,
@@ -22,7 +24,7 @@ from entspan.construct import (
     draw_coeffs,
     random_subspace,
 )
-from entspan import statemat
+from entspan import construct, statemat
 from entspan.errors import CertificateError, DimensionError, DomainError, EntspanError
 from entspan.statemat import COMPLEX, GFP, RATIONAL, StateMatrix, rank_exact, to_json
 from entspan.tns import default_tns
@@ -95,7 +97,7 @@ class TestBuildDiagonalFamily:
     def test_random_combinations_keep_r_nonzeros_on_diagonal(self):
         diag = next(d for d in diagonals(3, 3) if d.k == 0)
         fam = build_diagonal_family(diag, 2, default_tns(3))
-        rng = np.random.default_rng(31)
+        rng = coeff_stream(31)
         for _ in range(500):
             a, b = draw_coeffs(rng, 2)
             combo = [a * fam[0].at(i, i) + b * fam[1].at(i, i) for i in range(3)]
@@ -173,7 +175,7 @@ class TestMinRankConstruction:
             assert all(v.denominator == 1 for v in m.entries)
 
     def test_sampled_combinations_have_rank_at_least_r(self):
-        rng = np.random.default_rng(32)
+        rng = coeff_stream(32)
         for dA, dB, r in [(3, 3, 2), (4, 5, 3), (2, 4, 2)]:
             basis = construct_min_rank_subspace(dA, dB, r)
             for _ in range(100):
@@ -192,7 +194,7 @@ class TestMaxRankConstruction:
     def test_3x4_r2(self):
         basis = construct_max_rank_leq_subspace(3, 4, 2)
         assert basis.dimension == 8
-        rng = np.random.default_rng(33)
+        rng = coeff_stream(33)
         for _ in range(200):
             coeffs = draw_coeffs(rng, 8)
             assert rank_exact(basis.combination(coeffs)) <= 2
@@ -204,7 +206,7 @@ class TestMaxRankConstruction:
     def test_rank_one(self):
         basis = construct_max_rank_leq_subspace(3, 5, 1)
         assert basis.dimension == 5
-        rng = np.random.default_rng(34)
+        rng = coeff_stream(34)
         for _ in range(100):
             coeffs = draw_coeffs(rng, 5)
             assert rank_exact(basis.combination(coeffs)) == 1
@@ -213,7 +215,7 @@ class TestMaxRankConstruction:
         basis = construct_max_rank_leq_subspace(5, 3, 2)
         assert basis.dimension == 10  # r * max(dA, dB)
         assert basis.metadata["factor_side"] == "cols"
-        rng = np.random.default_rng(35)
+        rng = coeff_stream(35)
         for _ in range(100):
             coeffs = draw_coeffs(rng, 10)
             assert rank_exact(basis.combination(coeffs)) <= 2
@@ -235,7 +237,7 @@ class TestFixedRankConstruction:
     def test_2x4_every_combination_has_rank_exactly_2(self):
         basis = construct_fixed_rank_subspace(2, 4)
         assert basis.dimension == 3
-        rng = np.random.default_rng(36)
+        rng = coeff_stream(36)
         for _ in range(500):
             coeffs = draw_coeffs(rng, 3)
             assert rank_exact(basis.combination(coeffs)) == 2
@@ -255,7 +257,7 @@ class TestAntisymmetric:
 
     def test_500_random_combinations_rank_exactly_2(self):
         basis = antisymmetric_basis_3x3()
-        rng = np.random.default_rng(37)
+        rng = coeff_stream(37)
         for _ in range(500):
             coeffs = draw_coeffs(rng, 3)
             combo = basis.combination(coeffs)
@@ -286,6 +288,82 @@ class TestIndependence:
         matrices = tuple(StateMatrix.from_rows(rows, field, p) for rows in ([[1, 0], [0, 1]], [[0, 0], [0, 0]]))
         with pytest.raises(DomainError, match="not linearly independent"):
             SubspaceBasis(2, 2, 2, "user", matrices, {})
+
+
+class TestStackRank:
+    def test_one_elimination_per_diagonal(self, monkeypatch):
+        # The stack's rows are the matrices' cells; matrices on different
+        # diagonals share no cell, so each diagonal is its own block.
+        basis = construct_min_rank_subspace(6, 6, 3)
+        calls, bareiss = [], statemat.bareiss
+
+        def counting(rows):
+            calls.append(len(rows))
+            return bareiss(rows)
+
+        monkeypatch.setattr(statemat, "bareiss", counting)
+        assert basis_stack_rank(basis) == basis.dimension
+        labels = [m["k"] for m in basis.metadata["per_matrix"]]
+        assert sorted(calls) == sorted(labels.count(k) for k in set(labels))
+
+    def test_dependency_inside_one_block_rejected(self):
+        # Two matrices on cells (0, 0) and (0, 1), a third elsewhere: the
+        # block of the first two is rank 1.
+        rows = ([[1, 2], [0, 0]], [["1/3", "2/3"], [0, 0]], [[0, 0], [0, 5]])
+        doc = {"da": 2, "db": 2, "kind": "user", "matrices": [
+            {"rows": 2, "cols": 2, "field": "rational", "entries": [v for row in m for v in row]} for m in rows
+        ]}
+        with pytest.raises(DomainError, match="stack rank 2 != 3"):
+            basis_from_json_dict(doc)
+
+
+def _numpy_draw(rng, dim, redraws, box=SAMPLE_BOX):
+    """draw_coeffs's contract written against numpy's Generator, the oracle."""
+    coeffs = rng.integers(-box, box + 1, size=dim)
+    while not coeffs.any():
+        redraws.append(dim)
+        coeffs = rng.integers(-box, box + 1, size=dim)
+    return coeffs.tolist()
+
+
+#: 0, the self-check seed, the largest 32-bit seed, seeds of three and six
+#: 32-bit words (SeedSequence mixes words past its pool of four differently).
+ORACLE_SEEDS = [*range(300), 0x5EED, 2**31 - 1, 2**64 + 12345, 2**191 + 2**64 + 7]
+
+
+class TestCoeffStream:
+    """coeff_stream and draw_coeffs against numpy's default_rng, bit for bit."""
+
+    def test_words_are_numpy_pcg64_halves(self):
+        for seed in ORACLE_SEEDS[::7]:
+            raw = np.random.default_rng(seed).bit_generator.random_raw(5).tolist()
+            words = coeff_stream(seed)
+            assert [next(words) for _ in range(10)] == [w for r in raw for w in (r & 0xFFFFFFFF, r >> 32)]
+
+    def test_successive_draws_match_numpy(self):
+        redraws = []
+        for seed in ORACLE_SEEDS:
+            words, rng = coeff_stream(seed), np.random.default_rng(seed)
+            # Odd lengths leave a 32-bit half buffered for the next call; dim 1
+            # draws all zeros one time in 19, so some calls redraw.
+            for dim in (1, 3, 49, 1, 7, 2, 5, 1):
+                assert draw_coeffs(words, dim) == _numpy_draw(rng, dim, redraws), (seed, dim)
+        assert redraws.count(1) >= 10
+
+    def test_rejected_draws_match_numpy(self, monkeypatch):
+        # With a box of 9 a word is rejected about once in 7e8 draws; with
+        # span 3 * 2**30 + 1 about one word in four is, and redrawn.
+        box = 3 * 2**29
+        monkeypatch.setattr(construct, "SAMPLE_BOX", box)
+        for seed in range(20):
+            words, rng = coeff_stream(seed), np.random.default_rng(seed)
+            for dim in (5, 8, 3):
+                assert draw_coeffs(words, dim) == _numpy_draw(rng, dim, [], box), (seed, dim)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), True, 1.5, "3"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            coeff_stream(seed)
 
 
 class TestModulusCheck:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entspan import statemat
 from entspan.errors import DimensionError, FieldMismatchError, NumericError
 from entspan.statemat import (
     COMPLEX,
@@ -13,6 +14,7 @@ from entspan.statemat import (
     RATIONAL,
     StateMatrix,
     bareiss,
+    block_rank,
     combine,
     gfp_eliminate,
     matrix_from_json_dict,
@@ -401,3 +403,79 @@ class TestJson:
         flat = [Fraction(n, d) for n, d in zip(nums, dens)]
         m = matrix_of_state(flat, dA, dB)
         assert matrix_from_json_dict(to_json(m)) == m
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_decoded_cells_match_computed_cells(self, dA, dB, data):
+        # The decoder finds nonzero cells by entry text; they must equal what
+        # _cells computes from the Fractions, zero spellings and ints included.
+        texts = st.sampled_from(["0", "0/1", "-0/7", "0/3", "3/6", "-2/3", "5", "1/1", "-4/2", "7/9"])
+        entries = data.draw(st.lists(texts | st.integers(-3, 3), min_size=dA * dB, max_size=dA * dB))
+        m = matrix_from_json_dict({"rows": dA, "cols": dB, "field": RATIONAL, "entries": entries})
+        assert m.entries == tuple(Fraction(v) for v in entries)
+        assert m._cells == StateMatrix(dA, dB, RATIONAL, m.entries)._cells
+
+
+def _block_matrix(rng, fractional):
+    """Rows and columns cut into up to three blocks of random rank, zero rows added, all shuffled."""
+    n_blocks = int(rng.integers(1, 4))
+    shapes = [(int(rng.integers(1, 3)), int(rng.integers(1, 3))) for _ in range(n_blocks)]
+    n_rows = sum(a for a, _ in shapes) + int(rng.integers(0, 2))
+    n_cols = sum(b for _, b in shapes)
+    rows = [[Fraction(0)] * n_cols for _ in range(n_rows)]
+    row_ids, col_ids = iter(rng.permutation(n_rows).tolist()), iter(rng.permutation(n_cols).tolist())
+
+    def draw():
+        v = Fraction(int(rng.integers(-3, 4)))
+        return v / int(rng.integers(1, 5)) if fractional else v
+
+    for a, b in shapes:
+        # a rank-k product, so some blocks are rank-deficient
+        k = int(rng.integers(0, min(a, b) + 1))
+        left = [[draw() for _ in range(k)] for _ in range(a)]
+        right = [[draw() for _ in range(b)] for _ in range(k)]
+        ri, ci = [next(row_ids) for _ in range(a)], [next(col_ids) for _ in range(b)]
+        for x, i in enumerate(ri):
+            for y, j in enumerate(ci):
+                rows[i][j] = sum((left[x][t] * right[t][y] for t in range(k)), Fraction(0))
+    return rows
+
+
+class TestBlockRank:
+    @pytest.mark.parametrize("fractional", [False, True], ids=["integer", "fractional"])
+    def test_matches_minor_oracle(self, fractional):
+        rng = np.random.default_rng(61 + fractional)
+        for _ in range(60):
+            rows = _block_matrix(rng, fractional)
+            assert rank_exact(rational(rows)) == minor_rank(rows)
+
+    def test_cells_of_integer_rows(self):
+        rng = np.random.default_rng(63)
+        for _ in range(60):
+            rows = [[int(v) for v in row] for row in _block_matrix(rng, False)]
+            width = len(rows[0])
+            cells = [(i * width + j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+            assert block_rank(cells, width) == minor_rank(rows)
+
+    def test_rows_linked_through_a_third_row_share_a_block(self):
+        # Rows 0 and 2 share no column; row 1 links them, and the rank is 2, not 3.
+        rows = [[1, 1, 0], [0, 1, 1], [1, 0, -1]]
+        cells = [(i * 3 + j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+        assert block_rank(cells, 3) == minor_rank(rows) == 2
+
+    def test_empty_and_zero(self):
+        assert block_rank([], 4) == 0
+        assert rank_exact(StateMatrix.zero(3, 2)) == 0
+
+    def test_one_elimination_per_block(self, monkeypatch):
+        # diag(A, B) with A 2x2 of rank 1 and B 1x2: two eliminations, each on its own columns.
+        calls = []
+
+        def counting(rows):
+            calls.append((len(rows), len(rows[0])))
+            return bareiss(rows)
+
+        monkeypatch.setattr(statemat, "bareiss", counting)
+        m = rational([[1, 2, 0, 0], [2, 4, 0, 0], [0, 0, 3, 5]])
+        assert rank_exact(m) == 2
+        assert sorted(calls) == [(1, 2), (2, 2)]

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,15 +11,17 @@ from entspan.construct import (
     random_subspace,
 )
 from entspan.errors import DomainError
-from entspan.statemat import StateMatrix, rank_exact, schmidt_rank_numeric, to_json
+from entspan.statemat import StateMatrix, rank_exact, schmidt_rank_numeric, to_json, unit_scaled
 from entspan.verify import (
     CERT_STRUCTURAL,
     CERT_WITNESS_GT,
     CERT_WITNESS_LT,
+    SIGMA_TOL,
     VERDICT_CONSISTENT,
     VERDICT_INCONCLUSIVE,
     VERDICT_REFUTED,
     PencilResult,
+    _exact_drop,
     gfp_exhaustive_min_rank,
     minimize_sigma_r,
     pencil_low_rank,
@@ -315,6 +318,41 @@ class TestMinimizeSigmaR:
             _, _, plain = minimize_sigma_r(basis, 2, restarts=4, iters=100, seed=0)
             _, _, big = minimize_sigma_r(scaled, 2, restarts=4, iters=100, seed=0)
             assert (big.verdict, big.min_sigma_r) == (plain.verdict, plain.min_sigma_r)
+
+    def test_ill_conditioned_rational_basis_is_not_refuted(self):
+        # sigma_2 / sigma_1 = 1e-10 is below the tolerance, but diag(10^10, 1)
+        # has exact rank 2; this read "refuted" with a numeric witness.
+        basis = _single_matrix_basis(StateMatrix.rational([[10**10, 0], [0, 1]]))
+        _, value, report = minimize_sigma_r(basis, 2, restarts=4, iters=50, seed=0)
+        assert value < SIGMA_TOL
+        assert (report.verdict, report.witnesses) == (VERDICT_INCONCLUSIVE, ())
+        assert sample_verify_exact(basis, 2, 20, 0).verdict == VERDICT_CONSISTENT
+
+    @pytest.mark.parametrize("scale", [Fraction(1), Fraction(10**400), Fraction(1, 10**400), Fraction(3, 7)])
+    def test_rational_witness_confirmed_exactly(self, scale):
+        # E00, E01 and E10 span rank-1 matrices such as E00; the witness, rounded
+        # to rationals, keeps exact rank 1 at every entry scale.
+        from entspan.construct import SubspaceBasis
+
+        units = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]
+        matrices = tuple(StateMatrix.rational([[v * scale for v in row] for row in m]) for m in units)
+        basis = SubspaceBasis(2, 2, None, "user", matrices, {})
+        _, _, report = minimize_sigma_r(basis, 2, restarts=8, iters=100, seed=0)
+        assert report.verdict == VERDICT_REFUTED
+        assert report.witnesses[0].rank_found == 1
+
+    def test_exact_check_undoes_scaling_and_phase(self):
+        # M1 - M2 has rank 1.  The descent weighs each matrix scaled by a power
+        # of two and unit-normalized (2**-601 and 2**-1 here) and returns
+        # coefficients up to a complex phase; the check must undo both.
+        from entspan.construct import SubspaceBasis
+
+        m1, m2 = StateMatrix.rational([[2**600, 0], [0, 1]]), StateMatrix.rational([[0, 0], [0, 1]])
+        basis = SubspaceBasis(2, 2, None, "user", (m1, m2), {})
+        x = np.array([np.linalg.norm(unit_scaled(m)[0]) * 2.0 ** (unit_scaled(m)[1] - 601) for m in (m1, m2)])
+        x = x * np.array([1, -1]) * np.exp(1.5707j)  # real parts near 0 until turned
+        assert _exact_drop(basis, x, 2)
+        assert not _exact_drop(basis, x * np.array([1, 2]), 2)
 
     def test_bad_r(self):
         basis = random_subspace(3, 3, 2, seed=0)
