@@ -64,6 +64,7 @@ def _flagset(args, names) -> dict:
 
 
 def cmd_construct(args) -> int:
+    bounds_mod._normalize(args.da, args.db)  # every kind rejects non-positive dimensions alike
     kind = _KIND_FLAGS[args.kind]
     if kind == construct_mod.KIND_MIN_RANK:
         if args.r is None:

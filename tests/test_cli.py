@@ -231,6 +231,12 @@ BAD_INPUTS = {
         ]},
         ["--mode", "sample", "--samples", "5"],
     ),
+    # Construct runs with no basis file (None).  Each kind gave its own
+    # message, such as "need 1 <= dim <= 0" for random.
+    "construct_geq_zero_da": (None, ["construct", "--da", "0", "--db", "3", "--r", "2"]),
+    "construct_flanders_zero_db": (None, ["construct", "--kind", "flanders", "--da", "3", "--db", "0", "--r", "1"]),
+    "construct_fixed_negative_da": (None, ["construct", "--kind", "fixed", "--da", "-2", "--db", "3"]),
+    "construct_random_zero_da": (None, ["construct", "--kind", "random", "--da", "0", "--db", "3", "--dim", "1"]),
 }
 
 
@@ -239,12 +245,22 @@ class TestBadInput:
     def test_exits_2_with_one_line(self, capsys, tmp_path, case):
         doc, flags = BAD_INPUTS[case]
         basis_path, out_path = tmp_path / "basis.json", tmp_path / "rep.json"
-        basis_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-        code, out, err = run_cli(capsys, "verify", "--basis", str(basis_path), *flags, "--out", str(out_path))
+        if doc is not None:
+            basis_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            flags = ["verify", "--basis", str(basis_path), *flags]
+        code, out, err = run_cli(capsys, *flags, "--out", str(out_path))
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("kind", ["geq", "flanders", "fixed", "antisym", "random"])
+    def test_construct_nonpositive_dimensions_one_message(self, capsys, tmp_path, kind):
+        code, _, err = run_cli(
+            capsys, "construct", "--kind", kind, "--da", "0", "--db", "3", "--r", "2", "--dim", "1",
+            "--out", str(tmp_path / "b.json"),
+        )
+        assert (code, err) == (2, "error: dimensions must be positive, got 0, 3\n")
 
     def test_construct_negative_seed(self, capsys, tmp_path):
         out_path = tmp_path / "b.json"

@@ -35,6 +35,8 @@ CASES = [
     ("construct_fixed", ["construct", "--kind", "fixed", "--da", "3", "--db", "5", "--out", "fixed.json"]),
     ("construct_antisym", ["construct", "--kind", "antisym", "--da", "3", "--db", "3", "--out", "antisym.json"]),
     ("construct_geq_small", ["construct", "--da", "3", "--db", "3", "--r", "2", "--out", "small.json"]),
+    # The only case whose TNS source (8 nodes) is certified minor by minor.
+    ("construct_geq_8x8", ["construct", "--da", "8", "--db", "8", "--r", "4", "--out", "geq8.json"]),
     ("verify_sample", ["verify", "--basis", "geq.json", "--mode", "sample", "--samples", "40", "--seed", "4", "--out", "sample.json"]),
     ("verify_sample_refuted", ["verify", "--basis", "flanders.json", "--mode", "sample", "--r", "3", "--samples", "6", "--seed", "1", "--out", "refuted.json"]),
     ("verify_sample_fractional", ["verify", "--basis", "frac.json", "--mode", "sample", "--r", "1", "--require", "leq", "--samples", "6", "--seed", "3", "--out", "frac_refuted.json"]),
@@ -52,6 +54,7 @@ GOLDEN = {
     "construct_fixed": (0, '35d27a868bacefb3e9757d2de7745a28a406ee892a88f7c30376c8c7fcbcf2f2'),
     "construct_antisym": (0, 'db2e34a64c0594149d6322eab74926530f03ac8c0d488021ebbd8197d3e5d878'),
     "construct_geq_small": (0, 'db25781fb7348548e6fa88e30c6b21895308dd3e4f659f773aef532bbac7b3dd'),
+    "construct_geq_8x8": (0, '4a02c8dc18c731bd6d7d4967c104a5abaf7cce61373c42b6025ae7c0f021286e'),
     "verify_sample": (0, '0871ea88cf8b4ae8a7b587022b40bc9e2f1a130e4cce2cd388caf1cbefe998c2'),
     "verify_sample_refuted": (3, 'ea5e01c1838903eff94c2c37ca3a93dd436635e0bd3f8e42b95118eef4f10b11'),
     "verify_sample_fractional": (3, '4a6a29f50ce8040bd2c9d2eb07db1fe226069e3c6126b011d4c5f47af77d532b'),

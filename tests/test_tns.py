@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,90 @@ class TestIsTotallyNonsingular:
                         sub = [[rows[i][j] for j in ci] for i in ri]
                         ok, _ = is_totally_nonsingular(sub)
                         assert ok
+
+    def test_matches_minor_enumeration(self):
+        cases = _oracle_matrices()
+        assert len(cases) >= 150
+        outcomes = set()
+        for rows in cases:
+            witness = _first_vanishing_minor(rows)
+            outcomes.add(None if witness is None else len(witness[0]))
+            for cap in range(1, len(rows) + 1):
+                expected = (True, None) if witness is None or len(witness[0]) > cap else (False, witness)
+                assert is_totally_nonsingular(rows, order_cap=cap) == expected, (rows, cap)
+        # Every outcome occurs: totally non-singular, and a first zero at each order.
+        assert outcomes == {None, 1, 2, 3, 4, 5, 6}
+
+    def test_matches_minor_enumeration_at_certification_cap(self):
+        # An 8-node Vandermonde matrix with its (6, 7) entry moved so that the
+        # 4x4 minor on rows (0, 2, 5, 6) and columns (1, 3, 4, 7) vanishes: the
+        # minor is linear in that entry, with the nonzero 3x3 cofactor as slope.
+        m = CERTIFICATION_CAP
+        rows = vandermonde(range(1, m + 1)).to_lists()
+        ri, ci = (0, 2, 5, 6), (1, 3, 4, 7)
+        minor = perm_det([[rows[i][j] for j in ci] for i in ri])
+        cofactor = perm_det([[rows[i][j] for j in ci[:-1]] for i in ri[:-1]])
+        rows[6][7] -= minor / cofactor
+        witness = _first_vanishing_minor(rows, max_order=4)
+        assert witness == (ri, ci)
+        assert is_totally_nonsingular(rows, order_cap=3) == (True, None)
+        for cap in (4, 5, m, None):
+            assert is_totally_nonsingular(rows, order_cap=cap) == (False, witness)
+
+
+def _first_vanishing_minor(rows, max_order=None):
+    """First zero minor in (order, rows, cols) order by permutation expansion, or None."""
+    n = len(rows)
+    for order in range(1, (max_order or n) + 1):
+        for ri in itertools.combinations(range(n), order):
+            for ci in itertools.combinations(range(n), order):
+                if perm_det([[rows[i][j] for j in ci] for i in ri]) == 0:
+                    return ri, ci
+    return None
+
+
+def _oracle_matrices():
+    """Seeded square matrices, 1x1 to 6x6, with vanishing minors of every order.
+
+    Integers with zeros, nonzero integers, Fractions and totally positive
+    Vandermonde matrices on random nodes, and the last three with a planted
+    singular 2x2 or 3x3 block or a singular whole matrix.
+    """
+    rng = random.Random(23)
+    nonzero = [v for v in range(-9, 10) if v]
+
+    def draw(n, kind):
+        if kind == "with_zeros":
+            return [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if kind == "integer":
+            return [[rng.choice(nonzero) for _ in range(n)] for _ in range(n)]
+        if kind == "fraction":
+            return [[Fraction(rng.choice(nonzero), rng.randint(1, 7)) for _ in range(n)] for _ in range(n)]
+        nodes = sorted(rng.sample(range(1, 30), n))
+        return vandermonde([Fraction(x, 3) for x in nodes]).to_lists()
+
+    def plant(rows, order):
+        # Within a random order x order block, the last row becomes a
+        # combination of the others (0 for a 1x1 block), so that block's
+        # minor vanishes.
+        n = len(rows)
+        ri = sorted(rng.sample(range(n), order))
+        ci = sorted(rng.sample(range(n), order))
+        weights = [Fraction(rng.choice(nonzero), rng.randint(1, 3)) for _ in ri[:-1]]
+        for j in ci:
+            rows[ri[-1]][j] = sum(w * rows[i][j] for w, i in zip(weights, ri[:-1]))
+        return rows
+
+    cases = []
+    for n in range(1, 7):
+        for kind in ("with_zeros", "integer", "fraction", "vandermonde"):
+            cases.append(draw(n, kind))
+        for _ in range(4 if n < 3 else 10):
+            rows = draw(n, rng.choice(("integer", "fraction", "vandermonde")))
+            cases.append(plant(rows, rng.choice([o for o in (2, 3, n) if o <= n])))
+        for _ in range(14):
+            cases.append(draw(n, rng.choice(("with_zeros", "integer"))))
+    return cases
 
 
 class TestCombinationNonzeroCount:
