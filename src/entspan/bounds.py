@@ -102,8 +102,6 @@ class BoundsTable:
 
 def bounds_table(dA: int, dB: int, r: int) -> BoundsTable:
     a, b = _normalize(dA, dB)
-    if not 1 <= r <= a:
-        raise DomainError(f"need 1 <= r <= min(dA, dB) = {a}, got r={r}")
     geq = max_dim_geq(a, b, r)
     leq = flanders_max_leq(a, b, r)
     if r >= 2:

@@ -65,6 +65,9 @@ def _flagset(args, names) -> dict:
 
 def cmd_construct(args) -> int:
     bounds_mod._normalize(args.da, args.db)  # every kind rejects non-positive dimensions alike
+    for flag, readers in (("r", ("geq", "flanders")), ("dim", ("random",))):
+        if getattr(args, flag) is not None and args.kind not in readers:
+            raise EntspanError(f"construct --kind {args.kind} does not take --{flag}")
     kind = _KIND_FLAGS[args.kind]
     if kind == construct_mod.KIND_MIN_RANK:
         if args.r is None:

@@ -213,10 +213,10 @@ def basis_stack_rank(basis: SubspaceBasis) -> int:
     return rank_exact(stack)
 
 
-def _self_check_rank_floor(basis: SubspaceBasis, r: int, samples: int = SELF_CHECK_SAMPLES) -> None:
+def _self_check_rank_floor(basis: SubspaceBasis, r: int) -> None:
     """Exact ranks of seeded combinations must all reach r."""
     rng = coeff_stream(_SELF_CHECK_SEED)
-    for _ in range(samples):
+    for _ in range(SELF_CHECK_SAMPLES):
         got = rank_exact(basis.combination(draw_coeffs(rng, basis.dimension)))
         if got < r:
             raise CertificateError(f"self-check found a combination of rank {got} < {r}")

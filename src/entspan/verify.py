@@ -102,27 +102,17 @@ class VerificationReport:
     params: dict | None = None
 
 
-def _nonzero_indices(coeffs: Sequence) -> list[int]:
-    idx = [i for i, c in enumerate(coeffs) if c != 0]
-    if not idx:
-        raise DomainError("coefficients must not all be zero")
-    return idx
-
-
 def structural_certificate(basis: SubspaceBasis, coeffs: Sequence) -> RankCertificate:
     """Exact rank >= r certificate for a diagonal-construction combination.
 
-    Takes kappa as the largest diagonal label carrying a nonzero coefficient,
-    collects r nonzero entries on that diagonal, and evaluates the r x r
-    minor they head.  Everything above diagonal kappa vanishes, so the minor
-    is triangular with those entries on its main diagonal, hence nonzero.
+    Takes kappa as the top occupied diagonal (largest col - row) of the
+    combination itself, collects its first r nonzero entries in row order, and
+    evaluates the r x r minor they head.  Everything above diagonal kappa
+    vanishes, so the minor is triangular with those entries on its main
+    diagonal, hence nonzero.  Nothing but the matrices is read from the basis.
     """
     if basis.kind not in (KIND_MIN_RANK, KIND_FIXED_RANK):
         raise DomainError(f"structural certificates need a diagonal-construction basis, not kind {basis.kind!r}")
-    per_matrix = basis.metadata.get("per_matrix")
-    labels = [m.get("k") for m in per_matrix if isinstance(m, dict)] if isinstance(per_matrix, list) else []
-    if len(labels) != basis.dimension or not all(k in range(1 - basis.dA, basis.dB) for k in labels):
-        raise DomainError("basis lacks per-matrix diagonal metadata")
     if basis.r is None:
         raise DomainError("structural certificates need the basis's rank threshold r")
     if basis.field != RATIONAL:
@@ -131,14 +121,15 @@ def structural_certificate(basis: SubspaceBasis, coeffs: Sequence) -> RankCertif
         raise DimensionError(f"{basis.dimension} basis matrices but {len(coeffs)} coefficients")
     r = basis.r
     cs = [Fraction(c) for c in coeffs]
-    support = _nonzero_indices(cs)
-    kappa = max(labels[i] for i in support)
+    if not any(cs):
+        raise DomainError("coefficients must not all be zero")
     combo = basis.combination(cs)
-    cells = [(i, i + kappa) for i in range(max(0, -kappa), min(basis.dA, basis.dB - kappa))]
-    nonzero_cells = [(i, j) for (i, j) in cells if combo.at(i, j) != 0]
+    occupied = [divmod(k, basis.dB) for k, v in enumerate(combo.entries) if v]
+    kappa = max(j - i for i, j in occupied)
+    nonzero_cells = [(i, j) for i, j in occupied if j - i == kappa]
     if len(nonzero_cells) < r:
         raise CertificateError(
-            f"construction bug: diagonal k={kappa} holds {len(nonzero_cells)} nonzero entries, needs {r}"
+            f"no certificate: top diagonal k={kappa} holds {len(nonzero_cells)} nonzero entries, needs {r}"
         )
     chosen = nonzero_cells[:r]
     row_idx, col_idx = zip(*chosen)

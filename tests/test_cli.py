@@ -1,14 +1,9 @@
-import contextlib
-import io
 import json
-import math
 import os
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import entspan
 from entspan.cli import build_parser, main
@@ -187,8 +182,10 @@ BAD_INPUTS = {
     "zero_denominator": (_user_basis("rational", ["1/0", 5, 6, 10]), ["--mode", "sample"]),
     "negative_tolerance": (_user_basis("complex", [[1, 0], [0, 0], [0, 0], [1, 0]]), ["--mode", "sigma", "--tol", "-1"]),
     "structural_without_samples": (_DIAGONAL, ["--mode", "structural", "--samples", "0"]),
-    "structural_without_diagonal_labels": (
-        {**_DIAGONAL, "metadata": {"per_matrix": [{"tns_column": 0}]}},
+    # E00 + E12: its top diagonal k=1 holds one nonzero entry, so no order-2
+    # triangular minor exists there.
+    "structural_top_diagonal_too_short": (
+        {**_DIAGONAL, "matrices": [{**_DIAGONAL["matrices"][0], "entries": [1, 0, 0, 0, 0, 1, 0, 0, 0]}]},
         ["--mode", "structural", "--samples", "2"],
     ),
     "complex_entry_as_string": (_user_basis("complex", ["1+2j", [0, 0], [0, 0], [1, 0]]), ["--mode", "sigma"]),
@@ -237,6 +234,12 @@ BAD_INPUTS = {
     "construct_flanders_zero_db": (None, ["construct", "--kind", "flanders", "--da", "3", "--db", "0", "--r", "1"]),
     "construct_fixed_negative_da": (None, ["construct", "--kind", "fixed", "--da", "-2", "--db", "3"]),
     "construct_random_zero_da": (None, ["construct", "--kind", "random", "--da", "0", "--db", "3", "--dim", "1"]),
+    # Flags a kind ignores were accepted and recorded in metadata.run.
+    "construct_fixed_with_r_and_dim": (None, ["construct", "--kind", "fixed", "--da", "2", "--db", "4", "--r", "9", "--dim", "7"]),
+    "construct_antisym_with_r": (None, ["construct", "--kind", "antisym", "--da", "3", "--db", "3", "--r", "2"]),
+    "construct_random_with_r": (None, ["construct", "--kind", "random", "--da", "3", "--db", "3", "--dim", "2", "--r", "5"]),
+    "construct_geq_with_dim": (None, ["construct", "--da", "3", "--db", "3", "--r", "2", "--dim", "4"]),
+    "construct_flanders_with_dim": (None, ["construct", "--kind", "flanders", "--da", "3", "--db", "3", "--r", "1", "--dim", "9"]),
 }
 
 
@@ -262,6 +265,13 @@ class TestBadInput:
         )
         assert (code, err) == (2, "error: dimensions must be positive, got 0, 3\n")
 
+    def test_construct_ignored_flag_named(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "construct", "--kind", "fixed", "--da", "2", "--db", "4", "--dim", "7",
+            "--out", str(tmp_path / "b.json"),
+        )
+        assert (code, err) == (2, "error: construct --kind fixed does not take --dim\n")
+
     def test_construct_negative_seed(self, capsys, tmp_path):
         out_path = tmp_path / "b.json"
         code, out, err = run_cli(
@@ -271,65 +281,6 @@ class TestBadInput:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out_path.exists()
-
-
-@pytest.fixture(scope="module")
-def fuzz_bases(tmp_path_factory):
-    """Small basis files over every field: diagonal, antisymmetric, GF(5), complex."""
-    directory = tmp_path_factory.mktemp("fuzz")
-    for name, argv in [
-        ("geq", ["--da", "3", "--db", "3", "--r", "2"]),
-        ("antisym", ["--kind", "antisym", "--da", "3", "--db", "3"]),
-        ("random", ["--kind", "random", "--da", "2", "--db", "3", "--dim", "3", "--seed", "4"]),
-    ]:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["construct", *argv, "--out", str(directory / f"{name}.json")]) == 0
-    gfp = [{"rows": 2, "cols": 2, "field": "gfp", "p": 5, "entries": e} for e in ([1, 2, 0, 3], [0, 1, 1, 0], [4, 0, 0, 1])]
-    (directory / "gfp5.json").write_text(json.dumps({"da": 2, "db": 2, "r": 2, "kind": "user", "matrices": gfp}))
-    return sorted(str(path) for path in directory.glob("*.json"))
-
-
-#: Verify flags the fuzz test draws, each from a small range with negative,
-#: zero and boundary values.  The count flags are always given, since their
-#: defaults (1000 samples, 64 restarts of 500 iterations) are slow.
-FUZZ_COUNTS = {
-    "--seed": st.integers(-2, 3),
-    "--samples": st.integers(-1, 4),
-    "--restarts": st.integers(-1, 3),
-    "--iters": st.integers(-1, 5),
-}
-FUZZ_OPTIONAL = {
-    "--r": st.integers(-2, 4),
-    "--p": st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 7, 2**31 - 1, 2**31]),
-    "--cap": st.sampled_from([-1, 0, 1, 40, 10**6]),
-    "--tol": st.sampled_from([-1.0, 0.0, 1e-7, 0.5, 1.0, 2.0, math.inf, math.nan]),
-    "--require": st.sampled_from(["geq", "leq", "eq"]),
-}
-
-
-class TestCliFuzz:
-    """Any verify flag set ends in a verdict with an artifact, or exit 2 with one line."""
-
-    @given(st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_verdict_or_one_error_line(self, fuzz_bases, tmp_path_factory, data):
-        out_path = tmp_path_factory.mktemp("run") / "rep.json"
-        mode = data.draw(st.sampled_from(["sample", "gfp", "sigma", "structural"]), label="mode")
-        argv = ["verify", "--basis", data.draw(st.sampled_from(fuzz_bases), label="basis"), "--mode", mode]
-        for flag, values in FUZZ_COUNTS.items():
-            argv += [flag, str(data.draw(values, label=flag))]
-        for flag, values in FUZZ_OPTIONAL.items():
-            value = data.draw(st.none() | values, label=flag)
-            argv += [] if value is None else [flag, str(value)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--out", str(out_path)])
-        if code == 2:
-            assert out.getvalue() == "" and not out_path.exists()
-            assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
-        else:
-            assert code in (0, 3, 4) and err.getvalue() == ""
-            assert json.loads(out_path.read_text())["params"]["run"]["mode"] == mode
 
 
 def test_sigma_on_ill_conditioned_rational_basis_exits_4(capsys, tmp_path):

@@ -1,11 +1,8 @@
-import copy
 import json
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from entspan.construct import (
     KIND_FIXED_RANK,
@@ -25,7 +22,7 @@ from entspan.construct import (
     random_subspace,
 )
 from entspan import construct, statemat
-from entspan.errors import CertificateError, DimensionError, DomainError, EntspanError
+from entspan.errors import CertificateError, DimensionError, DomainError
 from entspan.statemat import COMPLEX, GFP, RATIONAL, StateMatrix, rank_exact, to_json
 from entspan.tns import default_tns
 
@@ -403,47 +400,3 @@ class TestBasisJson:
         basis = random_subspace(2, 3, 4, seed=9)
         again = basis_from_json_dict(to_json(basis))
         assert again == basis
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=10,
-)
-
-VALID_DOCS = [
-    to_json(construct_min_rank_subspace(2, 3, 2)),
-    to_json(random_subspace(2, 2, 2, seed=0)),
-    {
-        "da": 2, "db": 2, "r": 2, "kind": "user", "metadata": {},
-        "matrices": [{"rows": 2, "cols": 2, "field": "gfp", "p": 5, "entries": [1, 2, 3, 4]}],
-    },
-]
-
-
-class TestDecoderFuzz:
-    """Malformed basis documents raise EntspanError, never anything else."""
-
-    @given(st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_returns_basis_or_raises_entspan_error(self, data):
-        doc = copy.deepcopy(data.draw(st.sampled_from(VALID_DOCS)))
-        how = data.draw(st.sampled_from(["whole", "basis_key", "matrix_key", "entry"]))
-        matrix = data.draw(st.sampled_from(doc["matrices"]))
-        if how == "whole":
-            doc = data.draw(JSON_VALUES)
-        elif how == "entry":
-            matrix["entries"][data.draw(st.integers(0, len(matrix["entries"]) - 1))] = data.draw(JSON_VALUES)
-        else:
-            target = doc if how == "basis_key" else matrix
-            key = data.draw(st.sampled_from(sorted(target) + ["p"]))
-            if data.draw(st.booleans()):
-                target.pop(key, None)
-            else:
-                target[key] = data.draw(JSON_VALUES)
-        try:
-            basis = basis_from_json_dict(doc)
-        except EntspanError:
-            return
-        assert isinstance(basis, SubspaceBasis)
-

@@ -92,3 +92,22 @@ def artifacts(tmp_path_factory):
 def test_artifact_bytes_are_pinned(artifacts, name, capsys):
     capsys.readouterr()
     assert artifacts[name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("tamper", ["removed", "shuffled"])
+def test_structural_bytes_ignore_diagonal_labels(tmp_path, monkeypatch, capsys, tamper):
+    # Certificates read each diagonal from the combination, so the
+    # metadata.per_matrix labels cannot change the structural artifact.
+    monkeypatch.chdir(tmp_path)
+    cases = dict(CASES)
+    assert main(cases["construct_geq"]) == 0
+    doc = json.loads((tmp_path / "geq.json").read_text())
+    labels = doc["metadata"].pop("per_matrix")
+    if tamper == "shuffled":
+        doc["metadata"]["per_matrix"] = labels[::-1]
+        assert doc["metadata"]["per_matrix"] != labels
+    (tmp_path / "geq.json").write_text(json.dumps(doc))
+    argv = cases["verify_structural"]
+    code = main(argv)
+    digest = hashlib.sha256((tmp_path / argv[argv.index("--out") + 1]).read_bytes()).hexdigest()
+    assert (code, digest) == GOLDEN["verify_structural"]

@@ -1,0 +1,158 @@
+"""Property tests drawn by hypothesis; the module skips when it is not installed.
+
+They live apart from the example tests so that the rest of the suite runs
+without optional packages.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+from fractions import Fraction
+
+import pytest
+
+from entspan.cli import main
+from entspan.construct import SubspaceBasis, basis_from_json_dict, construct_min_rank_subspace, random_subspace
+from entspan.errors import EntspanError
+from entspan.statemat import RATIONAL, StateMatrix, matrix_from_json_dict, matrix_of_state, state_of_matrix, to_json
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+class TestMatrixOfState:
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_property(self, dA, dB, data):
+        amps = data.draw(st.lists(st.integers(-99, 99), min_size=dA * dB, max_size=dA * dB))
+        m = matrix_of_state(amps, dA, dB)
+        assert state_of_matrix(m) == amps
+        assert matrix_of_state(state_of_matrix(m), dA, dB) == m
+
+
+class TestJson:
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rational_round_trip_property(self, dA, dB, data):
+        nums = data.draw(st.lists(st.integers(-40, 40), min_size=dA * dB, max_size=dA * dB))
+        dens = data.draw(st.lists(st.integers(1, 9), min_size=dA * dB, max_size=dA * dB))
+        flat = [Fraction(n, d) for n, d in zip(nums, dens)]
+        m = matrix_of_state(flat, dA, dB)
+        assert matrix_from_json_dict(to_json(m)) == m
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_decoded_cells_match_computed_cells(self, dA, dB, data):
+        # The decoder finds nonzero cells by entry text; they must equal what
+        # _cells computes from the Fractions, zero spellings and ints included.
+        texts = st.sampled_from(["0", "0/1", "-0/7", "0/3", "3/6", "-2/3", "5", "1/1", "-4/2", "7/9"])
+        entries = data.draw(st.lists(texts | st.integers(-3, 3), min_size=dA * dB, max_size=dA * dB))
+        m = matrix_from_json_dict({"rows": dA, "cols": dB, "field": RATIONAL, "entries": entries})
+        assert m.entries == tuple(Fraction(v) for v in entries)
+        assert m._cells == StateMatrix(dA, dB, RATIONAL, m.entries)._cells
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+VALID_DOCS = [
+    to_json(construct_min_rank_subspace(2, 3, 2)),
+    to_json(random_subspace(2, 2, 2, seed=0)),
+    {
+        "da": 2, "db": 2, "r": 2, "kind": "user", "metadata": {},
+        "matrices": [{"rows": 2, "cols": 2, "field": "gfp", "p": 5, "entries": [1, 2, 3, 4]}],
+    },
+]
+
+
+class TestDecoderFuzz:
+    """Malformed basis documents raise EntspanError, never anything else."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_returns_basis_or_raises_entspan_error(self, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(VALID_DOCS)))
+        how = data.draw(st.sampled_from(["whole", "basis_key", "matrix_key", "entry"]))
+        matrix = data.draw(st.sampled_from(doc["matrices"]))
+        if how == "whole":
+            doc = data.draw(JSON_VALUES)
+        elif how == "entry":
+            matrix["entries"][data.draw(st.integers(0, len(matrix["entries"]) - 1))] = data.draw(JSON_VALUES)
+        else:
+            target = doc if how == "basis_key" else matrix
+            key = data.draw(st.sampled_from(sorted(target) + ["p"]))
+            if data.draw(st.booleans()):
+                target.pop(key, None)
+            else:
+                target[key] = data.draw(JSON_VALUES)
+        try:
+            basis = basis_from_json_dict(doc)
+        except EntspanError:
+            return
+        assert isinstance(basis, SubspaceBasis)
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases(tmp_path_factory):
+    """Small basis files over every field: diagonal, antisymmetric, GF(5), complex."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    for name, argv in [
+        ("geq", ["--da", "3", "--db", "3", "--r", "2"]),
+        ("antisym", ["--kind", "antisym", "--da", "3", "--db", "3"]),
+        ("random", ["--kind", "random", "--da", "2", "--db", "3", "--dim", "3", "--seed", "4"]),
+    ]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["construct", *argv, "--out", str(directory / f"{name}.json")]) == 0
+    gfp = [{"rows": 2, "cols": 2, "field": "gfp", "p": 5, "entries": e} for e in ([1, 2, 0, 3], [0, 1, 1, 0], [4, 0, 0, 1])]
+    (directory / "gfp5.json").write_text(json.dumps({"da": 2, "db": 2, "r": 2, "kind": "user", "matrices": gfp}))
+    return sorted(str(path) for path in directory.glob("*.json"))
+
+
+#: Verify flags the fuzz test draws, each from a small range with negative,
+#: zero and boundary values.  The count flags are always given, since their
+#: defaults (1000 samples, 64 restarts of 500 iterations) are slow.
+FUZZ_COUNTS = {
+    "--seed": st.integers(-2, 3),
+    "--samples": st.integers(-1, 4),
+    "--restarts": st.integers(-1, 3),
+    "--iters": st.integers(-1, 5),
+}
+FUZZ_OPTIONAL = {
+    "--r": st.integers(-2, 4),
+    "--p": st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 7, 2**31 - 1, 2**31]),
+    "--cap": st.sampled_from([-1, 0, 1, 40, 10**6]),
+    "--tol": st.sampled_from([-1.0, 0.0, 1e-7, 0.5, 1.0, 2.0, math.inf, math.nan]),
+    "--require": st.sampled_from(["geq", "leq", "eq"]),
+}
+
+
+class TestCliFuzz:
+    """Any verify flag set ends in a verdict with an artifact, or exit 2 with one line."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_or_one_error_line(self, fuzz_bases, tmp_path_factory, data):
+        out_path = tmp_path_factory.mktemp("run") / "rep.json"
+        mode = data.draw(st.sampled_from(["sample", "gfp", "sigma", "structural"]), label="mode")
+        argv = ["verify", "--basis", data.draw(st.sampled_from(fuzz_bases), label="basis"), "--mode", mode]
+        for flag, values in FUZZ_COUNTS.items():
+            argv += [flag, str(data.draw(values, label=flag))]
+        for flag, values in FUZZ_OPTIONAL.items():
+            value = data.draw(st.none() | values, label=flag)
+            argv += [] if value is None else [flag, str(value)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(out_path)])
+        if code == 2:
+            assert out.getvalue() == "" and not out_path.exists()
+            assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+        else:
+            assert code in (0, 3, 4) and err.getvalue() == ""
+            assert json.loads(out_path.read_text())["params"]["run"]["mode"] == mode

@@ -3,8 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from entspan import statemat
 from entspan.errors import DimensionError, FieldMismatchError, NumericError
@@ -49,14 +47,6 @@ class TestMatrixOfState:
         rng = np.random.default_rng(3)
         amps = [int(v) for v in rng.integers(-50, 50, size=12)]
         assert state_of_matrix(matrix_of_state(amps, 3, 4)) == amps
-
-    @given(st.integers(1, 4), st.integers(1, 4), st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip_property(self, dA, dB, data):
-        amps = data.draw(st.lists(st.integers(-99, 99), min_size=dA * dB, max_size=dA * dB))
-        m = matrix_of_state(amps, dA, dB)
-        assert state_of_matrix(m) == amps
-        assert matrix_of_state(state_of_matrix(m), dA, dB) == m
 
 
 class TestSchmidtRankNumeric:
@@ -394,26 +384,6 @@ class TestJson:
         d = to_json(m)
         assert d["p"] == 5
         assert matrix_from_json_dict(d) == m
-
-    @given(st.integers(1, 3), st.integers(1, 3), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_rational_round_trip_property(self, dA, dB, data):
-        nums = data.draw(st.lists(st.integers(-40, 40), min_size=dA * dB, max_size=dA * dB))
-        dens = data.draw(st.lists(st.integers(1, 9), min_size=dA * dB, max_size=dA * dB))
-        flat = [Fraction(n, d) for n, d in zip(nums, dens)]
-        m = matrix_of_state(flat, dA, dB)
-        assert matrix_from_json_dict(to_json(m)) == m
-
-    @given(st.integers(1, 3), st.integers(1, 4), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_decoded_cells_match_computed_cells(self, dA, dB, data):
-        # The decoder finds nonzero cells by entry text; they must equal what
-        # _cells computes from the Fractions, zero spellings and ints included.
-        texts = st.sampled_from(["0", "0/1", "-0/7", "0/3", "3/6", "-2/3", "5", "1/1", "-4/2", "7/9"])
-        entries = data.draw(st.lists(texts | st.integers(-3, 3), min_size=dA * dB, max_size=dA * dB))
-        m = matrix_from_json_dict({"rows": dA, "cols": dB, "field": RATIONAL, "entries": entries})
-        assert m.entries == tuple(Fraction(v) for v in entries)
-        assert m._cells == StateMatrix(dA, dB, RATIONAL, m.entries)._cells
 
 
 def _block_matrix(rng, fractional):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -92,6 +93,12 @@ class TestStructuralCertificate:
         coeffs[highest] = -2
         cert = structural_certificate(basis, coeffs)
         assert cert.kappa == per[highest]["k"]
+
+    def test_labels_are_not_read(self):
+        basis = construct_min_rank_subspace(4, 5, 3)
+        unlabelled = replace(basis, metadata={})
+        coeffs = [(-1) ** i * (i % 4) for i in range(basis.dimension)]
+        assert structural_certificate(unlabelled, coeffs) == structural_certificate(basis, coeffs)
 
     def test_rejects_wrong_kind(self):
         with pytest.raises(DomainError):
