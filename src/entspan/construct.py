@@ -205,7 +205,7 @@ def basis_stack_rank(basis: SubspaceBasis) -> int:
     """Exact (or, for complex, numeric) rank of the vectorized basis stack."""
     size = basis.dA * basis.dB
     if basis.field == RATIONAL:
-        return block_rank(((i * size + k, v) for i, m in enumerate(basis.matrices) for k, v in m._cells[1]), size)
+        return block_rank(((i * size + k, v) for i, m in enumerate(basis.matrices) for k, v in m._nonzero), size)
     flat = tuple(v for m in basis.matrices for v in m.entries)
     stack = StateMatrix(basis.dimension, size, basis.field, flat, basis.p)
     if basis.field == COMPLEX:

@@ -5,9 +5,11 @@ amplitudes: amplitude (i, j) sits at row i, column j, i.e. flat position
 i * dB + j (row-major, 0-based).  The Schmidt rank of the state equals the
 linear rank of this matrix, which is what every routine here computes.
 
-Three scalar fields are supported: exact rationals (``fractions.Fraction``),
-prime fields GF(p) (ints in [0, p)), and complex doubles.  Exact ranks use
-fraction-free (Bareiss) elimination so integer inputs stay integers; numeric
+Three scalar fields are supported: exact rationals, prime fields GF(p) (ints
+in [0, p)), and complex doubles.  A rational matrix stores int numerators over
+one positive ``denominator`` in lowest terms, so equal matrices compare equal;
+``at``, ``to_lists`` and ``state_of_matrix`` give its values as Fractions.
+Exact ranks use fraction-free (Bareiss) elimination on the numerators; numeric
 ranks count singular values above a relative tolerance.
 """
 
@@ -74,14 +76,16 @@ def check_modulus(p) -> None:
 
 
 def _coerce_entry(value, field: str, p: int | None):
+    """A scalar of ``field``; rationals come back as a Fraction or an int, both with numerator/denominator."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if field == RATIONAL:
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, (int, np.integer)):
-            return Fraction(int(value))
+        if integer:
+            return int(value)
         raise FieldMismatchError(f"rational matrices take int/Fraction entries, got {type(value).__name__}")
     if field == GFP:
-        if not isinstance(value, (int, np.integer)):
+        if not integer:
             raise FieldMismatchError(f"GF(p) matrices take int entries, got {type(value).__name__}")
         return int(value) % p
     if field == COMPLEX:
@@ -94,13 +98,14 @@ def _coerce_entry(value, field: str, p: int | None):
 
 @dataclass(frozen=True)
 class StateMatrix:
-    """Immutable dA x dB coefficient matrix over one scalar field."""
+    """Immutable dA x dB matrix over one field; rational ``entries`` are numerators over ``denominator``."""
 
     rows: int
     cols: int
     field: str
     entries: tuple
     p: int | None = None
+    denominator: int = 1
 
     def __post_init__(self):
         if not (_is_int(self.rows) and _is_int(self.cols)) or self.rows < 1 or self.cols < 1:
@@ -115,6 +120,14 @@ class StateMatrix:
             raise DimensionError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(self.entries)}"
             )
+        d = self.denominator
+        if self.field == RATIONAL:
+            if not set(map(type, self.entries)) <= {int}:
+                raise FieldMismatchError("rational entries are int numerators over the matrix's denominator")
+            if not (_is_int(d) and d >= 1 and math.gcd(d, *self.entries) == 1):
+                raise DomainError(f"denominator must be a positive int in lowest terms with the entries, got {d!r}")
+        elif not (_is_int(d) and d == 1):
+            raise DomainError(f"field {self.field!r} takes no denominator, got {d!r}")
 
     @classmethod
     def from_rows(cls, rows_of_entries, field: str = RATIONAL, p: int | None = None) -> "StateMatrix":
@@ -140,31 +153,29 @@ class StateMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int, field: str = RATIONAL, p: int | None = None) -> "StateMatrix":
-        zero = {RATIONAL: Fraction(0), COMPLEX: 0j, GFP: 0}[field]
-        return cls(rows, cols, field, (zero,) * (rows * cols), p)
+        return cls(rows, cols, field, (0j if field == COMPLEX else 0,) * (rows * cols), p)
 
     def at(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
+        v = self.entries[i * self.cols + j]
+        return Fraction(v, self.denominator) if self.field == RATIONAL else v
 
     def to_lists(self) -> list[list]:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
+        c, values = self.cols, state_of_matrix(self)
+        return [values[i * c : (i + 1) * c] for i in range(self.rows)]
 
     def transpose(self) -> "StateMatrix":
-        flat = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        return StateMatrix(self.cols, self.rows, self.field, flat, self.p)
+        flat = tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
+        return StateMatrix(self.cols, self.rows, self.field, flat, self.p, self.denominator)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries)
+        return not any(self.entries)
 
     @cached_property
-    def _cells(self) -> tuple[int, tuple]:
-        """(scale, nonzero (flat index, scale * entry) pairs); scale clears rational denominators."""
-        nonzero = [(k, v) for k, v in enumerate(self.entries) if v != 0]
-        if self.field != RATIONAL:
-            return 1, tuple(nonzero)
-        (scaled,), scale = _integer_rows([[v for _, v in nonzero]])
-        return scale, tuple(zip((k for k, _ in nonzero), scaled))
+    def _nonzero(self) -> tuple[tuple[int, object], ...]:
+        """(flat index, entry) pairs of the nonzero entries; rational entries are numerators."""
+        # Built from a list: tuple() of a generator resizes its result, and each resized small tuple
+        # is parked in CPython's free list of its new size, which grew a loop of loads by ~1.5 MiB.
+        return tuple([(k, v) for k, v in enumerate(self.entries) if v])
 
 
 def matrix_of_state(amplitudes: Sequence, dA: int, dB: int, field: str = RATIONAL, p: int | None = None) -> StateMatrix:
@@ -173,17 +184,23 @@ def matrix_of_state(amplitudes: Sequence, dA: int, dB: int, field: str = RATIONA
         raise DimensionError(f"{dA}x{dB} state needs {dA * dB} amplitudes, got {len(amplitudes)}")
     if field == GFP:
         check_modulus(p)
-    flat = tuple(_coerce_entry(v, field, p) for v in amplitudes)
-    return StateMatrix(dA, dB, field, flat, p)
+    values = [_coerce_entry(v, field, p) for v in amplitudes]
+    if field != RATIONAL:
+        return StateMatrix(dA, dB, field, tuple(values), p)
+    # The lcm of reduced denominators leaves the numerators in lowest terms with it.
+    d = math.lcm(*[f.denominator for f in values])
+    return StateMatrix(dA, dB, field, tuple([f.numerator * (d // f.denominator) for f in values]), p, d)
 
 
 def state_of_matrix(m: StateMatrix) -> list:
-    """Inverse of matrix_of_state: the row-major amplitude list."""
-    return list(m.entries)
+    """Inverse of matrix_of_state: the row-major amplitude list, Fractions over the rationals."""
+    if m.field != RATIONAL:
+        return list(m.entries)
+    return [Fraction(v, m.denominator) for v in m.entries]
 
 
 def combine(matrices: Sequence[StateMatrix], coeffs: Sequence) -> StateMatrix:
-    """Sum of coeffs[i] * matrices[i] over nonzero cells; rational terms share one denominator."""
+    """Sum of coeffs[i] * matrices[i] over nonzero entries; rational terms share one denominator."""
     if not matrices:
         raise DimensionError("empty combination")
     if len(matrices) != len(coeffs):
@@ -193,23 +210,25 @@ def combine(matrices: Sequence[StateMatrix], coeffs: Sequence) -> StateMatrix:
         if (m.rows, m.cols, m.field, m.p) != (head.rows, head.cols, head.field, head.p):
             raise FieldMismatchError("combination over mismatched matrices")
     cs = [_coerce_entry(c, head.field, head.p) for c in coeffs]
+    denominator = 1
     if head.field == RATIONAL:
-        # c_i * M_i = c_i.numerator * cells_i / (c_i.denominator * scale_i)
-        scales = [c.denominator * m._cells[0] for c, m in zip(cs, matrices)]
+        # c_i * M_i = c_i.numerator * entries_i / (c_i.denominator * denominator_i)
+        scales = [c.denominator * m.denominator for c, m in zip(cs, matrices)]
         denominator = math.lcm(*scales)
         cs = [c.numerator * (denominator // s) for c, s in zip(cs, scales)]
     acc = [0] * (head.rows * head.cols)
     for c, m in zip(cs, matrices):
         if c:
-            for k, v in m._cells[1]:
+            for k, v in m._nonzero:
                 acc[k] += c * v
     if head.field == RATIONAL:
-        flat = tuple(Fraction(a, denominator) for a in acc)
+        g = math.gcd(denominator, *acc)
+        flat, denominator = tuple([a // g for a in acc]), denominator // g
     elif head.field == GFP:
         flat = tuple(a % head.p for a in acc)
     else:
         flat = tuple(complex(a) for a in acc)
-    return StateMatrix(head.rows, head.cols, head.field, flat, head.p)
+    return StateMatrix(head.rows, head.cols, head.field, flat, head.p, denominator)
 
 
 @dataclass(frozen=True)
@@ -233,7 +252,7 @@ def unit_scaled(m: StateMatrix) -> tuple[np.ndarray, int]:
     if m.field == COMPLEX:
         a, shift = np.array(m.entries, dtype=np.complex128), 0
     else:
-        scale, cells = m._cells
+        scale, cells = m.denominator, m._nonzero
         top = max((abs(v) for _, v in cells), default=0)
         shift = top.bit_length() - scale.bit_length()  # so top / scale / 2**shift lies in (1/2, 2)
         lift, den = max(-shift, 0), scale << max(shift, 0)
@@ -264,21 +283,6 @@ def schmidt_rank_numeric(m: StateMatrix, tol: float = DEFAULT_TOL) -> SchmidtInf
 # ---------------------------------------------------------------------------
 # exact elimination: one routine per field, each returning (rank, det)
 # ---------------------------------------------------------------------------
-
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Rational rows scaled to integers, and the product of the row scales.
-
-    Row scaling keeps the rank; the determinant of the scaled rows is the
-    original one times the returned denominator.
-    """
-    out = []
-    denominator = 1
-    for row in rows:
-        d = math.lcm(*[f.denominator for f in row])  # a list, not a generator: see matrix_from_json_dict
-        denominator *= d
-        out.append([f.numerator * (d // f.denominator) for f in row])
-    return out, denominator
-
 
 def bareiss(rows: list[list[int]]) -> tuple[int, int]:
     """(rank, determinant) of an integer matrix by fraction-free elimination.
@@ -402,7 +406,7 @@ def block_rank(cells: Iterable[tuple[int, int]], width: int) -> int:
 def rank_exact(m: StateMatrix) -> int:
     """Exact linear rank over an exact field (rationals or GF(p))."""
     if m.field == RATIONAL:
-        return block_rank(m._cells[1], m.cols)
+        return block_rank(m._nonzero, m.cols)
     if m.field == GFP:
         return int(gfp_eliminate([m.to_lists()], m.p)[0][0])
     raise FieldMismatchError("rank_exact needs an exact field; use schmidt_rank_numeric for complex")
@@ -412,10 +416,9 @@ def minor_value(m: StateMatrix, row_idx: Sequence[int], col_idx: Sequence[int]):
     """Determinant of the submatrix on the given (increasing) index sets."""
     if len(row_idx) != len(col_idx):
         raise DimensionError("a minor needs as many rows as columns")
-    sub = [[m.at(i, j) for j in col_idx] for i in row_idx]
+    sub = [[m.entries[i * m.cols + j] for j in col_idx] for i in row_idx]
     if m.field == RATIONAL:
-        int_rows, denominator = _integer_rows(sub)
-        return Fraction(bareiss(int_rows)[1], denominator)
+        return Fraction(bareiss(sub)[1], m.denominator ** len(row_idx))
     if m.field == GFP:
         stack = np.array(sub, dtype=object).reshape(1, len(row_idx), len(col_idx))
         return int(gfp_eliminate(stack, m.p)[1][0])
@@ -431,11 +434,14 @@ def to_json(obj):
 
     Matrices carry ``p`` only over GF(p); dataclasses become objects keyed
     by their lower-cased field names, and a basis adds its ``field``.
-    Tuples become lists, Fractions ``"n/d"`` strings and complex numbers
-    ``[re, im]`` pairs.
+    Tuples become lists, rationals reduced ``"n/d"`` strings and complex
+    numbers ``[re, im]`` pairs.
     """
     if isinstance(obj, StateMatrix):
-        out = {"rows": obj.rows, "cols": obj.cols, "field": obj.field, "entries": to_json(obj.entries)}
+        entries, d = obj.entries, obj.denominator
+        if obj.field == RATIONAL:
+            entries = [f"{v // (g := math.gcd(v, d))}/{d // g}" for v in entries]
+        out = {"rows": obj.rows, "cols": obj.cols, "field": obj.field, "entries": to_json(entries)}
         if obj.field == GFP:
             out["p"] = obj.p
         return out
@@ -497,18 +503,11 @@ def matrix_from_json_dict(d: dict) -> StateMatrix:
         check_modulus(p)
     if field != RATIONAL:
         return StateMatrix(rows, cols, field, tuple(_decode_entry(v, field, p) for v in entries), p)
-    # Each distinct text decodes once (most cells of a constructed basis read "0/1"),
-    # and nonzero cells are found by text, not by comparing each Fraction with zero.
+    # Each distinct text decodes once (most cells of a constructed basis read "0/1").
     decoded = {}
     for v in entries:
         if type(v) is not str or v not in decoded:
             decoded[v] = _decode_entry(v, field, p)
-    m = StateMatrix(rows, cols, field, tuple(map(decoded.__getitem__, entries)), p)
-    zero = {v for v, f in decoded.items() if not f}
-    nonzero = [k for k, v in enumerate(entries) if v not in zero]
-    (scaled,), scale = _integer_rows([[m.entries[k] for k in nonzero]])
-    # What m._cells would compute.  The tuple is built from a list: tuple() of a
-    # generator resizes its result, and each resized small tuple is parked in
-    # CPython's free list of its new size, which grew a loop of loads by ~1.5 MiB.
-    object.__setattr__(m, "_cells", (scale, tuple([*zip(nonzero, scaled)])))
-    return m
+    d = math.lcm(*[f.denominator for f in decoded.values()])
+    scaled = {v: f.numerator * (d // f.denominator) for v, f in decoded.items()}
+    return StateMatrix(rows, cols, field, tuple(map(scaled.__getitem__, entries)), p, d)

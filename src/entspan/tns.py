@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import DimensionError, DomainError
-from .statemat import GFP, StateMatrix, _integer_rows
+from .statemat import RATIONAL, StateMatrix
 
 #: Largest size for which construction proves total non-singularity by
 #: computing every minor; that costs m * C(2m - 1, m - 1) multiply-adds, which
@@ -58,16 +58,6 @@ class TnsMatrix:
         return [self.at(i, j) for i in range(length)]
 
 
-def _as_fraction_rows(matrix) -> list[list[Fraction]]:
-    if isinstance(matrix, TnsMatrix):
-        return matrix.to_lists()
-    if isinstance(matrix, StateMatrix):
-        if matrix.field == GFP:
-            raise DomainError("total non-singularity checks run over the rationals")
-        return [[Fraction(v) for v in row] for row in matrix.to_lists()]
-    return [[Fraction(v) for v in row] for row in matrix]
-
-
 def is_totally_nonsingular(matrix, order_cap: int | None = None) -> tuple[bool, tuple | None]:
     """Check all minors up to ``order_cap`` (default: full size) are nonzero.
 
@@ -78,13 +68,16 @@ def is_totally_nonsingular(matrix, order_cap: int | None = None) -> tuple[bool, 
     cofactors are order-(k-1) minors from the previous order's table, so an
     m x m matrix costs m * C(2m - 1, m - 1) integer multiply-adds in all.
     """
-    rows = _as_fraction_rows(matrix)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    if not isinstance(matrix, StateMatrix):
+        matrix = StateMatrix.from_rows(matrix.to_lists() if isinstance(matrix, TnsMatrix) else matrix)
+    if matrix.field != RATIONAL:
+        raise DomainError("total non-singularity checks run over the rationals")
+    n = matrix.rows
+    if matrix.cols != n:
         raise DimensionError("total non-singularity is defined for square matrices")
-    # Scaling a row by a nonzero integer scales each minor through it by the
-    # same factor, so integer rows have the same vanishing minors.
-    rows = _integer_rows(rows)[0]
+    # The common denominator scales each order-k minor by the same nonzero
+    # factor, so the numerators have the same vanishing minors.
+    rows = [matrix.entries[i * n : (i + 1) * n] for i in range(n)]
     cap = n if order_cap is None else min(order_cap, n)
     # prev[i][j]: the previous order's minor on the i-th row set and j-th
     # column set of prev_index; the order-0 minor is 1.

@@ -124,14 +124,14 @@ def structural_certificate(basis: SubspaceBasis, coeffs: Sequence) -> RankCertif
     if not any(cs):
         raise DomainError("coefficients must not all be zero")
     combo = basis.combination(cs)
-    occupied = [divmod(k, basis.dB) for k, v in enumerate(combo.entries) if v]
+    occupied = [divmod(k, basis.dB) for k, _ in combo._nonzero]
     kappa = max(j - i for i, j in occupied)
-    nonzero_cells = [(i, j) for i, j in occupied if j - i == kappa]
-    if len(nonzero_cells) < r:
+    on_top = [(i, j) for i, j in occupied if j - i == kappa]
+    if len(on_top) < r:
         raise CertificateError(
-            f"no certificate: top diagonal k={kappa} holds {len(nonzero_cells)} nonzero entries, needs {r}"
+            f"no certificate: top diagonal k={kappa} holds {len(on_top)} nonzero entries, needs {r}"
         )
-    chosen = nonzero_cells[:r]
+    chosen = on_top[:r]
     row_idx, col_idx = zip(*chosen)
     value = minor_value(combo, row_idx, col_idx)
     if value == 0:
@@ -247,10 +247,10 @@ def gfp_exhaustive_min_rank(
         raise FieldMismatchError("GF(p) enumeration needs an exact integer basis")
     if basis.field != RATIONAL and basis.p != p:
         raise DomainError(f"basis lives over GF({basis.p}); re-reducing mod {p} is undefined")
-    fraction = next((v for m in basis.matrices for v in m.entries if v.denominator != 1), None)
+    fraction = next((Fraction(v, m.denominator) for m in basis.matrices for v in m.entries if v % m.denominator), None)
     if fraction is not None:
         raise DomainError(f"basis entry {fraction} is not an integer; reduce mod {p} undefined")
-    stack = [[int(v) % p for v in m.entries] for m in basis.matrices]
+    stack = [[v % p for v in m.entries] for m in basis.matrices]
     if gfp_eliminate([stack], p)[0][0] != dim:
         raise DomainError(f"basis loses linear independence when reduced mod {p}")
     min_rank, argmin, count = _kernels.gfp_min_rank_scan(stack, p, basis.dA, basis.dB)

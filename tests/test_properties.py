@@ -16,7 +16,7 @@ import pytest
 from entspan.cli import main
 from entspan.construct import SubspaceBasis, basis_from_json_dict, construct_min_rank_subspace, random_subspace
 from entspan.errors import EntspanError
-from entspan.statemat import RATIONAL, StateMatrix, matrix_from_json_dict, matrix_of_state, state_of_matrix, to_json
+from entspan.statemat import RATIONAL, combine, matrix_from_json_dict, matrix_of_state, state_of_matrix, to_json
 
 pytest.importorskip("hypothesis")
 
@@ -47,13 +47,32 @@ class TestJson:
     @given(st.integers(1, 3), st.integers(1, 4), st.data())
     @settings(max_examples=60, deadline=None)
     def test_decoded_cells_match_computed_cells(self, dA, dB, data):
-        # The decoder finds nonzero cells by entry text; they must equal what
-        # _cells computes from the Fractions, zero spellings and ints included.
+        # Decoding scales each distinct text; the result must equal the matrix
+        # of the same Fractions, zero spellings and ints included.
         texts = st.sampled_from(["0", "0/1", "-0/7", "0/3", "3/6", "-2/3", "5", "1/1", "-4/2", "7/9"])
         entries = data.draw(st.lists(texts | st.integers(-3, 3), min_size=dA * dB, max_size=dA * dB))
         m = matrix_from_json_dict({"rows": dA, "cols": dB, "field": RATIONAL, "entries": entries})
-        assert m.entries == tuple(Fraction(v) for v in entries)
-        assert m._cells == StateMatrix(dA, dB, RATIONAL, m.entries)._cells
+        values = [Fraction(v) for v in entries]
+        assert m == matrix_of_state(values, dA, dB)
+        assert [k for k, _ in m._nonzero] == [k for k, v in enumerate(values) if v]
+        assert all(v == values[k] * m.denominator for k, v in m._nonzero)
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_route_gives_one_stored_form(self, dA, dB, scale, data):
+        nums = data.draw(st.lists(st.integers(-40, 40), min_size=dA * dB, max_size=dA * dB))
+        dens = data.draw(st.lists(st.integers(1, 9), min_size=dA * dB, max_size=dA * dB))
+        m = matrix_of_state([Fraction(n, d) for n, d in zip(nums, dens)], dA, dB)
+        unreduced = [f"{n * scale}/{d * scale}" for n, d in zip(nums, dens)]
+        scaled_up = matrix_of_state([Fraction(n * scale, d) for n, d in zip(nums, dens)], dA, dB)
+        for other in [
+            matrix_from_json_dict({"rows": dA, "cols": dB, "field": RATIONAL, "entries": unreduced}),
+            combine([scaled_up], [Fraction(1, scale)]),
+            combine([m, m], [Fraction(1, 2), Fraction(1, 2)]),
+            m.transpose().transpose(),
+        ]:
+            assert other == m and hash(other) == hash(m)
+        assert math.gcd(m.denominator, *m.entries) == 1
 
 
 JSON_VALUES = st.recursive(

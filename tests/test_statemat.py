@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from entspan import statemat
-from entspan.errors import DimensionError, FieldMismatchError, NumericError
+from entspan.errors import DimensionError, DomainError, FieldMismatchError, NumericError
 from entspan.statemat import (
     COMPLEX,
     GFP,
@@ -298,8 +298,9 @@ class TestCombineAndMinorValue:
                 picks = [pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 6)))]
                 coeffs = [_draw_scalar(rng, field, p) for _ in picks]
                 got = combine(picks, coeffs)
-                for k, value in enumerate(got.entries):
-                    dense = sum(c * m.entries[k] for c, m in zip(coeffs, picks))
+                values = [state_of_matrix(m) for m in picks]
+                for k, value in enumerate(state_of_matrix(got)):
+                    dense = sum(c * v[k] for c, v in zip(coeffs, values))
                     assert value == (dense % p if field == GFP else dense)
                     assert type(value) is {RATIONAL: Fraction, GFP: int, COMPLEX: complex}[field]
 
@@ -363,6 +364,60 @@ class TestElimination:
         assert bareiss([]) == (0, 1)
         ranks, dets = gfp_eliminate(np.zeros((1, 0, 0), dtype=np.int64), 5)
         assert (ranks.tolist(), dets.tolist()) == ([0], [1])
+
+
+class TestStoredForm:
+    """A rational matrix is int numerators over one positive denominator, in lowest terms."""
+
+    @pytest.mark.parametrize(
+        "field, entries, p, denominator, error",
+        [
+            (RATIONAL, (Fraction(1, 2), 0), None, 1, FieldMismatchError),
+            (RATIONAL, (True, 0), None, 1, FieldMismatchError),
+            (RATIONAL, (1, 2), None, 0, DomainError),
+            (RATIONAL, (1, 2), None, -2, DomainError),
+            (RATIONAL, (1, 2), None, 2.0, DomainError),
+            (RATIONAL, (2, 4), None, 2, DomainError),
+            (GFP, (1, 2), 5, 3, DomainError),
+            (COMPLEX, (1j, 0j), None, 3, DomainError),
+        ],
+        ids=["fraction", "bool", "zero", "negative", "float", "not-reduced", "gfp", "complex"],
+    )
+    def test_constructor_rejects(self, field, entries, p, denominator, error):
+        with pytest.raises(error):
+            StateMatrix(1, 2, field, entries, p, denominator)
+
+    def test_equal_from_every_route(self):
+        half_third = matrix_of_state([Fraction(1, 2), Fraction(1, 3)], 1, 2)
+        assert (half_third.entries, half_third.denominator) == ((3, 2), 6)
+        decoded = matrix_from_json_dict({"rows": 1, "cols": 2, "field": RATIONAL, "entries": ["1/2", "2/6"]})
+        halved = combine([rational([[2, 4]])], [Fraction(1, 2)])
+        assert (halved.entries, halved.denominator) == ((1, 2), 1)
+        summed = combine([rational([[1, 2]])] * 2, [Fraction(1, 4), Fraction(1, 4)])
+        assert (summed.entries, summed.denominator) == ((1, 2), 2)
+        for a, b in [
+            (decoded, half_third),
+            (half_third.transpose().transpose(), half_third),
+            (halved, rational([[1, 2]])),
+            (summed, matrix_of_state([Fraction(1, 2), 1], 1, 2)),
+        ]:
+            assert a == b and hash(a) == hash(b)
+
+    def test_values_are_fractions(self):
+        m = rational([[Fraction(1, 2), 3], [0, Fraction(-5, 4)]])
+        assert (m.entries, m.denominator) == ((2, 12, 0, -5), 4)
+        assert m.at(1, 1) == Fraction(-5, 4) and type(m.at(0, 1)) is Fraction
+        assert m.to_lists() == [[Fraction(1, 2), 3], [0, Fraction(-5, 4)]]
+        assert all(type(v) is Fraction for v in state_of_matrix(m))
+        assert m._nonzero == ((0, 2), (1, 12), (3, -5))
+
+    def test_bools_rejected(self):
+        with pytest.raises(FieldMismatchError):
+            StateMatrix.rational([[True, False]])
+        with pytest.raises(FieldMismatchError):
+            StateMatrix.gfp([[True]], 5)
+        with pytest.raises(FieldMismatchError):
+            combine([rational([[1, 2]])], [True])
 
 
 class TestJson:

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entspan.errors import DimensionError, DomainError
+from entspan.errors import DimensionError, DomainError, FieldMismatchError
+from entspan.statemat import StateMatrix
 from entspan.tns import (
     CERTIFICATION_CAP,
     CERTIFIED_BY_THEOREM,
@@ -101,6 +102,24 @@ class TestIsTotallyNonsingular:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             is_totally_nonsingular([[1, 2, 3], [4, 5, 6]])
+
+    def test_complex_matrix_rejected(self):
+        with pytest.raises(DomainError):
+            is_totally_nonsingular(StateMatrix.complex_([[1, 2], [3, 4]]))
+
+    def test_float_rows_rejected(self):
+        with pytest.raises(FieldMismatchError):
+            is_totally_nonsingular([[1.5, 2], [3, 4]])
+
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionError):
+            is_totally_nonsingular([])
+
+    def test_rational_matrix_eliminates_on_numerators(self):
+        m = StateMatrix.rational([[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]])
+        assert m.denominator == 4
+        assert is_totally_nonsingular(m) == (False, ((0, 1), (0, 1)))
+        assert is_totally_nonsingular(m, order_cap=1) == (True, None)
 
     def test_every_submatrix_of_tns_is_tns_up_to_4(self):
         for m in range(2, 5):
