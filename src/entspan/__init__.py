@@ -47,7 +47,7 @@ from .statemat import (
     state_of_matrix,
     to_json,
 )
-from .tns import TnsMatrix, combination_nonzero_count, is_totally_nonsingular, vandermonde
+from .tns import combination_nonzero_count, is_totally_nonsingular, vandermonde
 from .verify import (
     PencilResult,
     RankCertificate,

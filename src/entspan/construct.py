@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -32,10 +31,11 @@ from .statemat import (
     block_rank,
     combine,
     matrix_from_json_dict,
+    matrix_of_state,
     rank_exact,
     schmidt_rank_numeric,
 )
-from .tns import TnsMatrix, default_tns
+from .tns import certification, default_tns
 
 KIND_MIN_RANK = "min_rank_geq_r"
 KIND_MAX_RANK = "max_rank_leq_r"
@@ -222,7 +222,7 @@ def _self_check_rank_floor(basis: SubspaceBasis, r: int) -> None:
             raise CertificateError(f"self-check found a combination of rank {got} < {r}")
 
 
-def build_diagonal_family(diag: DiagonalIndex, r: int, tns: TnsMatrix) -> list[StateMatrix]:
+def build_diagonal_family(diag: DiagonalIndex, r: int, tns: StateMatrix) -> list[StateMatrix]:
     """The length - r + 1 generators living on one diagonal.
 
     Matrix j carries column j of the leading length x length block of ``tns``
@@ -233,15 +233,14 @@ def build_diagonal_family(diag: DiagonalIndex, r: int, tns: TnsMatrix) -> list[S
         raise DomainError(f"rank threshold must be at least 1, got {r}")
     if diag.length < r:
         return []
-    if tns.size < diag.length:
-        raise DimensionError(f"TNS source of size {tns.size} too small for a length-{diag.length} diagonal")
+    if tns.rows < diag.length:
+        raise DimensionError(f"TNS source of size {tns.rows} too small for a length-{diag.length} diagonal")
     out = []
     for j in range(diag.length - r + 1):
-        column = tns.leading_column(diag.length, j)
-        entries = [[Fraction(0)] * diag.dB for _ in range(diag.dA)]
-        for value, (row, col) in zip(column, diag.cells):
-            entries[row][col] = value
-        out.append(StateMatrix.rational(entries))
+        flat = [0] * (diag.dA * diag.dB)
+        for i, (row, col) in enumerate(diag.cells):
+            flat[row * diag.dB + col] = tns.at(i, j)
+        out.append(matrix_of_state(flat, diag.dA, diag.dB))
     return out
 
 
@@ -249,7 +248,8 @@ def construct_min_rank_subspace(dA: int, dB: int, r: int) -> SubspaceBasis:
     """Basis of dimension (dA-r+1)(dB-r+1) whose combinations all have rank >= r."""
     if not 2 <= r <= min(dA, dB):
         raise DomainError(f"need 2 <= r <= min(dA, dB) = {min(dA, dB)}, got r={r}")
-    tns = default_tns(min(dA, dB))
+    m = min(dA, dB)
+    tns = default_tns(m)
     matrices: list[StateMatrix] = []
     per_matrix: list[dict] = []
     for diag in diagonals(dA, dB):
@@ -267,8 +267,9 @@ def construct_min_rank_subspace(dA: int, dB: int, r: int) -> SubspaceBasis:
         tuple(matrices),
         {
             "per_matrix": per_matrix,
-            "tns_nodes": [str(x) for x in tns.nodes],
-            "tns_certified": tns.certified,
+            # Column 1 of a Vandermonde matrix holds its nodes.
+            "tns_nodes": [str(tns.at(i, 1)) for i in range(m)],
+            "tns_certified": certification(m),
         },
     )
     _self_check_rank_floor(basis, r)
@@ -292,8 +293,8 @@ def construct_max_rank_leq_subspace(dA: int, dB: int, r: int) -> SubspaceBasis:
     else:
         span = [(i, j) for j in range(r) for i in range(dA)]
     for i, j in span:
-        entries = [[Fraction(0)] * dB for _ in range(dA)]
-        entries[i][j] = Fraction(1)
+        entries = [[0] * dB for _ in range(dA)]
+        entries[i][j] = 1
         matrices.append(StateMatrix.rational(entries))
         per_matrix.append({"row": i, "col": j})
     return SubspaceBasis(
@@ -329,9 +330,9 @@ def antisymmetric_basis_3x3() -> SubspaceBasis:
     pairs = [(0, 1), (0, 2), (1, 2)]
     matrices = []
     for i, j in pairs:
-        entries = [[Fraction(0)] * 3 for _ in range(3)]
-        entries[i][j] = Fraction(1)
-        entries[j][i] = Fraction(-1)
+        entries = [[0] * 3 for _ in range(3)]
+        entries[i][j] = 1
+        entries[j][i] = -1
         matrices.append(StateMatrix.rational(entries))
     return SubspaceBasis(
         3,

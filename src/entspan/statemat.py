@@ -128,6 +128,11 @@ class StateMatrix:
                 raise DomainError(f"denominator must be a positive int in lowest terms with the entries, got {d!r}")
         elif not (_is_int(d) and d == 1):
             raise DomainError(f"field {self.field!r} takes no denominator, got {d!r}")
+        elif self.field == GFP:
+            if not set(map(type, self.entries)) <= {int}:
+                raise FieldMismatchError("GF(p) entries are ints")
+            if not 0 <= min(self.entries) <= max(self.entries) < self.p:
+                raise DomainError(f"GF(p) entries must lie in [0, {self.p})")
 
     @classmethod
     def from_rows(cls, rows_of_entries, field: str = RATIONAL, p: int | None = None) -> "StateMatrix":

@@ -7,7 +7,10 @@ totally non-singular.  Construction certifies this exhaustively up to
 ``CERTIFICATION_CAP``, computing every minor of an m x m matrix by Laplace
 expansion from the minors one order down, at m * C(2m - 1, m - 1) integer
 multiply-adds (51480 at m = 8); larger sizes rely on the total-positivity
-theorem and say so in their ``certified`` tag.
+theorem, and ``certification`` names which of the two applies.  A TNS
+matrix is a plain rational ``StateMatrix``, and every exact value read here
+(nodes, coefficients) passes the same coercion as a matrix entry, so floats,
+bools and strings are refused.
 
 The payoff is the zero-count bound: a nonzero combination of n columns of an
 m x m totally non-singular matrix has at most n - 1 zero entries, i.e. at
@@ -17,13 +20,11 @@ least m - n + 1 nonzero ones.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .errors import DimensionError, DomainError
-from .statemat import RATIONAL, StateMatrix
+from .statemat import RATIONAL, StateMatrix, _coerce_entry, _is_int
 
 #: Largest size for which construction proves total non-singularity by
 #: computing every minor; that costs m * C(2m - 1, m - 1) multiply-adds, which
@@ -35,27 +36,9 @@ CERTIFIED_EXHAUSTIVE = "exhaustive"
 CERTIFIED_BY_THEOREM = "by-theorem"
 
 
-@dataclass(frozen=True)
-class TnsMatrix:
-    """Square exact matrix with all minors certified (or asserted) nonzero."""
-
-    size: int
-    entries: tuple  # row-major Fractions
-    nodes: tuple | None
-    certified: str
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.size + j]
-
-    def to_lists(self) -> list[list[Fraction]]:
-        s = self.size
-        return [list(self.entries[i * s : (i + 1) * s]) for i in range(s)]
-
-    def leading_column(self, length: int, j: int) -> list[Fraction]:
-        """Column j of the leading length x length submatrix."""
-        if not (0 <= j < length <= self.size):
-            raise DimensionError(f"column {j} of leading {length}x{length} block out of range")
-        return [self.at(i, j) for i in range(length)]
+def certification(size: int) -> str:
+    """How a Vandermonde source of this size is known to be totally non-singular."""
+    return CERTIFIED_EXHAUSTIVE if size <= CERTIFICATION_CAP else CERTIFIED_BY_THEOREM
 
 
 def is_totally_nonsingular(matrix, order_cap: int | None = None) -> tuple[bool, tuple | None]:
@@ -68,8 +51,10 @@ def is_totally_nonsingular(matrix, order_cap: int | None = None) -> tuple[bool, 
     cofactors are order-(k-1) minors from the previous order's table, so an
     m x m matrix costs m * C(2m - 1, m - 1) integer multiply-adds in all.
     """
+    if order_cap is not None and not (_is_int(order_cap) and order_cap >= 1):
+        raise DomainError(f"order_cap must be a positive integer or None, got {order_cap!r}")
     if not isinstance(matrix, StateMatrix):
-        matrix = StateMatrix.from_rows(matrix.to_lists() if isinstance(matrix, TnsMatrix) else matrix)
+        matrix = StateMatrix.from_rows(matrix)
     if matrix.field != RATIONAL:
         raise DomainError("total non-singularity checks run over the rationals")
     n = matrix.rows
@@ -106,62 +91,59 @@ def is_totally_nonsingular(matrix, order_cap: int | None = None) -> tuple[bool, 
     return True, None
 
 
-def vandermonde(nodes: Sequence) -> TnsMatrix:
-    """Vandermonde matrix on strictly increasing positive nodes.
+def vandermonde(nodes: Sequence) -> StateMatrix:
+    """Vandermonde matrix on strictly increasing positive rational nodes.
 
     Entry (i, j) is nodes[i]**j.  Such matrices are totally positive, so all
     minors are nonzero; sizes up to CERTIFICATION_CAP are verified minor by
     minor anyway.
     """
-    fr_nodes = tuple(Fraction(x) for x in nodes)
-    if not fr_nodes:
+    xs = [_coerce_entry(x, RATIONAL, None) for x in nodes]
+    if not xs:
         raise DomainError("need at least one node")
-    if fr_nodes[0] <= 0:
-        raise DomainError(f"nodes must be positive, got {fr_nodes[0]}")
-    for a, b in zip(fr_nodes, fr_nodes[1:]):
+    if xs[0] <= 0:
+        raise DomainError(f"nodes must be positive, got {xs[0]}")
+    for a, b in zip(xs, xs[1:]):
         if b <= a:
             raise DomainError(f"nodes must be strictly increasing, got {a} then {b}")
-    m = len(fr_nodes)
-    flat = tuple(x**j for x in fr_nodes for j in range(m))
-    if m <= CERTIFICATION_CAP:
-        ok, witness = is_totally_nonsingular([[flat[i * m + j] for j in range(m)] for i in range(m)])
+    m = len(xs)
+    matrix = StateMatrix.rational([[x**j for j in range(m)] for x in xs])
+    if certification(m) == CERTIFIED_EXHAUSTIVE:
+        ok, witness = is_totally_nonsingular(matrix)
         if not ok:
-            raise DomainError(f"vanishing minor {witness} in a Vandermonde matrix; nodes {fr_nodes}")
-        certified = CERTIFIED_EXHAUSTIVE
-    else:
-        certified = CERTIFIED_BY_THEOREM
-    return TnsMatrix(m, flat, fr_nodes, certified)
+            raise DomainError(f"vanishing minor {witness} in a Vandermonde matrix; nodes {', '.join(map(str, xs))}")
+    return matrix
 
 
 @lru_cache(maxsize=None)
-def default_tns(m: int) -> TnsMatrix:
+def default_tns(m: int) -> StateMatrix:
     """The package-wide deterministic source: Vandermonde on nodes 1..m."""
     return vandermonde(range(1, m + 1))
 
 
-def combination_nonzero_count(tns: TnsMatrix, cols: Sequence[int], coeffs: Sequence) -> int:
+def combination_nonzero_count(tns: StateMatrix, cols: Sequence[int], coeffs: Sequence) -> int:
     """Nonzero entries of a combination of columns; at least m - n + 1 of them.
 
     ``cols`` picks n distinct columns, ``coeffs`` weights them (not all
     zero); coefficients pair with the columns in increasing index order, and
     the count bound holds whichever pairing was meant.
     """
+    if tns.field != RATIONAL:
+        raise DomainError("zero counts are taken over the rationals")
     col_list = sorted(set(cols))
     if len(col_list) != len(cols):
         raise DomainError("column indices must be distinct")
     n = len(col_list)
-    if not 1 <= n <= tns.size:
-        raise DimensionError(f"need between 1 and {tns.size} columns, got {n}")
-    if any(not 0 <= c < tns.size for c in col_list):
+    if not 1 <= n <= tns.cols:
+        raise DimensionError(f"need between 1 and {tns.cols} columns, got {n}")
+    if any(not 0 <= c < tns.cols for c in col_list):
         raise DimensionError(f"column index out of range in {col_list}")
     if len(coeffs) != n:
         raise DimensionError(f"{n} columns but {len(coeffs)} coefficients")
-    cs = [Fraction(c) for c in coeffs]
-    if all(c == 0 for c in cs):
+    cs = [_coerce_entry(c, RATIONAL, None) for c in coeffs]
+    if not any(cs):
         raise DomainError("coefficients must not all be zero")
-    count = 0
-    for i in range(tns.size):
-        if sum(c * tns.at(i, j) for c, j in zip(cs, col_list)) != 0:
-            count += 1
-    return count
-
+    # The numerators are the entries times the common denominator, which
+    # changes no entry's vanishing.
+    rows = [tns.entries[i * tns.cols : (i + 1) * tns.cols] for i in range(tns.rows)]
+    return sum(1 for row in rows if sum(c * row[j] for c, j in zip(cs, col_list)))

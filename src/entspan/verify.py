@@ -33,6 +33,7 @@ from .statemat import (
     COMPLEX,
     RATIONAL,
     StateMatrix,
+    _coerce_entry,
     check_modulus,
     gfp_eliminate,
     minor_value,
@@ -120,7 +121,7 @@ def structural_certificate(basis: SubspaceBasis, coeffs: Sequence) -> RankCertif
     if len(coeffs) != basis.dimension:
         raise DimensionError(f"{basis.dimension} basis matrices but {len(coeffs)} coefficients")
     r = basis.r
-    cs = [Fraction(c) for c in coeffs]
+    cs = [Fraction(_coerce_entry(c, RATIONAL, None)) for c in coeffs]
     if not any(cs):
         raise DomainError("coefficients must not all be zero")
     combo = basis.combination(cs)

@@ -123,6 +123,12 @@ class TestMinRankConstruction:
     def test_4x5_r3_dimension(self):
         assert construct_min_rank_subspace(4, 5, 3).dimension == 6
 
+    def test_tns_metadata_above_certification_cap(self):
+        # 9 nodes exceed the exhaustive cap, so the source is trusted by theorem.
+        meta = construct_min_rank_subspace(9, 9, 8).metadata
+        assert meta["tns_certified"] == "by-theorem"
+        assert meta["tns_nodes"] == [str(x) for x in range(1, 10)]
+
     def test_r_out_of_range(self):
         with pytest.raises(DomainError):
             construct_min_rank_subspace(3, 3, 5)

@@ -380,8 +380,15 @@ class TestStoredForm:
             (RATIONAL, (2, 4), None, 2, DomainError),
             (GFP, (1, 2), 5, 3, DomainError),
             (COMPLEX, (1j, 0j), None, 3, DomainError),
+            (GFP, (7, 3), 5, 1, DomainError),
+            (GFP, (0, -3), 5, 1, DomainError),
+            (GFP, (1.5, 2), 5, 1, FieldMismatchError),
+            (GFP, (True, 0), 5, 1, FieldMismatchError),
         ],
-        ids=["fraction", "bool", "zero", "negative", "float", "not-reduced", "gfp", "complex"],
+        ids=[
+            "fraction", "bool", "zero", "negative", "float", "not-reduced", "gfp", "complex",
+            "gfp-above-p", "gfp-negative", "gfp-float", "gfp-bool",
+        ],
     )
     def test_constructor_rejects(self, field, entries, p, denominator, error):
         with pytest.raises(error):
@@ -410,6 +417,11 @@ class TestStoredForm:
         assert m.to_lists() == [[Fraction(1, 2), 3], [0, Fraction(-5, 4)]]
         assert all(type(v) is Fraction for v in state_of_matrix(m))
         assert m._nonzero == ((0, 2), (1, 12), (3, -5))
+
+    def test_gfp_routes_reduce_into_range(self):
+        decoded = matrix_from_json_dict({"rows": 1, "cols": 2, "field": GFP, "p": 5, "entries": [7, -3]})
+        assert decoded.entries == StateMatrix.gfp([[7, -3]], 5).entries == (2, 2)
+        assert combine([StateMatrix.gfp([[1, 4]], 5)], [-3]).entries == (2, 3)
 
     def test_bools_rejected(self):
         with pytest.raises(FieldMismatchError):

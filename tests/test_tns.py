@@ -5,13 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from entspan import tns
 from entspan.errors import DimensionError, DomainError, FieldMismatchError
-from entspan.statemat import StateMatrix
+from entspan.statemat import RATIONAL, StateMatrix
 from entspan.tns import (
     CERTIFICATION_CAP,
     CERTIFIED_BY_THEOREM,
     CERTIFIED_EXHAUSTIVE,
-    TnsMatrix,
+    certification,
     combination_nonzero_count,
     default_tns,
     is_totally_nonsingular,
@@ -24,7 +25,8 @@ class TestVandermonde:
     def test_nodes_123(self):
         v = vandermonde([1, 2, 3])
         assert v.to_lists() == [[1, 1, 1], [1, 2, 4], [1, 3, 9]]
-        assert v.certified == CERTIFIED_EXHAUSTIVE
+        assert v.field == RATIONAL and v.denominator == 1
+        assert certification(3) == CERTIFIED_EXHAUSTIVE
 
     def test_single_node(self):
         assert vandermonde([1]).to_lists() == [[1]]
@@ -67,14 +69,26 @@ class TestVandermonde:
             vandermonde([])
 
     def test_certification_cap(self):
-        big = vandermonde(range(1, CERTIFICATION_CAP + 2))
-        assert big.certified == CERTIFIED_BY_THEOREM
-        small = vandermonde(range(1, CERTIFICATION_CAP + 1))
-        assert small.certified == CERTIFIED_EXHAUSTIVE
+        assert certification(CERTIFICATION_CAP + 1) == CERTIFIED_BY_THEOREM
+        assert certification(CERTIFICATION_CAP) == CERTIFIED_EXHAUSTIVE
+        assert vandermonde(range(1, CERTIFICATION_CAP + 2)).rows == CERTIFICATION_CAP + 1
+
+    def test_certification_runs_up_to_cap(self, monkeypatch):
+        # A reported vanishing minor must reach the caller up to the cap, and
+        # above it no minor is checked at all.
+        monkeypatch.setattr(tns, "is_totally_nonsingular", lambda m, order_cap=None: (False, ((0,), (0,))))
+        with pytest.raises(DomainError):
+            vandermonde(range(1, CERTIFICATION_CAP + 1))
+        vandermonde(range(1, CERTIFICATION_CAP + 2))
 
     def test_default_tns_cached(self):
         assert default_tns(4) is default_tns(4)
-        assert default_tns(3).nodes == (1, 2, 3)
+        assert [default_tns(3).at(i, 1) for i in range(3)] == [1, 2, 3]
+
+    @pytest.mark.parametrize("nodes", [[0.5, 1.5], [True, 2], ["1/2", "3"], [1, 2.0]])
+    def test_inexact_nodes_rejected(self, nodes):
+        with pytest.raises(FieldMismatchError):
+            vandermonde(nodes)
 
 
 class TestIsTotallyNonsingular:
@@ -102,6 +116,11 @@ class TestIsTotallyNonsingular:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             is_totally_nonsingular([[1, 2, 3], [4, 5, 6]])
+
+    @pytest.mark.parametrize("cap", [0, -1, True, 1.0, "2"])
+    def test_order_cap_below_one_rejected(self, cap):
+        with pytest.raises(DomainError):
+            is_totally_nonsingular([[1, 2], [3, 4]], order_cap=cap)
 
     def test_complex_matrix_rejected(self):
         with pytest.raises(DomainError):
@@ -243,6 +262,15 @@ class TestCombinationNonzeroCount:
     def test_all_zero_coeffs_rejected(self):
         with pytest.raises(DomainError):
             combination_nonzero_count(default_tns(3), [0, 1], [0, 0])
+
+    @pytest.mark.parametrize("coeffs", [[0.5, 1], [True, 0], ["1/3", 1]])
+    def test_inexact_coeffs_rejected(self, coeffs):
+        with pytest.raises(FieldMismatchError):
+            combination_nonzero_count(default_tns(3), [0, 1], coeffs)
+
+    def test_non_rational_matrix_rejected(self):
+        with pytest.raises(DomainError):
+            combination_nonzero_count(StateMatrix.gfp([[1, 1], [1, 2]], 5), [0, 1], [1, 4])
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(DomainError):

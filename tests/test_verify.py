@@ -11,7 +11,7 @@ from entspan.construct import (
     construct_min_rank_subspace,
     random_subspace,
 )
-from entspan.errors import DomainError
+from entspan.errors import DomainError, FieldMismatchError
 from entspan.statemat import StateMatrix, rank_exact, schmidt_rank_numeric, to_json, unit_scaled
 from entspan.verify import (
     CERT_STRUCTURAL,
@@ -103,6 +103,12 @@ class TestStructuralCertificate:
     def test_rejects_wrong_kind(self):
         with pytest.raises(DomainError):
             structural_certificate(antisymmetric_basis_3x3(), [1, 0, 0])
+
+    @pytest.mark.parametrize("lead", [0.5, True, "1/3"])
+    def test_rejects_inexact_coefficients(self, lead):
+        basis = construct_min_rank_subspace(3, 3, 2)
+        with pytest.raises(FieldMismatchError):
+            structural_certificate(basis, [lead, 1, 0, 0])
 
     def test_rejects_all_zero(self):
         basis = construct_min_rank_subspace(3, 3, 2)
