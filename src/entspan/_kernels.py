@@ -5,6 +5,8 @@ Both run as plain Python and numpy; there is one backend.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .statemat import gfp_eliminate
@@ -53,37 +55,38 @@ def gfp_min_rank_scan(stack, p, rows, cols):
     return best_rank, best, count
 
 
-def sigma_descent(A, P, r, iters, x0, rows, cols):
+def sigma_descent(A, P, r, iters, x0, rows, cols, target=0.0):
     """Drive the r-th singular value of a basis combination toward zero.
 
     Alternates projecting the current combination onto the rank-(r-1)
     matrices (truncated SVD) with a least-squares refit of the coefficients
     (P is the precomputed pseudoinverse of the vectorized basis A), keeping
     coefficients on the unit sphere.  Tracks the best relative value
-    sigma_r / sigma_1 seen and the coefficients achieving it.
+    sigma_r / sigma_1 seen and the coefficients achieving it, and returns
+    them after ``iters`` iterations, once the value stalls, or at the first
+    iterate whose value is below ``target`` or is 0 (sigma_1 = 0 counts as 0).
+    With the default target of 0 only an exact zero ends the descent early.
     """
-    nrm0 = np.sqrt(np.real(np.vdot(x0, x0)))
-    x = x0 / nrm0
-    best_val = np.inf
-    best_x = x.copy()
-    prev = np.inf
+    x = x0 / math.sqrt(np.vdot(x0, x0).real)
+    best_val = math.inf
+    best_x = x
+    prev = math.inf
+    k = r - 1
     for _ in range(iters):
-        v = A @ x
-        M = v.reshape(rows, cols)
+        M = (A @ x).reshape(rows, cols)
         u, s, vh = np.linalg.svd(M, full_matrices=False)
-        if s[0] <= 0.0:
-            best_val = 0.0
-            best_x = x.copy()
-            break
-        val = s[r - 1] / s[0]
+        top = s.item(0)
+        if top <= 0.0:
+            return 0.0, x
+        val = s.item(k) / top
         if val < best_val:
-            best_val = val
-            best_x = x.copy()
-        if val == 0.0:
-            break
-        T = (u[:, : r - 1] * s[: r - 1]) @ np.ascontiguousarray(vh[: r - 1, :])
+            # x is rebound below, never written in place, so it needs no copy.
+            best_val, best_x = val, x
+            if val < target or val == 0.0:
+                return val, x
+        T = (u[:, :k] * s[:k]) @ np.ascontiguousarray(vh[:k, :])
         y = P @ T.reshape(rows * cols)
-        nrm = np.sqrt(np.real(np.vdot(y, y)))
+        nrm = math.sqrt(np.vdot(y, y).real)
         if nrm < 1e-150:
             break
         x = y / nrm

@@ -89,7 +89,13 @@ def _coerce_entry(value, field: str, p: int | None):
             raise FieldMismatchError(f"GF(p) matrices take int entries, got {type(value).__name__}")
         return int(value) % p
     if field == COMPLEX:
-        z = complex(value)
+        try:
+            # complex() would also parse strings and read bools as 0 and 1.
+            if isinstance(value, (str, bytes, bool, np.bool_)):
+                raise TypeError
+            z = complex(value)
+        except TypeError:
+            raise FieldMismatchError(f"complex matrices take numbers, got {type(value).__name__}") from None
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise NumericError(f"non-finite entry {value!r}")
         return z
@@ -478,6 +484,8 @@ def _decode_entry(value, field: str, p: int | None):
     if field == COMPLEX:
         try:
             real, imag = value
+            if isinstance(real, bool) or isinstance(imag, bool):
+                raise TypeError
             z = complex(real, imag)
         except (TypeError, ValueError, OverflowError):
             raise DomainError(f"complex entries are [re, im] number pairs, got {value!r}") from None

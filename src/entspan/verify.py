@@ -55,6 +55,10 @@ CERT_WITNESS_GT = "witness_gt"
 #: re-checks it numerically before emitting a witness).
 SIGMA_TOL = 1e-7
 
+#: The sigma search stops at the first restart whose best value is below
+#: ``tol * SIGMA_STOP``; on a complex basis each restart also ends there.
+SIGMA_STOP = 1e-3
+
 #: Residual bound every reported pencil root must satisfy.
 PENCIL_TOL = 1e-8
 
@@ -299,9 +303,14 @@ def minimize_sigma_r(
 
     Multi-restart alternating projection: truncate the current combination to
     rank r-1, refit coefficients by least squares, renormalize, repeat.  The
-    objective sigma_r / sigma_1 is scale invariant.  A best value below
-    ``tol`` is re-checked with a numeric rank computation before a witness is
-    emitted, and on a rational basis also with ``_exact_drop``; floors at least
+    objective sigma_r / sigma_1 is scale invariant.  The search stops at the
+    first restart whose value falls below ``tol * SIGMA_STOP``.  On a complex
+    basis that value is also each descent's target, so the restart that finds
+    a witness ends at its first iterate below it; on a rational basis the
+    descent runs to its own end, because ``_exact_drop`` rounds the witness to
+    small denominators and needs it polished.  A best value below ``tol`` is
+    re-checked with a numeric rank computation before a witness is emitted,
+    and on a rational basis also with ``_exact_drop``; floors at least
     sqrt(tol) count as consistent, and anything in between is inconclusive,
     never refuted.
     """
@@ -317,17 +326,18 @@ def minimize_sigma_r(
     P = np.linalg.pinv(A)
     rng = np.random.default_rng(seed)
     dim = basis.dimension
-    best_val = np.inf
+    stop = tol * SIGMA_STOP
+    target = stop if basis.field == COMPLEX else 0.0
+    best_val = math.inf
     best_x = None
     for _ in range(restarts):
         x0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        val, x = _kernels.sigma_descent(A, P, r, iters, x0, basis.dA, basis.dB)
+        val, x = _kernels.sigma_descent(A, P, r, iters, x0, basis.dA, basis.dB, target)
         if val < best_val:
             best_val = val
             best_x = x
-        if best_val < tol * 1e-3:
+        if best_val < stop:
             break
-    best_val = float(best_val)
     witnesses: tuple[RankCertificate, ...] = ()
     if best_val < tol:
         combo_vec = A @ best_x

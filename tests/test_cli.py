@@ -189,6 +189,8 @@ BAD_INPUTS = {
         ["--mode", "structural", "--samples", "2"],
     ),
     "complex_entry_as_string": (_user_basis("complex", ["1+2j", [0, 0], [0, 0], [1, 0]]), ["--mode", "sigma"]),
+    # Decoded as 1 and 0: the pair [true, 0] read (1+0j).
+    "complex_part_as_bool": (_user_basis("complex", [[True, 0], [0, 0], [0, 0], [0, False]]), ["--mode", "sigma"]),
     "sigma_on_gfp_basis": (_user_basis("gfp", [1, 0, 0, 1], p=5), ["--mode", "sigma"]),
     # Fraction would expand this exponent into a 3.3-billion-bit integer.
     "rational_exponent": (_user_basis("rational", ["1e999999999", 5, 6, 11]), ["--mode", "sample"]),

@@ -91,3 +91,41 @@ class TestSigmaDescent:
             val, _ = _kernels.sigma_descent(A, P, 2, 400, x0, 3, 3)
             best = min(best, val)
         assert best < 1e-6
+
+    def test_target_above_floor_changes_nothing(self):
+        # The floor of this construction is near 0.14, so no iterate falls
+        # below the target and the descent must run exactly as without one.
+        basis = construct_min_rank_subspace(4, 4, 2)
+        A = _complex_stack(basis)
+        P = np.linalg.pinv(A)
+        rng = np.random.default_rng(56)
+        for _ in range(3):
+            x0 = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+            plain_val, plain_x = _kernels.sigma_descent(A, P, 2, 200, x0, 4, 4)
+            val, x = _kernels.sigma_descent(A, P, 2, 200, x0, 4, 4, target=1e-10)
+            assert val == plain_val > 1e-10
+            assert np.array_equal(x, plain_x)
+
+    def test_target_ends_descent_at_first_iterate_below_it(self, monkeypatch):
+        basis = random_subspace(3, 3, 5, seed=1)
+        A = _complex_stack(basis)
+        P = np.linalg.pinv(A)
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        rng = np.random.default_rng(57)
+        for _ in range(4):
+            x0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            calls.clear()
+            plain_val, _ = _kernels.sigma_descent(A, P, 2, 500, x0, 3, 3)
+            plain_svds = len(calls)
+            calls.clear()
+            val, x = _kernels.sigma_descent(A, P, 2, 500, x0, 3, 3, target=1e-10)
+            assert plain_val <= val < 1e-10
+            assert len(calls) < plain_svds
+            s = svd((A @ x).reshape(3, 3), full_matrices=False)[1]
+            assert s[1] / s[0] == val

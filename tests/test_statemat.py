@@ -431,6 +431,17 @@ class TestStoredForm:
         with pytest.raises(FieldMismatchError):
             combine([rational([[1, 2]])], [True])
 
+    @pytest.mark.parametrize(
+        "value", ["1+2j", b"1", True, np.bool_(False), None], ids=["str", "bytes", "bool", "numpy_bool", "none"]
+    )
+    def test_complex_takes_only_numbers(self, value):
+        # complex() parses "1+2j" and reads True as 1; this built (1+2j, 1+0j).
+        with pytest.raises(FieldMismatchError):
+            StateMatrix.complex_([[1j, value]])
+        with pytest.raises(FieldMismatchError):
+            combine([StateMatrix.complex_([[1j]])], [value])
+        assert StateMatrix.complex_([[1, 2.5, np.complex128(1j), np.int64(3)]]).entries == (1, 2.5, 1j, 3)
+
 
 class TestJson:
     def test_rational_round_trip(self):

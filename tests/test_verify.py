@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from entspan import _kernels
 from entspan.construct import (
     antisymmetric_basis_3x3,
     construct_max_rank_leq_subspace,
@@ -263,6 +264,18 @@ class TestGfpExhaustive:
         assert min(ranks) == report.min_rank_observed
 
 
+def _record_targets(monkeypatch, force=None):
+    """Record the target of each sigma descent; with ``force``, run it at that target instead."""
+    descent, targets = _kernels.sigma_descent, []
+
+    def spy(A, P, r, iters, x0, rows, cols, target=0.0):
+        targets.append(target)
+        return descent(A, P, r, iters, x0, rows, cols, target if force is None else force)
+
+    monkeypatch.setattr(_kernels, "sigma_descent", spy)
+    return targets
+
+
 class TestMinimizeSigmaR:
     def test_overfull_random_subspace_is_refuted(self):
         # Dimension 5 > 4, the bound for rank >= 2 in 3x3, so a rank-1
@@ -353,6 +366,37 @@ class TestMinimizeSigmaR:
         _, _, report = minimize_sigma_r(basis, 2, restarts=8, iters=100, seed=0)
         assert report.verdict == VERDICT_REFUTED
         assert report.witnesses[0].rank_found == 1
+
+    @pytest.mark.parametrize("seed", range(10**6, 10**6 + 8))
+    def test_complex_refutation_ends_at_search_stop(self, monkeypatch, seed):
+        # dim 8 > (4-3+1)(5-3+1) = 6, so a rank-<3 element exists.  The descent
+        # stops at the search's own stop value, so the witness sits just below
+        # it and exactly as many restarts run as with the target at 0.
+        basis = random_subspace(4, 5, 8, seed=seed)
+        targets = _record_targets(monkeypatch)
+        _, value, report = minimize_sigma_r(basis, 3, seed=seed)
+        assert report.verdict == VERDICT_REFUTED
+        assert value == report.min_sigma_r < SIGMA_TOL * 1e-3
+        assert schmidt_rank_numeric(report.witnesses[0].matrix, 1e-6).rank < 3
+        assert set(targets) == {SIGMA_TOL * 1e-3}
+
+        monkeypatch.undo()
+        untargeted_runs = _record_targets(monkeypatch, force=0.0)
+        _, untargeted, _ = minimize_sigma_r(basis, 3, seed=seed)
+        assert len(untargeted_runs) == len(targets)
+        assert untargeted <= value
+
+    def test_rational_descent_runs_to_its_end(self, monkeypatch):
+        # _exact_drop rounds the witness to small denominators, so a rational
+        # basis gets no descent target.
+        from entspan.construct import SubspaceBasis
+
+        units = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]
+        basis = SubspaceBasis(2, 2, None, "user", tuple(StateMatrix.rational(m) for m in units), {})
+        targets = _record_targets(monkeypatch)
+        _, _, report = minimize_sigma_r(basis, 2, restarts=8, iters=100, seed=0)
+        assert report.verdict == VERDICT_REFUTED
+        assert targets and set(targets) == {0.0}
 
     def test_exact_check_undoes_scaling_and_phase(self):
         # M1 - M2 has rank 1.  The descent weighs each matrix scaled by a power
