@@ -28,6 +28,7 @@ from .construct import (
     construct_min_rank_subspace,
     diagonals,
     random_subspace,
+    vandermonde,
 )
 from .errors import (
     CertificateError,
@@ -47,7 +48,6 @@ from .statemat import (
     state_of_matrix,
     to_json,
 )
-from .tns import combination_nonzero_count, is_totally_nonsingular, vandermonde
 from .verify import (
     PencilResult,
     RankCertificate,

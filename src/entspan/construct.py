@@ -4,10 +4,13 @@ The centerpiece builds, for any 2 <= r <= min(dA, dB), a basis of exactly
 (dA - r + 1)(dB - r + 1) integer matrices whose every nonzero combination has
 rank at least r.  Matrices are grouped by matrix diagonal: diagonal k (k =
 col - row, increasing from lower-left to upper-right) of length L >= r
-contributes L - r + 1 matrices, each carrying one column of a totally
-non-singular matrix down that diagonal.  A combination then keeps at least r
-nonzero entries on its top-rightmost occupied diagonal, which forces a
-triangular nonzero r x r minor.
+contributes L - r + 1 matrices, the t-th carrying x_i**t at the diagonal's
+i-th cell for the nodes x_i = i + 1 (column t of a Vandermonde matrix).  On
+its top-rightmost occupied diagonal a combination is then a nonzero
+polynomial of degree at most L - r evaluated at L distinct nodes, so it keeps
+at least r nonzero entries there, which forces a triangular nonzero r x r
+minor.  Each such basis is checked against exactly these conditions before
+it is returned.
 
 Also here: the row-factor construction maximizing dimension under a rank
 *upper* bound, the fixed-rank family r = dA, the 3x3 antisymmetric basis,
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -27,6 +31,7 @@ from .statemat import (
     COMPLEX,
     RATIONAL,
     StateMatrix,
+    _coerce_entry,
     _is_int,
     block_rank,
     combine,
@@ -35,7 +40,6 @@ from .statemat import (
     rank_exact,
     schmidt_rank_numeric,
 )
-from .tns import certification, default_tns
 
 KIND_MIN_RANK = "min_rank_geq_r"
 KIND_MAX_RANK = "max_rank_leq_r"
@@ -45,10 +49,6 @@ KIND_RANDOM = "random"
 KIND_USER = "user"
 
 KINDS = (KIND_MIN_RANK, KIND_MAX_RANK, KIND_FIXED_RANK, KIND_ANTISYMMETRIC, KIND_RANDOM, KIND_USER)
-
-#: Number of seeded combinations each rational constructor rank-checks on exit.
-SELF_CHECK_SAMPLES = 32
-_SELF_CHECK_SEED = 0x5EED
 
 #: Sampled integer coefficients are drawn uniformly from [-SAMPLE_BOX, SAMPLE_BOX].
 SAMPLE_BOX = 9
@@ -214,12 +214,64 @@ def basis_stack_rank(basis: SubspaceBasis) -> int:
 
 
 def _self_check_rank_floor(basis: SubspaceBasis, r: int) -> None:
-    """Exact ranks of seeded combinations must all reach r."""
-    rng = coeff_stream(_SELF_CHECK_SEED)
-    for _ in range(SELF_CHECK_SAMPLES):
-        got = rank_exact(basis.combination(draw_coeffs(rng, basis.dimension)))
-        if got < r:
-            raise CertificateError(f"self-check found a combination of rank {got} < {r}")
+    """Prove that every nonzero combination of ``basis`` has rank >= r, or raise CertificateError.
+
+    Reads only the matrices.  Each must lie on one diagonal; a diagonal of
+    length L may hold at most L - r + 1 of them, and down its cells the t-th
+    of them, in basis order, must read x_i**t for pairwise distinct nodes
+    x_i.  On a combination's top occupied diagonal, which carries no other
+    matrices' cells, the entries are then a nonzero polynomial of degree at
+    most L - r at L distinct nodes, so at least r of them are nonzero, and r
+    of them head a triangular nonzero minor (every entry above that diagonal
+    is zero).
+    """
+    families: dict[int, list[dict[int, Fraction]]] = {}
+    for n, m in enumerate(basis.matrices):
+        cells = {idx: Fraction(v, m.denominator) for idx, v in m._nonzero}
+        ks = {idx % basis.dB - idx // basis.dB for idx in cells}
+        if len(ks) != 1:
+            raise CertificateError(f"matrix {n} is not on one diagonal: it has cells on diagonals {sorted(ks)}")
+        families.setdefault(ks.pop(), []).append(cells)
+    for diag in diagonals(basis.dA, basis.dB):
+        family = families.get(diag.k)
+        if not family:
+            continue
+        if len(family) > diag.length - r + 1:
+            raise CertificateError(
+                f"diagonal {diag.k} of length {diag.length} holds {len(family)} matrices, "
+                f"more than {max(0, diag.length - r + 1)}"
+            )
+        flat = [row * basis.dB + col for row, col in diag.cells]
+        nodes = [family[1].get(idx, 0) for idx in flat] if len(family) > 1 else []
+        if len(set(nodes)) != len(nodes):
+            raise CertificateError(f"diagonal {diag.k} repeats a node: {', '.join(map(str, nodes))}")
+        powers = [1] * diag.length
+        for t, cells in enumerate(family):
+            if cells != {idx: v for idx, v in zip(flat, powers) if v}:
+                raise CertificateError(f"diagonal {diag.k}: its matrix {t} does not read node**{t} down the diagonal")
+            powers = [v * x for v, x in zip(powers, nodes)]
+
+
+def vandermonde(nodes: Sequence) -> StateMatrix:
+    """Vandermonde matrix on strictly increasing positive rational nodes.
+
+    Entry (i, j) is nodes[i]**j.  Such matrices are totally positive: every minor is positive.
+    """
+    xs = [_coerce_entry(x, RATIONAL, None) for x in nodes]
+    if not xs:
+        raise DomainError("need at least one node")
+    if xs[0] <= 0:
+        raise DomainError(f"nodes must be positive, got {xs[0]}")
+    for a, b in zip(xs, xs[1:]):
+        if b <= a:
+            raise DomainError(f"nodes must be strictly increasing, got {a} then {b}")
+    m = len(xs)
+    return StateMatrix.rational([[x**j for j in range(m)] for x in xs])
+
+
+def default_tns(m: int) -> StateMatrix:
+    """The package-wide deterministic source: Vandermonde on nodes 1..m."""
+    return vandermonde(range(1, m + 1))
 
 
 def build_diagonal_family(diag: DiagonalIndex, r: int, tns: StateMatrix) -> list[StateMatrix]:
@@ -269,7 +321,6 @@ def construct_min_rank_subspace(dA: int, dB: int, r: int) -> SubspaceBasis:
             "per_matrix": per_matrix,
             # Column 1 of a Vandermonde matrix holds its nodes.
             "tns_nodes": [str(tns.at(i, 1)) for i in range(m)],
-            "tns_certified": certification(m),
         },
     )
     _self_check_rank_floor(basis, r)

@@ -5,7 +5,9 @@ tool settles it.  This module layers four kinds of evidence:
 
 * structural certificates: for bases built by the diagonal construction, an
   exactly computed nonzero triangular minor on the top-rightmost occupied
-  diagonal, mirroring why the construction works;
+  diagonal, mirroring why the construction works.  ``construct`` proves
+  that argument for every combination when it builds a basis; a certificate
+  proves it for one combination of any basis given to it, loaded ones too;
 * seeded exact sampling over the rationals, which can refute but only ever
   reports "consistent" on success;
 * exhaustive enumeration over GF(p), an exact finite oracle whose verdict is

@@ -183,3 +183,9 @@ def test_criterion_10_cli_reproducibility(tmp_path, capsys):
         assert cli_main(base + [str(p2)]) == 3
         assert p1.read_bytes() == p2.read_bytes()
         capsys.readouterr()
+
+
+def test_criterion_11_large_construction_proves_itself():
+    with criterion(11, "32x32 r=16 construction builds and proves its rank floor", 3):
+        basis = construct_min_rank_subspace(32, 32, 16)
+        assert basis.dimension == 17 * 17

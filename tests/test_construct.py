@@ -1,5 +1,8 @@
+import itertools
 import json
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,14 +20,16 @@ from entspan.construct import (
     construct_fixed_rank_subspace,
     construct_max_rank_leq_subspace,
     construct_min_rank_subspace,
+    default_tns,
     diagonals,
     draw_coeffs,
     random_subspace,
+    vandermonde,
 )
 from entspan import construct, statemat
-from entspan.errors import CertificateError, DimensionError, DomainError
+from entspan.errors import CertificateError, DimensionError, DomainError, FieldMismatchError
 from entspan.statemat import COMPLEX, GFP, RATIONAL, StateMatrix, rank_exact, to_json
-from entspan.tns import default_tns
+from oracles import minor_rank, perm_det
 
 GRID = [
     (dA, dB, r)
@@ -32,6 +37,9 @@ GRID = [
     for dB in range(dA, 9)
     for r in range(2, dA + 1)
 ]
+
+#: The main-diagonal generators of the 3x3 r=2 basis: nodes 1, 2, 3 to the powers 0 and 1.
+ONES, NODES = [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
 
 
 class TestDiagonals:
@@ -123,10 +131,9 @@ class TestMinRankConstruction:
     def test_4x5_r3_dimension(self):
         assert construct_min_rank_subspace(4, 5, 3).dimension == 6
 
-    def test_tns_metadata_above_certification_cap(self):
-        # 9 nodes exceed the exhaustive cap, so the source is trusted by theorem.
+    def test_tns_nodes_metadata(self):
         meta = construct_min_rank_subspace(9, 9, 8).metadata
-        assert meta["tns_certified"] == "by-theorem"
+        assert set(meta) == {"per_matrix", "tns_nodes"}
         assert meta["tns_nodes"] == [str(x) for x in range(1, 10)]
 
     def test_r_out_of_range(self):
@@ -189,8 +196,167 @@ class TestMinRankConstruction:
 class TestSelfCheck:
     def test_fires_when_combinations_fall_below_r(self):
         # Every combination of the r=1 Flanders basis has rank at most 1.
-        with pytest.raises(CertificateError, match="rank 1 < 2"):
+        with pytest.raises(CertificateError, match=r"diagonal 0: its matrix 0 does not read node\*\*0"):
             _self_check_rank_floor(construct_max_rank_leq_subspace(3, 3, 1), 2)
+
+    def test_fires_on_a_basis_with_a_rank_3_element(self):
+        # Row 7 copied from row 6 in the five main-diagonal generators: still
+        # a basis, but (x-1)(x-2)(x-3)(x-7) vanishes at four of the nodes 1..8
+        # and row 7 repeats row 6's zero, leaving three nonzero entries.
+        basis = construct_min_rank_subspace(8, 8, 4)
+        matrices = list(basis.matrices)
+        main = [n for n, m in enumerate(matrices) if m.at(0, 0)]
+        assert len(main) == 5
+        for n in main:
+            rows = matrices[n].to_lists()
+            rows[7] = rows[6]
+            matrices[n] = StateMatrix.rational(rows)
+        mutated = replace(basis, matrices=tuple(matrices))
+        coeffs = [0] * mutated.dimension
+        for n, c in zip(main, (42, -83, 53, -13, 1)):
+            coeffs[n] = c
+        assert rank_exact(mutated.combination(coeffs)) == 3
+        with pytest.raises(CertificateError, match=r"is not on one diagonal: it has cells on diagonals \[-1, 0\]"):
+            _self_check_rank_floor(mutated, 4)
+
+    @pytest.mark.parametrize(
+        "main, witness, match",
+        [
+            ([[[1, 0, 5], [0, 1, 0], [0, 0, 1]], NODES], None, r"matrix 1 .* on diagonals \[0, 2\]"),
+            ([ONES, NODES, [[1, 0, 0], [0, 4, 0], [0, 0, 9]]], [6, -5, 1], "diagonal 0 of length 3 holds 3 matrices, more than 2"),
+            ([ONES, [[1, 0, 0], [0, 2, 0], [0, 0, 2]]], [-2, 1], "diagonal 0 repeats a node: 1, 2, 2"),
+            ([NODES, [[1, 0, 0], [0, 4, 0], [0, 0, 9]]], None, r"diagonal 0: its matrix 0 does not read node\*\*0"),
+        ],
+        ids=["extra_cell", "third_generator", "repeated_node", "not_powers"],
+    )
+    def test_fires_on_edited_main_diagonal(self, main, witness, match):
+        # The 3x3 r=2 basis with its two main-diagonal generators replaced;
+        # a witness is a combination of the replacements with rank 1.
+        first, *_, last = construct_min_rank_subspace(3, 3, 2).matrices
+        basis = SubspaceBasis(3, 3, 2, "user", (first, *map(StateMatrix.rational, main), last), {})
+        if witness:
+            assert rank_exact(basis.combination([0, *witness, 0])) == 1
+        with pytest.raises(CertificateError, match=match):
+            _self_check_rank_floor(basis, 2)
+
+    @pytest.mark.parametrize("labels", ["removed", "reversed"])
+    def test_reads_no_metadata(self, labels):
+        basis = construct_min_rank_subspace(5, 6, 3)
+        meta = dict(basis.metadata)
+        per_matrix = meta.pop("per_matrix")
+        if labels == "reversed":
+            meta["per_matrix"] = per_matrix[::-1]
+        _self_check_rank_floor(replace(basis, metadata=meta), 3)
+
+    def test_zero_count_by_minor_rank_up_to_5(self):
+        # The lemma the proof rests on, by brute force: on each diagonal any
+        # L - r + 1 of its L cells carry a nonsingular block of its L - r + 1
+        # generators, so a nonzero combination vanishes on at most L - r cells.
+        for dA, dB, r in GRID:
+            if dB > 5:
+                continue
+            basis = construct_min_rank_subspace(dA, dB, r)
+            for diag in diagonals(dA, dB):
+                family = [m for m in basis.matrices if any(m.at(i, j) for i, j in diag.cells)]
+                assert len(family) == max(0, diag.length - r + 1)
+                block = [[m.at(i, j) for m in family] for i, j in diag.cells]
+                for rows in itertools.combinations(block, len(family)):
+                    assert minor_rank(list(rows)) == len(family)
+
+
+class TestVandermonde:
+    def test_nodes_123(self):
+        v = vandermonde([1, 2, 3])
+        assert v.to_lists() == [[1, 1, 1], [1, 2, 4], [1, 3, 9]]
+        assert v.field == RATIONAL and v.denominator == 1
+
+    def test_single_node(self):
+        assert vandermonde([1]).to_lists() == [[1]]
+
+    def test_all_69_minors_nonzero(self):
+        v = vandermonde([1, 2, 3, 4])
+        rows = v.to_lists()
+        checked = 0
+        for order in range(1, 5):
+            for ri in itertools.combinations(range(4), order):
+                for ci in itertools.combinations(range(4), order):
+                    assert perm_det([[rows[i][j] for j in ci] for i in ri]) != 0
+                    checked += 1
+        assert checked == 69
+
+    def test_minors_strictly_positive_up_to_5(self):
+        for m in range(1, 6):
+            rows = vandermonde(range(1, m + 1)).to_lists()
+            for order in range(1, m + 1):
+                for ri in itertools.combinations(range(m), order):
+                    for ci in itertools.combinations(range(m), order):
+                        assert perm_det([[rows[i][j] for j in ci] for i in ri]) > 0
+
+    def test_3_node_minors_nonzero(self):
+        rows = vandermonde([1, 2, 3]).to_lists()
+        for order in range(1, 4):
+            for ri in itertools.combinations(range(3), order):
+                for ci in itertools.combinations(range(3), order):
+                    assert perm_det([[rows[i][j] for j in ci] for i in ri]) != 0
+
+    def test_every_square_submatrix_has_nonzero_minors_up_to_4(self):
+        for m in range(2, 5):
+            rows = vandermonde(range(1, m + 1)).to_lists()
+            for order in range(1, m + 1):
+                for ri in itertools.combinations(range(m), order):
+                    for ci in itertools.combinations(range(m), order):
+                        sub = [[rows[i][j] for j in ci] for i in ri]
+                        for o in range(1, order + 1):
+                            for si in itertools.combinations(range(order), o):
+                                for sj in itertools.combinations(range(order), o):
+                                    assert perm_det([[sub[i][j] for j in sj] for i in si]) != 0
+
+    def test_single_column_combination_has_no_zero_entry(self):
+        v = default_tns(3)
+        for col in range(3):
+            for c in (-9, -1, 1, 7):
+                assert all(v.at(i, col) * c != 0 for i in range(3))
+
+    def test_random_column_pairs_vanish_at_most_once(self):
+        # Two columns of the 3-node Vandermonde matrix: a nonzero combination
+        # vanishes on at most n - 1 = 1 of the m = 3 rows.
+        v = default_tns(3)
+        rng = np.random.default_rng(21)
+        for _ in range(500):
+            a, b = (int(c) for c in rng.integers(-9, 10, size=2))
+            if a == b == 0:
+                a = 1
+            combo = [a * v.at(i, 0) + b * v.at(i, 1) for i in range(3)]
+            assert sum(1 for x in combo if x != 0) >= 2
+
+    def test_rational_nodes(self):
+        v = vandermonde([Fraction(1, 2), Fraction(3, 4), 2])
+        assert v.at(0, 2) == Fraction(1, 4)
+        rows = v.to_lists()
+        for order in range(1, 4):
+            for ri in itertools.combinations(range(3), order):
+                for ci in itertools.combinations(range(3), order):
+                    assert perm_det([[rows[i][j] for j in ci] for i in ri]) != 0
+
+    def test_bad_nodes(self):
+        with pytest.raises(DomainError):
+            vandermonde([0, 1, 2])
+        with pytest.raises(DomainError):
+            vandermonde([-1, 1])
+        with pytest.raises(DomainError):
+            vandermonde([1, 3, 2])
+        with pytest.raises(DomainError):
+            vandermonde([1, 1, 2])
+        with pytest.raises(DomainError):
+            vandermonde([])
+
+    def test_default_tns_nodes(self):
+        assert [default_tns(3).at(i, 1) for i in range(3)] == [1, 2, 3]
+
+    @pytest.mark.parametrize("nodes", [[0.5, 1.5], [True, 2], ["1/2", "3"], [1, 2.0]])
+    def test_inexact_nodes_rejected(self, nodes):
+        with pytest.raises(FieldMismatchError):
+            vandermonde(nodes)
 
 
 class TestMaxRankConstruction:
@@ -329,7 +495,7 @@ def _numpy_draw(rng, dim, redraws, box=SAMPLE_BOX):
     return coeffs.tolist()
 
 
-#: 0, the self-check seed, the largest 32-bit seed, seeds of three and six
+#: 0, 0x5EED, the largest 32-bit seed, seeds of three and six
 #: 32-bit words (SeedSequence mixes words past its pool of four differently).
 ORACLE_SEEDS = [*range(300), 0x5EED, 2**31 - 1, 2**64 + 12345, 2**191 + 2**64 + 7]
 
