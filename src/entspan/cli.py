@@ -145,6 +145,8 @@ def cmd_verify(args) -> int:
     if report.min_sigma_r is not None:
         bits.append(f"min_sigma_r={report.min_sigma_r:.3e}")
     bits.append(f"n={report.samples_or_points}")
+    if "restarts_run" in (report.params or {}):
+        bits.append(f"restarts_run={report.params['restarts_run']}")
     print(" ".join(bits))
     print(f"artifact: {args.out}")
     return _VERDICT_EXIT[report.verdict]

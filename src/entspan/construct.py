@@ -124,6 +124,16 @@ def draw_coeffs(words: Iterator[int], dim: int) -> list[int]:
             return coeffs
 
 
+def draw_normals(words: Iterator[int], n: int) -> np.ndarray:
+    """``n`` complex numbers whose real and imaginary parts are independent N(0, 1), from a ``coeff_stream``.
+
+    Box–Muller on pairs of words, each made a uniform u = (w + 1/2) / 2**32 in (0, 1):
+    the first word of a pair gives the radius sqrt(-2 ln u), the second the angle 2 pi u.
+    """
+    u = (np.fromiter(itertools.islice(words, 2 * n), np.float64, 2 * n) + 0.5) * 2.0**-32
+    return np.sqrt(-2.0 * np.log(u[0::2])) * np.exp(2j * np.pi * u[1::2])
+
+
 @dataclass(frozen=True)
 class DiagonalIndex:
     """One diagonal of a dA x dB matrix: label k = col - row, cells by row."""
@@ -398,17 +408,15 @@ def antisymmetric_basis_3x3() -> SubspaceBasis:
 def random_subspace(dA: int, dB: int, dim: int, seed: int) -> SubspaceBasis:
     """Seeded complex Gaussian basis of the requested dimension.
 
-    Gaussian stacks are almost surely full rank; independence is still
-    checked, and the draw is deterministic in the seed.
+    The dim * dA * dB entries are one ``draw_normals`` call on ``coeff_stream(seed)``,
+    matrix by matrix in row-major order, so the draw is deterministic in the seed.
+    Gaussian stacks are almost surely full rank; independence is still checked.
     """
     if not 1 <= dim <= dA * dB:
         raise DomainError(f"need 1 <= dim <= {dA * dB}, got {dim}")
-    rng = np.random.default_rng(seed)
-    matrices = []
-    for _ in range(dim):
-        a = rng.standard_normal((dA, dB)) + 1j * rng.standard_normal((dA, dB))
-        matrices.append(StateMatrix.complex_(a.tolist()))
-    return SubspaceBasis(dA, dB, None, KIND_RANDOM, tuple(matrices), {"seed": seed})
+    draws = draw_normals(coeff_stream(seed), dim * dA * dB).reshape(dim, dA, dB)
+    matrices = tuple(StateMatrix.complex_(a.tolist()) for a in draws)
+    return SubspaceBasis(dA, dB, None, KIND_RANDOM, matrices, {"seed": seed})
 
 
 def basis_from_json_dict(d: dict) -> SubspaceBasis:

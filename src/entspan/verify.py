@@ -13,7 +13,8 @@ tool settles it.  This module layers four kinds of evidence:
 * exhaustive enumeration over GF(p), an exact finite oracle whose verdict is
   one-sided (rank can only drop when reducing mod p);
 * numerical descent on the r-th singular value, a heuristic search for the
-  low-rank element whose existence is guaranteed above the dimension bound.
+  low-rank element whose existence is guaranteed above the dimension bound;
+  it stops at the first witness it accepts.
 
 Verdicts are "consistent", "refuted" or "inconclusive"; a refutation always
 carries a checkable witness.
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .construct import KIND_FIXED_RANK, KIND_MIN_RANK, SAMPLE_BOX, SubspaceBasis, coeff_stream, draw_coeffs
+from .construct import KIND_FIXED_RANK, KIND_MIN_RANK, SAMPLE_BOX, SubspaceBasis, coeff_stream, draw_coeffs, draw_normals
 from .errors import CertificateError, DimensionError, DomainError, FieldMismatchError
 from .statemat import (
     COMPLEX,
@@ -57,8 +58,8 @@ CERT_WITNESS_GT = "witness_gt"
 #: re-checks it numerically before emitting a witness).
 SIGMA_TOL = 1e-7
 
-#: The sigma search stops at the first restart whose best value is below
-#: ``tol * SIGMA_STOP``; on a complex basis each restart also ends there.
+#: Each sigma descent on a complex basis ends at its first iterate below
+#: ``tol * SIGMA_STOP``, which leaves its witness polished well below ``tol``.
 SIGMA_STOP = 1e-3
 
 #: Residual bound every reported pencil root must satisfy.
@@ -293,6 +294,19 @@ def _exact_drop(basis: SubspaceBasis, x: np.ndarray, r: int) -> bool:
     return any(coeffs) and rank_exact(basis.combination(coeffs)) < r
 
 
+def _accepted_witness(basis: SubspaceBasis, A: np.ndarray, x: np.ndarray, r: int) -> RankCertificate | None:
+    """The witness the descent's coefficients x give, or None if it is not accepted.
+
+    The combination must have numeric rank below r at 1e-6, and on a rational basis
+    ``_exact_drop`` must also confirm the drop with an exact rank.
+    """
+    combo = StateMatrix.complex_((A @ x).reshape(basis.dA, basis.dB).tolist())
+    info = schmidt_rank_numeric(combo, tol=1e-6)
+    if info.rank >= r or (basis.field != COMPLEX and not _exact_drop(basis, x, r)):
+        return None
+    return RankCertificate(kind=CERT_WITNESS_LT, coeffs=tuple(complex(c) for c in x), rank_found=info.rank, matrix=combo)
+
+
 def minimize_sigma_r(
     basis: SubspaceBasis,
     r: int,
@@ -305,16 +319,17 @@ def minimize_sigma_r(
 
     Multi-restart alternating projection: truncate the current combination to
     rank r-1, refit coefficients by least squares, renormalize, repeat.  The
-    objective sigma_r / sigma_1 is scale invariant.  The search stops at the
-    first restart whose value falls below ``tol * SIGMA_STOP``.  On a complex
-    basis that value is also each descent's target, so the restart that finds
-    a witness ends at its first iterate below it; on a rational basis the
-    descent runs to its own end, because ``_exact_drop`` rounds the witness to
-    small denominators and needs it polished.  A best value below ``tol`` is
-    re-checked with a numeric rank computation before a witness is emitted,
-    and on a rational basis also with ``_exact_drop``; floors at least
-    sqrt(tol) count as consistent, and anything in between is inconclusive,
-    never refuted.
+    objective sigma_r / sigma_1 is scale invariant.  Each restart starts from
+    ``draw_normals`` on ``coeff_stream(seed)``.  The search stops at the first
+    restart that improves the best value to below ``tol`` with an accepted
+    witness: numeric rank below r, and on a rational basis an exact rank below
+    r from ``_exact_drop``.  On a complex basis each descent ends at its first
+    iterate below ``tol * SIGMA_STOP``; on a rational basis it runs to its own
+    end, because ``_exact_drop`` rounds the witness to small denominators and
+    needs it polished.  A best value below ``tol`` without an accepted witness
+    is inconclusive; floors at least sqrt(tol) count as consistent, and
+    anything in between is inconclusive, never refuted.  The report's
+    ``restarts_run`` counts the descents that ran.
     """
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
@@ -326,42 +341,25 @@ def minimize_sigma_r(
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     A = _complex_stack(basis)
     P = np.linalg.pinv(A)
-    rng = np.random.default_rng(seed)
-    dim = basis.dimension
-    stop = tol * SIGMA_STOP
-    target = stop if basis.field == COMPLEX else 0.0
+    words = coeff_stream(seed)
+    target = tol * SIGMA_STOP if basis.field == COMPLEX else 0.0
     best_val = math.inf
     best_x = None
-    for _ in range(restarts):
-        x0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    witness = None
+    for run in range(1, restarts + 1):
+        x0 = draw_normals(words, basis.dimension)
         val, x = _kernels.sigma_descent(A, P, r, iters, x0, basis.dA, basis.dB, target)
         if val < best_val:
-            best_val = val
-            best_x = x
-        if best_val < stop:
-            break
-    witnesses: tuple[RankCertificate, ...] = ()
-    if best_val < tol:
-        combo_vec = A @ best_x
-        combo = StateMatrix.complex_(combo_vec.reshape(basis.dA, basis.dB).tolist())
-        info = schmidt_rank_numeric(combo, tol=1e-6)
-        # Over a rational basis the numeric witness counts only once an exact rank confirms it.
-        if info.rank < r and (basis.field == COMPLEX or _exact_drop(basis, best_x, r)):
-            witnesses = (
-                RankCertificate(
-                    kind=CERT_WITNESS_LT,
-                    coeffs=tuple(complex(c) for c in best_x),
-                    rank_found=info.rank,
-                    matrix=combo,
-                ),
-            )
-            verdict = VERDICT_REFUTED
-        else:
-            verdict = VERDICT_INCONCLUSIVE
+            best_val, best_x = val, x
+            witness = _accepted_witness(basis, A, x, r) if val < tol else None
+            if witness is not None:
+                break
+    if witness is not None:
+        verdict = VERDICT_REFUTED
     elif best_val >= math.sqrt(tol):
         verdict = VERDICT_CONSISTENT
     else:
-        # Close enough to the tolerance that more restarts might cross it.
+        # Below tol without a confirmed witness, or close enough to it that more restarts might cross it.
         verdict = VERDICT_INCONCLUSIVE
     report = VerificationReport(
         mode="sigma_min",
@@ -370,8 +368,8 @@ def minimize_sigma_r(
         min_sigma_r=best_val,
         tolerance=tol,
         seed=seed,
-        witnesses=witnesses,
-        params={"r": r, "restarts": restarts, "iters": iters},
+        witnesses=() if witness is None else (witness,),
+        params={"r": r, "restarts": restarts, "iters": iters, "restarts_run": run},
     )
     return best_x, best_val, report
 

@@ -109,6 +109,10 @@ class TestVerify:
         )
         assert code == 3
         assert "verdict=refuted" in out
+        # The search stops at its first accepted witness and says how many restarts ran.
+        run = json.loads((tmp_path / "rep.json").read_text())["params"]["restarts_run"]
+        assert 1 <= run < 64
+        assert f"n=64 restarts_run={run}" in out
 
     def test_gfp_mode_composite_p_exits_2(self, capsys, basis_file, tmp_path):
         code, _, err = run_cli(
@@ -294,6 +298,8 @@ def test_sigma_on_ill_conditioned_rational_basis_exits_4(capsys, tmp_path):
     )
     assert (code, err) == (4, "")
     assert "verdict=inconclusive" in out
+    # An unconfirmed numeric drop ends nothing: every restart runs.
+    assert "n=64 restarts_run=64" in out
 
 
 class TestParserCache:
@@ -324,32 +330,39 @@ class TestParserCache:
 _FOOTPRINT = """
 import sys
 from entspan.cli import main
-basis, report = sys.argv[1] + "/b.json", sys.argv[1] + "/r.json"
-assert main(["construct", "--kind", "geq", "--da", "3", "--db", "4", "--r", "2", "--out", basis]) == 0
-for flags in sys.argv[2:]:
-    assert main(["verify", "--basis", basis, *flags.split(), "--out", report]) in (0, 4)
+for command in sys.argv[1:]:
+    assert main(command.split()) in (0, 3, 4), command
 print("numpy.random" in sys.modules)
 """
 
 
 class TestImportFootprint:
-    """numpy.random costs every process about 6 MiB; only the Gaussian draws need it."""
+    """numpy.random costs every process about 6 MiB; every draw comes from the package's own stream."""
 
-    def _imports_numpy_random(self, tmp_path, *modes):
+    def _imports_numpy_random(self, tmp_path, script):
         path = [os.path.dirname(os.path.dirname(entspan.__file__)), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        geq, rand, report = (tmp_path / name for name in ("geq.json", "rand.json", "report.json"))
+        commands = [
+            f"construct --kind geq --da 3 --db 4 --r 2 --out {geq}",
+            f"construct --kind random --da 3 --db 3 --dim 5 --seed 1 --out {rand}",
+            *(f"verify --basis {geq} {flags} --out {report}" for flags in (
+                "--mode sample --samples 20", "--mode structural --samples 20", "--mode gfp --p 3",
+                "--mode sigma --restarts 2 --iters 20",
+            )),
+            f"verify --basis {rand} --mode sigma --r 2 --restarts 2 --iters 20 --out {report}",
+        ]
         out = subprocess.run(
-            [sys.executable, "-c", _FOOTPRINT, str(tmp_path), *modes], capture_output=True, text=True, env=env, check=True
+            [sys.executable, "-c", script, *commands], capture_output=True, text=True, env=env, check=True
         )
         return {"True": True, "False": False}[out.stdout.splitlines()[-1]]
 
-    def test_exact_and_gfp_paths_do_not_import_it(self, tmp_path):
-        modes = ("--mode sample --samples 20", "--mode structural --samples 20", "--mode gfp --p 3")
-        assert not self._imports_numpy_random(tmp_path, *modes)
+    def test_no_cli_path_imports_it(self, tmp_path):
+        assert not self._imports_numpy_random(tmp_path, _FOOTPRINT)
 
-    def test_sigma_mode_does(self, tmp_path):
-        # The guard above can see the import.
-        assert self._imports_numpy_random(tmp_path, "--mode sigma --restarts 1 --iters 5")
+    def test_guard_sees_the_import(self, tmp_path):
+        # A probe that imports numpy.random on purpose, then runs the same commands.
+        assert self._imports_numpy_random(tmp_path, "import numpy.random\n" + _FOOTPRINT)
 
 
 class TestNumericScale:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -23,6 +24,7 @@ from entspan.construct import (
     default_tns,
     diagonals,
     draw_coeffs,
+    draw_normals,
     random_subspace,
     vandermonde,
 )
@@ -450,6 +452,12 @@ class TestRandomSubspace:
         basis = random_subspace(3, 4, 7, seed=5)
         assert basis_stack_rank(basis) == 7
 
+    def test_entries_are_one_normal_draw(self):
+        # Matrix by matrix, row-major, from one draw on the seed's stream.
+        basis = random_subspace(2, 3, 4, seed=9)
+        draws = draw_normals(coeff_stream(9), 24).tolist()
+        assert [z for m in basis.matrices for z in m.entries] == draws
+
 
 class TestIndependence:
     @pytest.mark.parametrize("field, p", [(RATIONAL, None), (GFP, 7), (COMPLEX, None)])
@@ -499,6 +507,20 @@ def _numpy_draw(rng, dim, redraws, box=SAMPLE_BOX):
 #: 32-bit words (SeedSequence mixes words past its pool of four differently).
 ORACLE_SEEDS = [*range(300), 0x5EED, 2**31 - 1, 2**64 + 12345, 2**191 + 2**64 + 7]
 
+#: The first two draw_coeffs calls (dim 6, then dim 3) on coeff_stream(seed), seeds 0-9.
+PINNED_COEFFS = [
+    ([7, 3, 0, -4, -4, -9], [-8, -9, -6]),
+    ([-1, 0, 5, 9, -9, -7], [6, 9, -5]),
+    ([6, -5, -7, -4, -2, 6], [-1, -8, -3]),
+    ([6, -8, -6, -5, -6, 6], [7, 2, -9]),
+    ([4, 8, 7, 0, 8, 9], [9, -8, -1]),
+    ([3, 6, -9, 6, -1, 0], [2, -4, 9]),
+    ([-1, 1, 0, -3, 8, -2], [3, -2, -1]),
+    ([8, 2, 3, 8, 1, 5], [6, -5, -8]),
+    ([4, -3, -5, 9, -6, -3], [3, 5, 3]),
+    ([-1, 7, 9, -4, -7, 2], [3, 5, 3]),
+]
+
 
 class TestCoeffStream:
     """coeff_stream and draw_coeffs against numpy's default_rng, bit for bit."""
@@ -529,10 +551,59 @@ class TestCoeffStream:
             for dim in (5, 8, 3):
                 assert draw_coeffs(words, dim) == _numpy_draw(rng, dim, [], box), (seed, dim)
 
+    def test_draw_coeffs_values_pinned(self):
+        for seed, (first, second) in enumerate(PINNED_COEFFS):
+            words = coeff_stream(seed)
+            assert (draw_coeffs(words, 6), draw_coeffs(words, 3)) == (first, second), seed
+
     @pytest.mark.parametrize("seed", [-1, -(2**70), True, 1.5, "3"])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(DomainError, match="seed"):
             coeff_stream(seed)
+
+
+#: Kolmogorov-Smirnov sample size and the asymptotic critical value at level 1e-3,
+#: sqrt(ln(2 / 1e-3) / 2) / sqrt(n).
+KS_N = 20000
+KS_BOUND = math.sqrt(math.log(2 / 1e-3) / 2) / math.sqrt(KS_N)
+
+
+def _ks_normal(xs) -> float:
+    """Largest gap between the empirical CDF of xs and N(0, 1)'s."""
+    gap = 0.0
+    for i, x in enumerate(sorted(xs)):
+        cdf = 0.5 * (1 + math.erf(x / math.sqrt(2)))
+        gap = max(gap, cdf - i / len(xs), (i + 1) / len(xs) - cdf)
+    return gap
+
+
+class TestDrawNormals:
+    """draw_normals: Box-Muller on coeff_stream words, the one Gaussian source."""
+
+    def test_same_seed_same_draws(self):
+        a, b = draw_normals(coeff_stream(7), 50), draw_normals(coeff_stream(7), 50)
+        assert a.tolist() == b.tolist()
+        assert a.tolist() != draw_normals(coeff_stream(8), 50).tolist()
+        # Successive calls continue the stream.
+        words = coeff_stream(7)
+        assert np.concatenate([draw_normals(words, 20), draw_normals(words, 30)]).tolist() == a.tolist()
+
+    def test_first_draw_is_box_muller_of_first_words(self):
+        for seed in range(10):
+            words = coeff_stream(seed)
+            u1, u2 = ((next(words) + 0.5) / 2**32 for _ in range(2))
+            radius, angle = math.sqrt(-2 * math.log(u1)), 2 * math.pi * u2
+            z = draw_normals(coeff_stream(seed), 1)[0]
+            assert z.real == pytest.approx(radius * math.cos(angle), rel=1e-12, abs=1e-12)
+            assert z.imag == pytest.approx(radius * math.sin(angle), rel=1e-12, abs=1e-12)
+
+    def test_parts_are_standard_normal_and_uncorrelated(self):
+        z = draw_normals(coeff_stream(2024), KS_N)
+        assert z.shape == (KS_N,) and z.dtype == np.complex128
+        assert _ks_normal(z.real.tolist()) < KS_BOUND
+        assert _ks_normal(z.imag.tolist()) < KS_BOUND
+        # The sample correlation of independent parts has standard deviation 1/sqrt(n).
+        assert abs(np.corrcoef(z.real, z.imag)[0, 1]) < 4 / math.sqrt(KS_N)
 
 
 class TestModulusCheck:

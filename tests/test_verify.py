@@ -265,15 +265,16 @@ class TestGfpExhaustive:
 
 
 def _record_targets(monkeypatch, force=None):
-    """Record the target of each sigma descent; with ``force``, run it at that target instead."""
-    descent, targets = _kernels.sigma_descent, []
+    """Record (target, returned value) of each sigma descent; with ``force``, run it at that target instead."""
+    descent, runs = _kernels.sigma_descent, []
 
     def spy(A, P, r, iters, x0, rows, cols, target=0.0):
-        targets.append(target)
-        return descent(A, P, r, iters, x0, rows, cols, target if force is None else force)
+        val, x = descent(A, P, r, iters, x0, rows, cols, target if force is None else force)
+        runs.append((target, val))
+        return val, x
 
     monkeypatch.setattr(_kernels, "sigma_descent", spy)
-    return targets
+    return runs
 
 
 class TestMinimizeSigmaR:
@@ -367,24 +368,51 @@ class TestMinimizeSigmaR:
         assert report.verdict == VERDICT_REFUTED
         assert report.witnesses[0].rank_found == 1
 
-    @pytest.mark.parametrize("seed", range(10**6, 10**6 + 8))
-    def test_complex_refutation_ends_at_search_stop(self, monkeypatch, seed):
-        # dim 8 > (4-3+1)(5-3+1) = 6, so a rank-<3 element exists.  The descent
-        # stops at the search's own stop value, so the witness sits just below
-        # it and exactly as many restarts run as with the target at 0.
-        basis = random_subspace(4, 5, 8, seed=seed)
-        targets = _record_targets(monkeypatch)
+    @pytest.mark.parametrize(
+        "dim, seed",
+        [pytest.param(8, seed, id=str(seed)) for seed in range(10**6, 10**6 + 8)]
+        + [pytest.param(7, 10**6 + k, id=f"dim7-{10**6 + k}") for k in (1, 2, 6)],
+    )
+    def test_complex_refutation_ends_at_search_stop(self, monkeypatch, dim, seed):
+        # dim > (4-3+1)(5-3+1) = 6, so a rank-<3 element exists.  The search
+        # stops at the first restart that returns below tol; each descent still
+        # aims at tol * 1e-3, and polishing further would run the same restarts.
+        # At dim 7 these seeds need 3, 11 and 4 restarts.
+        basis = random_subspace(4, 5, dim, seed=seed)
+        runs = _record_targets(monkeypatch)
         _, value, report = minimize_sigma_r(basis, 3, seed=seed)
         assert report.verdict == VERDICT_REFUTED
-        assert value == report.min_sigma_r < SIGMA_TOL * 1e-3
+        values = [val for _, val in runs]
+        first = next(i for i, val in enumerate(values) if val < SIGMA_TOL)
+        assert len(runs) == first + 1 == report.params["restarts_run"] < report.samples_or_points
+        assert {target for target, _ in runs} == {SIGMA_TOL * 1e-3}
+        assert value == report.min_sigma_r == values[first] < SIGMA_TOL
         assert schmidt_rank_numeric(report.witnesses[0].matrix, 1e-6).rank < 3
-        assert set(targets) == {SIGMA_TOL * 1e-3}
 
         monkeypatch.undo()
         untargeted_runs = _record_targets(monkeypatch, force=0.0)
         _, untargeted, _ = minimize_sigma_r(basis, 3, seed=seed)
-        assert len(untargeted_runs) == len(targets)
+        assert len(untargeted_runs) == len(runs)
         assert untargeted <= value
+
+    @pytest.mark.parametrize("scale", [10**10, 10**12])
+    def test_unconfirmed_rational_drop_ends_nothing(self, monkeypatch, scale):
+        # Every element of diag(scale, 1) has exact rank 2, so no numeric drop
+        # confirms and every restart runs, however far below tol it returns.
+        basis = _single_matrix_basis(StateMatrix.rational([[scale, 0], [0, 1]]))
+        runs = _record_targets(monkeypatch)
+        _, value, report = minimize_sigma_r(basis, 2, restarts=6, iters=50, seed=0)
+        assert len(runs) == report.params["restarts_run"] == 6
+        assert all(val < SIGMA_TOL for _, val in runs) and value < SIGMA_TOL
+        assert (report.verdict, report.witnesses) == (VERDICT_INCONCLUSIVE, ())
+
+    def test_restarts_run_reported(self):
+        _, _, refuted = minimize_sigma_r(random_subspace(3, 3, 5, seed=1), 2, restarts=64, iters=500, seed=0)
+        assert refuted.verdict == VERDICT_REFUTED
+        assert 1 <= refuted.params["restarts_run"] < refuted.params["restarts"] == refuted.samples_or_points == 64
+        _, _, consistent = minimize_sigma_r(construct_min_rank_subspace(3, 3, 2), 2, restarts=5, iters=50, seed=0)
+        assert consistent.verdict == VERDICT_CONSISTENT
+        assert consistent.params["restarts_run"] == consistent.samples_or_points == 5
 
     def test_rational_descent_runs_to_its_end(self, monkeypatch):
         # _exact_drop rounds the witness to small denominators, so a rational
@@ -393,10 +421,10 @@ class TestMinimizeSigmaR:
 
         units = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]
         basis = SubspaceBasis(2, 2, None, "user", tuple(StateMatrix.rational(m) for m in units), {})
-        targets = _record_targets(monkeypatch)
+        runs = _record_targets(monkeypatch)
         _, _, report = minimize_sigma_r(basis, 2, restarts=8, iters=100, seed=0)
         assert report.verdict == VERDICT_REFUTED
-        assert targets and set(targets) == {0.0}
+        assert runs and {target for target, _ in runs} == {0.0}
 
     def test_exact_check_undoes_scaling_and_phase(self):
         # M1 - M2 has rank 1.  The descent weighs each matrix scaled by a power
