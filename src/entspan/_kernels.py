@@ -1,6 +1,9 @@
 """Hot loops: the GF(p) projective scan and the singular-value descent.
 
-Both run as plain Python and numpy; there is one backend.
+The descent comes in two forms that share no code: ``sigma_descent`` runs one
+start and can end at a target, ``sigma_descent_lanes`` runs several starts in
+lockstep at target 0, each lane bit-identical to the lone descent.  All of it
+runs as plain Python and numpy; there is one backend.
 """
 
 from __future__ import annotations
@@ -94,3 +97,39 @@ def sigma_descent(A, P, r, iters, x0, rows, cols, target=0.0):
             break
         prev = val
     return best_val, best_x
+
+
+def sigma_descent_lanes(A, P, r, iters, X0, rows, cols):
+    """``sigma_descent`` at target 0 from each row of X0, run in lockstep.
+
+    Each iteration takes one SVD of the stack of the live lanes' matrices.
+    Every product is a stacked matmul, which runs the same BLAS call per lane
+    as the lone descent's, so lane i returns exactly (bit for bit) what
+    ``sigma_descent(A, P, r, iters, X0[i], rows, cols)`` returns; one gemm
+    over all lanes (``X @ A.T``) would not.  A lane leaves the stack where the
+    lone descent would end: at an exact zero, a stall or an underflow.
+    Returns a list of (value, coefficients), one per row of X0.
+    """
+    X = np.array([x0 / math.sqrt(np.vdot(x0, x0).real) for x0 in X0])
+    best_val = np.full(len(X), math.inf)
+    best_X = X.copy()
+    prev = np.full(len(X), math.inf)
+    live = np.arange(len(X))
+    k = r - 1
+    for _ in range(iters):
+        u, s, vh = np.linalg.svd(np.matmul(A, X[:, :, None]).reshape(-1, rows, cols), full_matrices=False)
+        top = s[:, 0]
+        # sigma_1 = 0 counts as the value 0, as in sigma_descent.
+        val = np.divide(s[:, k], top, out=np.zeros(len(top)), where=~(top <= 0.0))
+        better = val < best_val[live]
+        best_val[live[better]] = val[better]
+        best_X[live[better]] = X[better]
+        T = np.matmul(u[:, :, :k] * s[:, None, :k], vh[:, :k, :])
+        Y = np.matmul(P, T.reshape(len(T), rows * cols, 1))[:, :, 0]
+        nrm = np.array([math.sqrt(np.vdot(y, y).real) for y in Y])
+        # Negated comparisons keep a NaN lane running, as sigma_descent does.
+        go = (val != 0.0) & ~(nrm < 1e-150) & ~(abs(prev - val) < 1e-16)
+        live, X, prev = live[go], Y[go] / nrm[go, None], val[go]
+        if not len(live):
+            break
+    return list(zip(best_val.tolist(), best_X))

@@ -22,6 +22,7 @@ carries a checkable witness.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,6 +62,12 @@ SIGMA_TOL = 1e-7
 #: Each sigma descent on a complex basis ends at its first iterate below
 #: ``tol * SIGMA_STOP``, which leaves its witness polished well below ``tol``.
 SIGMA_STOP = 1e-3
+
+#: Restarts after the first that one stacked descent runs at once on a
+#: rational basis.  On a 2-core Xeon an 8x8 descent took about 31 µs per
+#: iteration alone, 20 µs per lane at 8 lanes and 18 µs at 16 to 64; larger
+#: groups save little and discard more lanes after a refutation mid-group.
+SIGMA_LANES = 8
 
 #: Residual bound every reported pencil root must satisfy.
 PENCIL_TOL = 1e-8
@@ -307,6 +314,27 @@ def _accepted_witness(basis: SubspaceBasis, A: np.ndarray, x: np.ndarray, r: int
     return RankCertificate(kind=CERT_WITNESS_LT, coeffs=tuple(complex(c) for c in x), rank_found=info.rank, matrix=combo)
 
 
+def _descents(basis: SubspaceBasis, A: np.ndarray, r: int, restarts: int, iters: int, seed: int, tol: float):
+    """(value, coefficients) of each restart's descent, in restart order.
+
+    On a complex basis each restart runs alone and ends below ``tol * SIGMA_STOP``,
+    so the search usually ends after the first.  On a rational basis every descent
+    runs to its own end: the first alone, so that a refutation there costs one
+    descent, and the rest ``SIGMA_LANES`` at a time on the stacked kernel, whose
+    lanes equal lone descents bit for bit.
+    """
+    P = np.linalg.pinv(A)
+    words = coeff_stream(seed)
+    starts = (draw_normals(words, basis.dimension) for _ in range(restarts))
+    if basis.field == COMPLEX:
+        for x0 in starts:
+            yield _kernels.sigma_descent(A, P, r, iters, x0, basis.dA, basis.dB, tol * SIGMA_STOP)
+        return
+    yield _kernels.sigma_descent(A, P, r, iters, next(starts), basis.dA, basis.dB)
+    while lanes := list(itertools.islice(starts, SIGMA_LANES)):
+        yield from _kernels.sigma_descent_lanes(A, P, r, iters, np.array(lanes), basis.dA, basis.dB)
+
+
 def minimize_sigma_r(
     basis: SubspaceBasis,
     r: int,
@@ -326,10 +354,12 @@ def minimize_sigma_r(
     r from ``_exact_drop``.  On a complex basis each descent ends at its first
     iterate below ``tol * SIGMA_STOP``; on a rational basis it runs to its own
     end, because ``_exact_drop`` rounds the witness to small denominators and
-    needs it polished.  A best value below ``tol`` without an accepted witness
-    is inconclusive; floors at least sqrt(tol) count as consistent, and
-    anything in between is inconclusive, never refuted.  The report's
-    ``restarts_run`` counts the descents that ran.
+    needs it polished; those descents run in lockstep groups (``_descents``).
+    A best value below ``tol`` without an accepted witness is inconclusive;
+    floors at least sqrt(tol) count as consistent, and anything in between is
+    inconclusive, never refuted.  The report's ``restarts_run`` counts the
+    restarts read, in order, up to the one that ended the search; later lanes
+    of that restart's group ran too, and their results are discarded.
     """
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
@@ -340,15 +370,10 @@ def minimize_sigma_r(
     if not 0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     A = _complex_stack(basis)
-    P = np.linalg.pinv(A)
-    words = coeff_stream(seed)
-    target = tol * SIGMA_STOP if basis.field == COMPLEX else 0.0
     best_val = math.inf
     best_x = None
     witness = None
-    for run in range(1, restarts + 1):
-        x0 = draw_normals(words, basis.dimension)
-        val, x = _kernels.sigma_descent(A, P, r, iters, x0, basis.dA, basis.dB, target)
+    for run, (val, x) in enumerate(_descents(basis, A, r, restarts, iters, seed, tol), 1):
         if val < best_val:
             best_val, best_x = val, x
             witness = _accepted_witness(basis, A, x, r) if val < tol else None

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from entspan import _kernels
-from entspan.construct import construct_min_rank_subspace, random_subspace
+from entspan.construct import SubspaceBasis, coeff_stream, construct_min_rank_subspace, draw_normals, random_subspace
+from entspan.statemat import StateMatrix
 from entspan.verify import _complex_stack, gfp_exhaustive_min_rank
 
 from oracles import minor_rank
@@ -129,3 +130,59 @@ class TestSigmaDescent:
             assert len(calls) < plain_svds
             s = svd((A @ x).reshape(3, 3), full_matrices=False)[1]
             assert s[1] / s[0] == val
+
+
+def _units_basis():
+    """E00, E01 and E10: rank-1 elements abound, so descents at r=2 end at different iterations."""
+    units = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]
+    return SubspaceBasis(2, 2, None, "user", tuple(StateMatrix.rational(m) for m in units), {})
+
+
+class TestSigmaDescentLanes:
+    @pytest.mark.parametrize(
+        "basis, r, iters, lanes, staggered",
+        [
+            pytest.param(construct_min_rank_subspace(8, 8, 4), 4, 200, 8, False, id="8x8r4"),
+            pytest.param(construct_min_rank_subspace(4, 5, 3), 3, 500, 8, True, id="4x5r3"),
+            pytest.param(construct_min_rank_subspace(3, 3, 2), 3, 200, 8, True, id="3x3r2-at-r3"),
+            pytest.param(_units_basis(), 2, 100, 8, True, id="units"),
+            pytest.param(construct_min_rank_subspace(4, 5, 3), 3, 500, 1, False, id="one-lane"),
+        ],
+    )
+    def test_each_lane_is_the_lone_descent(self, monkeypatch, basis, r, iters, lanes, staggered):
+        A = _complex_stack(basis)
+        P = np.linalg.pinv(A)
+        words = coeff_stream(58)
+        X0 = np.array([draw_normals(words, basis.dimension) for _ in range(lanes)])
+        stacked = _kernels.sigma_descent_lanes(A, P, r, iters, X0, basis.dA, basis.dB)
+        assert len(stacked) == lanes
+        svd, calls, ends = np.linalg.svd, [], set()
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for x0, (val, x) in zip(X0, stacked):
+            calls.clear()
+            lone_val, lone_x = _kernels.sigma_descent(A, P, r, iters, x0, basis.dA, basis.dB)
+            ends.add(len(calls))
+            assert val == lone_val
+            assert np.array_equal(x, lone_x)
+        if staggered:
+            # These lanes stall at different iterations, so lanes leave the stack mid-run.
+            assert len(ends) > 1 and min(ends) < iters
+
+    def test_exact_zero_leaves_the_stack_at_once(self):
+        # E00 alone has sigma_2 = 0 exactly: the lane ends at its first iterate
+        # while the lanes beside it run on.
+        basis = _units_basis()
+        A = _complex_stack(basis)
+        P = np.linalg.pinv(A)
+        words = coeff_stream(59)
+        X0 = np.array([draw_normals(words, 3), [1, 0, 0], draw_normals(words, 3)], dtype=complex)
+        stacked = _kernels.sigma_descent_lanes(A, P, 2, 100, X0, 2, 2)
+        assert stacked[1][0] == 0.0 and np.array_equal(stacked[1][1], X0[1])
+        for x0, (val, x) in zip(X0, stacked):
+            lone_val, lone_x = _kernels.sigma_descent(A, P, 2, 100, x0, 2, 2)
+            assert val == lone_val and np.array_equal(x, lone_x)

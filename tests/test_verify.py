@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ import pytest
 from entspan import _kernels
 from entspan.construct import (
     antisymmetric_basis_3x3,
+    coeff_stream,
     construct_max_rank_leq_subspace,
     construct_min_rank_subspace,
+    draw_normals,
     random_subspace,
 )
 from entspan.errors import DomainError, FieldMismatchError
@@ -23,6 +26,8 @@ from entspan.verify import (
     VERDICT_INCONCLUSIVE,
     VERDICT_REFUTED,
     PencilResult,
+    _accepted_witness,
+    _complex_stack,
     _exact_drop,
     gfp_exhaustive_min_rank,
     minimize_sigma_r,
@@ -265,19 +270,72 @@ class TestGfpExhaustive:
 
 
 def _record_targets(monkeypatch, force=None):
-    """Record (target, returned value) of each sigma descent; with ``force``, run it at that target instead."""
-    descent, runs = _kernels.sigma_descent, []
+    """Record (target, returned value) of each sigma descent; with ``force``, run it at that target instead.
+
+    A lane of ``sigma_descent_lanes`` counts as one descent at target 0; ``force`` leaves lanes as they are.
+    """
+    descent, lanes, runs = _kernels.sigma_descent, _kernels.sigma_descent_lanes, []
 
     def spy(A, P, r, iters, x0, rows, cols, target=0.0):
         val, x = descent(A, P, r, iters, x0, rows, cols, target if force is None else force)
         runs.append((target, val))
         return val, x
 
+    def lanes_spy(*args):
+        results = lanes(*args)
+        runs.extend((0.0, val) for val, _ in results)
+        return results
+
     monkeypatch.setattr(_kernels, "sigma_descent", spy)
+    monkeypatch.setattr(_kernels, "sigma_descent_lanes", lanes_spy)
     return runs
 
 
+def _sequential_sigma(basis, r, restarts, iters, seed, tol=SIGMA_TOL):
+    """The rational sigma search as a plain loop of lone descents at target 0.
+
+    Returns (verdict, min_sigma_r, witnesses, restarts_run) under the search's stop rule.
+    """
+    A = _complex_stack(basis)
+    P = np.linalg.pinv(A)
+    words = coeff_stream(seed)
+    best, witness = math.inf, None
+    for run in range(1, restarts + 1):
+        val, x = _kernels.sigma_descent(A, P, r, iters, draw_normals(words, basis.dimension), basis.dA, basis.dB)
+        if val < best:
+            best = val
+            witness = _accepted_witness(basis, A, x, r) if val < tol else None
+            if witness is not None:
+                break
+    if witness is not None:
+        verdict = VERDICT_REFUTED
+    else:
+        verdict = VERDICT_CONSISTENT if best >= math.sqrt(tol) else VERDICT_INCONCLUSIVE
+    return verdict, best, () if witness is None else (witness,), run
+
+
 class TestMinimizeSigmaR:
+    @pytest.mark.parametrize(
+        "basis, r, restarts, iters, seed, run",
+        [
+            # Consistent: every restart runs, in groups 1 + 7 and 1 + 8 + 8 + 3.
+            pytest.param(construct_min_rank_subspace(8, 8, 4), 4, 8, 500, 0, 8, id="8x8-8"),
+            pytest.param(construct_min_rank_subspace(8, 8, 4), 4, 20, 500, 1, 20, id="8x8-20"),
+            # Refuted at restart 2 (first lane), 6 (mid-group) and 16 (last lane of the second group).
+            pytest.param(construct_min_rank_subspace(3, 3, 2), 3, 16, 200, 4, 2, id="3x3-at-r3-seed4"),
+            pytest.param(construct_min_rank_subspace(3, 3, 2), 3, 16, 200, 27, 6, id="3x3-at-r3-seed27"),
+            pytest.param(construct_min_rank_subspace(3, 3, 2), 3, 16, 200, 1, 16, id="3x3-at-r3-seed1"),
+        ],
+    )
+    def test_rational_search_matches_sequential_descents(self, basis, r, restarts, iters, seed, run):
+        # Restarts after the first run in lockstep lanes; read in restart order,
+        # they must give exactly what one lone descent after another gives.
+        _, value, report = minimize_sigma_r(basis, r, restarts=restarts, iters=iters, seed=seed)
+        expected = _sequential_sigma(basis, r, restarts, iters, seed)
+        got = (report.verdict, report.min_sigma_r, report.witnesses, report.params["restarts_run"])
+        assert got == expected
+        assert value == report.min_sigma_r and report.params["restarts_run"] == run
+
     def test_overfull_random_subspace_is_refuted(self):
         # Dimension 5 > 4, the bound for rank >= 2 in 3x3, so a rank-1
         # element must exist and the optimizer is expected to find it.
