@@ -1,27 +1,32 @@
 """Hot loops: the GF(p) projective scan and the singular-value descent.
 
-The descent comes in two forms that share no code: ``sigma_descent`` runs one
-start and can end at a target, ``sigma_descent_lanes`` runs several starts in
-lockstep at target 0, each lane bit-identical to the lone descent.  All of it
-runs as plain Python and numpy; there is one backend.
+The scan forms each chunk of combinations from one precomputed block and
+ranks it with ``statemat.gfp_eliminate``, the package's one GF(p)
+elimination, which also reduces it mod p.  The descent comes in two forms
+that share no code: ``sigma_descent`` runs one start and can end at a
+target, ``sigma_descent_lanes`` runs several starts in lockstep at target 0,
+each lane bit-identical to the lone descent.  All of it runs as plain Python
+and numpy; there is one backend.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .statemat import gfp_eliminate
+from .statemat import gfp_eliminate, reduce_mod
 
 #: No compiled backend exists; perfbench/child.py records this constant in
 #: each run's provenance.
 USING_NUMBA = False
 
-#: Bytes of int64 combinations one scan chunk holds; the chunk's point count
-#: is this over 8 * rows * cols, so memory stays bounded at any point count.
-#: Chunks of 128 KiB ran as fast as 1 MiB ones and kept the working set of a
-#: 3906-point scan near 1 MiB instead of near 3 MiB.
+#: Bytes of int64 combinations one scan chunk holds, whatever p is; the
+#: chunk's point count is at most this over 8 * rows * cols, and at least half
+#: of it unless a leading coordinate has fewer points left.  On a 3906-point
+#: scan, chunks of 128 KiB ran as fast as 1 MiB ones, and the scan's traced
+#: peak was 0.64 MiB instead of 1.5 MiB.
 SCAN_CHUNK_BYTES = 1 << 17
 
 
@@ -34,27 +39,48 @@ def gfp_min_rank_scan(stack, p, rows, cols):
     fastest), (p**dim - 1)/(p - 1) of them in total, a chunk of
     SCAN_CHUNK_BYTES at a time.  Returns (min_rank, coefficients of the
     first minimizer, point count).
+
+    The combinations over the last coordinates, as many as one chunk holds,
+    are formed once by outer sums.  Each chunk is a run of digits of the
+    coordinate before them, with the earlier digits fixed, added to that
+    block; ``gfp_eliminate`` reduces it mod p once.  When p alone exceeds a
+    chunk, the block holds the zero combination and the runs split the last
+    coordinate's digits.
     """
     basis = np.array(stack, dtype=np.int64)
-    dim = len(basis)
-    chunk = max(1, SCAN_CHUNK_BYTES // (8 * rows * cols))
+    dim, cells = len(basis), rows * cols
+    chunk = max(1, SCAN_CHUNK_BYTES // (8 * cells))
+    depth = 0
+    while depth < dim - 1 and p ** (depth + 1) <= chunk:
+        depth += 1
+    block = np.zeros((1, cells), dtype=np.int64)
+    for matrix in basis[dim - depth :]:
+        block = reduce_mod((block[:, None, :] + np.arange(p)[:, None] * matrix).reshape(-1, cells), p)
     best_rank = min(rows, cols) + 1
     best = [0] * dim
     count = 0
     for lead in range(dim):
-        free = dim - lead - 1
-        place = p ** np.arange(free - 1, -1, -1, dtype=np.int64)
-        for start in range(0, p**free, chunk):
-            tails = np.arange(start, min(start + chunk, p**free), dtype=np.int64)[:, None] // place % p
-            combos = np.broadcast_to(basis[lead], (len(tails), rows * cols))
-            for digit, matrix in zip(tails.T, basis[lead + 1 :]):
-                combos = (combos + digit[:, None] * matrix) % p
-            ranks = gfp_eliminate(combos.reshape(-1, rows, cols), p)[0]
-            k = int(ranks.argmin())
-            if ranks[k] < best_rank:
-                best_rank = int(ranks[k])
-                best = [0] * lead + [1] + tails[k].tolist()
-            count += len(tails)
+        # The block's first p**inner rows are its combinations over the last inner coordinates.
+        inner = min(depth, dim - lead - 1)
+        tail = block[: p**inner]
+        walk = basis[lead : dim - inner]
+        *fixed, last = [range(1, 2)] + [range(p)] * (len(walk) - 1)
+        step = max(1, chunk // len(tail))
+        for prefix in itertools.product(*fixed):
+            offset = np.zeros(cells, dtype=np.int64)
+            for digit, matrix in zip(prefix, walk):
+                offset = reduce_mod(offset + digit * matrix, p)
+            for lo in range(last.start, last.stop, step):
+                digits = np.arange(lo, min(lo + step, last.stop))
+                # Entries stay below p**2 + 2p < 2**63 until gfp_eliminate reduces them.
+                combos = (offset + digits[:, None] * walk[-1])[:, None, :] + tail
+                ranks = gfp_eliminate(combos.reshape(-1, rows, cols), p)[0]
+                k = int(ranks.argmin())
+                if ranks[k] < best_rank:
+                    best_rank = int(ranks[k])
+                    run, k = divmod(k, len(tail))
+                    best = [0] * lead + [*prefix, lo + run] + [k // p**i % p for i in range(inner - 1, -1, -1)]
+                count += len(digits) * len(tail)
     return best_rank, best, count
 
 

@@ -15,6 +15,7 @@ ranks count singular values above a relative tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
@@ -77,6 +78,13 @@ def check_modulus(p) -> None:
 
 def _coerce_entry(value, field: str, p: int | None):
     """A scalar of ``field``; rationals come back as a Fraction or an int, both with numerator/denominator."""
+    # Plain ints, most entries of a constructed basis, return before the slower isinstance tests
+    # below; bools and numpy ints are not of type int, so they still take those tests.
+    if type(value) is int:
+        if field == RATIONAL:
+            return value
+        if field == GFP:
+            return value % p
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if field == RATIONAL:
         if isinstance(value, Fraction):
@@ -329,14 +337,27 @@ def bareiss(rows: list[list[int]]) -> tuple[int, int]:
     return rank, sign * prev if rank == n_rows == n_cols else 0
 
 
+def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place for an int64 array x, which is returned.
+
+    numpy divides an integer array by a scalar with a multiply and a shift,
+    but computes ``x % p`` with one hardware division per entry, several times
+    slower; x - (x // p) * p is the same residue in [0, p).
+    """
+    q = x // p
+    q *= p
+    x -= q
+    return x
+
+
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
     """x**(p-2) mod p elementwise: the inverse of each nonzero residue (Fermat)."""
     out = np.ones_like(x)
     e = p - 2
     while e:
         if e & 1:
-            out = out * x % p
-        x = x * x % p
+            out = reduce_mod(out * x, p)
+        x = reduce_mod(x * x, p)
         e >>= 1
     return out
 
@@ -345,43 +366,63 @@ def gfp_eliminate(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(ranks, determinants mod p) of an (N, m, n) stack, one elimination for all N.
 
     Nested lists of Python ints too large for int64 are reduced mod p before
-    the cast, so any integer input stays exact.  Residues are below p < 2**31
-    (``check_modulus``), so every product of two stays below 2**62 and is
-    reduced before the next operation.  A determinant is 0 unless its matrix
-    is square and nonsingular mod p (1 for the empty matrix).
+    the cast, so any integer input stays exact.  The elimination is
+    fraction-free and swap-free: at each column every matrix pivots on its
+    first unused row with a nonzero entry there and marks that row used, and
+    each other unused row becomes pivot * row - head * pivot_row, so no entry
+    needs an inverse.  Residues are below p < 2**31 (``check_modulus``), so
+    both products stay below 2**62 and each step is reduced (``reduce_mod``)
+    before the next.
+
+    A determinant is 0 unless its matrix is square and nonsingular mod p (1
+    for the empty matrix).  Non-square stacks skip its bookkeeping.  Pivot k
+    scales the n - 1 - k rows still unused, and the rows taken in pivot order
+    are triangular with the pivots on the diagonal; so the determinant is the
+    pivots' product over the product of the scales, negated when the pivot
+    order is an odd permutation, with one ``_inverse_mod`` per call.
     """
     a = np.asarray(stack)
     if a.dtype.kind != "i":
         a = np.asarray(stack, dtype=object) % p
-    a = a.astype(np.int64) % p
     if a.ndim != 3:
         raise DimensionError(f"need an (N, rows, cols) stack, got shape {a.shape}")
+    a = reduce_mod(a.astype(np.int64), p)
     n_mats, n_rows, n_cols = a.shape
+    square = n_rows == n_cols
     every = np.arange(n_mats)
-    row_ids = np.arange(n_rows)
     ranks = np.zeros(n_mats, dtype=np.int64)
-    dets = np.ones(n_mats, dtype=np.int64)
+    unused = np.ones((n_mats, n_rows), dtype=bool)
+    order = []
+    product = np.ones(n_mats, dtype=np.int64)
+    scale = np.ones(n_mats, dtype=np.int64)
     for col in range(n_cols if n_rows else 0):
-        # Each matrix pivots on its first nonzero entry at or below its next pivot row.
-        candidates = (a[:, :, col] != 0) & (row_ids >= ranks[:, None])
-        found = candidates.any(axis=1)
-        top = np.minimum(ranks, n_rows - 1)
-        piv = np.where(found, candidates.argmax(axis=1), top)
-        moved = np.flatnonzero(piv != top)
-        dets[moved] = p - dets[moved]  # a row swap negates the determinant
-        a[moved, top[moved]], a[moved, piv[moved]] = a[moved, piv[moved]], a[moved, top[moved]]
-        pivot_rows = a[every, top]
-        pivots = np.where(found, pivot_rows[:, col], 1)
-        dets = dets * pivots % p
-        # Rows below the pivot take -(head / pivot) times the pivot row; the
-        # columns left of col are already zero there.
-        below = (row_ids > ranks[:, None]) & found[:, None]
-        factors = (p - a[:, :, col]) * _inverse_mod(pivots, p)[:, None] % p * below
-        a[:, :, col:] = (a[:, :, col:] + factors[:, :, None] * pivot_rows[:, None, col:]) % p
+        heads = a[:, :, col] * unused
+        nonzero = heads != 0
+        piv = nonzero.argmax(axis=1)
+        found = nonzero[every, piv]
+        pivots = np.where(found, heads[every, piv], 1)
+        pivot_rows = a[every, piv, col + 1 :]
+        unused[every, piv] &= ~found
+        heads *= unused
+        rest = a[:, :, col + 1 :]
+        rest *= np.where(unused, pivots[:, None], 1)[:, :, None]
+        rest -= heads[:, :, None] * pivot_rows[:, None, :]
+        reduce_mod(rest, p)
         ranks += found
+        if square:
+            # Pivot k scaled n - 1 - k rows by itself, so the scales multiply to the product of
+            # the running pivot products taken before each step.
+            order.append(piv)
+            scale = reduce_mod(scale * product, p)
+            product = reduce_mod(product * pivots, p)
         if (ranks == n_rows).all():
             break
-    return ranks, np.where((ranks == n_rows) & (n_rows == n_cols), dets, 0)
+    if not square:
+        return ranks, np.zeros(n_mats, dtype=np.int64)
+    # The parity of the pivot order is the parity of its inversions.
+    swaps = sum(order[j] > order[k] for j, k in itertools.combinations(range(len(order)), 2))
+    dets = reduce_mod(product * _inverse_mod(scale, p), p)
+    return ranks, np.where(ranks == n_rows, np.where(swaps % 2, p - dets, dets) % p, 0)
 
 
 def block_rank(cells: Iterable[tuple[int, int]], width: int) -> int:

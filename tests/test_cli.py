@@ -332,14 +332,17 @@ import sys
 from entspan.cli import main
 for command in sys.argv[1:]:
     assert main(command.split()) in (0, 3, 4), command
-print("numpy.random" in sys.modules)
+print(*[name for name in ("numpy.random", "scipy") if name in sys.modules])
 """
 
 
 class TestImportFootprint:
-    """numpy.random costs every process about 6 MiB; every draw comes from the package's own stream."""
+    """Modules no CLI path may load: numpy.random costs every process about 6 MiB, scipy.linalg about 27 MiB.
 
-    def _imports_numpy_random(self, tmp_path, script):
+    Every draw comes from the package's own stream, and only ``verify.pencil_low_rank`` imports scipy.
+    """
+
+    def _heavy_imports(self, tmp_path, script):
         path = [os.path.dirname(os.path.dirname(entspan.__file__)), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         geq, rand, report = (tmp_path / name for name in ("geq.json", "rand.json", "report.json"))
@@ -355,14 +358,18 @@ class TestImportFootprint:
         out = subprocess.run(
             [sys.executable, "-c", script, *commands], capture_output=True, text=True, env=env, check=True
         )
-        return {"True": True, "False": False}[out.stdout.splitlines()[-1]]
+        return out.stdout.splitlines()[-1].split()
 
     def test_no_cli_path_imports_it(self, tmp_path):
-        assert not self._imports_numpy_random(tmp_path, _FOOTPRINT)
+        assert self._heavy_imports(tmp_path, _FOOTPRINT) == []
 
     def test_guard_sees_the_import(self, tmp_path):
         # A probe that imports numpy.random on purpose, then runs the same commands.
-        assert self._imports_numpy_random(tmp_path, "import numpy.random\n" + _FOOTPRINT)
+        assert self._heavy_imports(tmp_path, "import numpy.random\n" + _FOOTPRINT) == ["numpy.random"]
+
+    def test_guard_sees_scipy(self, tmp_path):
+        pytest.importorskip("scipy")
+        assert "scipy" in self._heavy_imports(tmp_path, "import scipy.linalg\n" + _FOOTPRINT)
 
 
 class TestNumericScale:

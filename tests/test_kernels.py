@@ -75,6 +75,25 @@ class TestGfpScan:
         assert _kernels.gfp_min_rank_scan(stack, p, rows, cols) == whole
         assert whole == _oracle_scan(stack, p, rows, cols)
 
+    def test_large_p_splits_the_last_coordinate(self, monkeypatch):
+        # p alone exceeds a chunk here, so the scan must split the last
+        # coordinate's digits into runs.  M0 + c*M1 has rank 1 at c = 40000
+        # and c = 50000, so the first minimizer lies inside the tenth run.
+        p, rows, cols = 65521, 2, 2
+        stack = [[p - 40000, 12345, 0, p - 50000], [1, 0, 0, 1]]
+        eliminate, sizes = _kernels.gfp_eliminate, []
+
+        def spy(combos, p):
+            sizes.append(len(combos))
+            return eliminate(combos, p)
+
+        monkeypatch.setattr(_kernels, "gfp_eliminate", spy)
+        result = _kernels.gfp_min_rank_scan(stack, p, rows, cols)
+        assert result == _oracle_scan(stack, p, rows, cols) == (1, [1, 40000], 65522)
+        chunk = _kernels.SCAN_CHUNK_BYTES // (8 * rows * cols)
+        assert len(sizes) <= -(-65522 // chunk) + len(stack)
+        assert max(sizes) <= chunk
+
     def test_end_to_end_verdict(self):
         rep = gfp_exhaustive_min_rank(construct_min_rank_subspace(3, 3, 2), 3)
         assert [rep.verdict, rep.min_rank_observed, rep.samples_or_points] == ["consistent", 2, 40]

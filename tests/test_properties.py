@@ -11,12 +11,23 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from entspan.cli import main
 from entspan.construct import SubspaceBasis, basis_from_json_dict, construct_min_rank_subspace, random_subspace
 from entspan.errors import EntspanError
-from entspan.statemat import RATIONAL, combine, matrix_from_json_dict, matrix_of_state, state_of_matrix, to_json
+from entspan.statemat import (
+    RATIONAL,
+    combine,
+    gfp_eliminate,
+    matrix_from_json_dict,
+    matrix_of_state,
+    state_of_matrix,
+    to_json,
+)
+
+from oracles import minor_rank, perm_det
 
 pytest.importorskip("hypothesis")
 
@@ -32,6 +43,28 @@ class TestMatrixOfState:
         m = matrix_of_state(amps, dA, dB)
         assert state_of_matrix(m) == amps
         assert matrix_of_state(state_of_matrix(m), dA, dB) == m
+
+
+class TestGfpEliminate:
+    """The one GF(p) elimination against the brute-force oracles, matrix by matrix and in a stack."""
+
+    @given(
+        st.integers(1, 4), st.integers(0, 4), st.integers(0, 4),
+        st.sampled_from([2, 3, 5, 7, 2**31 - 1]), st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracles_alone_and_stacked(self, n_mats, m, n, p, data):
+        # Mostly small entries, so that ranks drop; now and then entries beyond int64.
+        entry = st.integers(-9, 9) | st.integers(-(2**80), 2**80)
+        values = data.draw(st.lists(entry, min_size=n_mats * m * n, max_size=n_mats * m * n))
+        wide = any(not -(2**63) <= v < 2**63 for v in values)
+        stack = np.array(values, dtype=object if wide else np.int64).reshape(n_mats, m, n)
+        ranks, dets = gfp_eliminate(stack, p)
+        for i, rows in enumerate(stack.tolist()):
+            assert ranks[i] == minor_rank(rows, p)
+            assert dets[i] == (int(perm_det(rows)) % p if m == n else 0)
+            alone = gfp_eliminate(stack[i : i + 1], p)
+            assert (alone[0][0], alone[1][0]) == (ranks[i], dets[i])
 
 
 class TestJson:

@@ -431,6 +431,12 @@ class TestStoredForm:
         with pytest.raises(FieldMismatchError):
             combine([rational([[1, 2]])], [True])
 
+    def test_numpy_ints_become_plain_ints(self):
+        # Only plain ints skip the isinstance tests; numpy ints still pass them and are converted.
+        assert StateMatrix.rational([[np.int64(3), -2]]).entries == (3, -2)
+        assert StateMatrix.gfp([[np.int32(7), -4]], 5).entries == (2, 1)
+        assert {type(v) for v in combine([rational([[1, 2]])], [np.int64(3)]).entries} == {int}
+
     @pytest.mark.parametrize(
         "value", ["1+2j", b"1", True, np.bool_(False), None], ids=["str", "bytes", "bool", "numpy_bool", "none"]
     )
