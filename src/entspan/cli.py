@@ -3,7 +3,9 @@
 Every command is deterministic given its flag set (randomness only ever
 flows from --seed), repeats the relevant flags inside its JSON artifact, and
 writes artifacts atomically.  Exit codes: 0 success/consistent, 2 usage or
-input errors, 3 refuted, 4 inconclusive.
+input errors, 3 refuted, 4 inconclusive.  A reader that closes stdout early
+loses the summary lines of an artifact written to --out, never the exit code;
+when stdout carries the output itself, a cut-short output exits 2.
 """
 
 from __future__ import annotations
@@ -59,6 +61,25 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _say(text: str, *, artifact: bool = False) -> None:
+    """Write text to stdout now.
+
+    For the summary lines of an artifact already written to --out, a reader that
+    has gone away loses them, not the exit code.  When stdout carries the artifact
+    itself, that reader cut it short, and the BrokenPipeError goes on to exit 2.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Later writes, and the interpreter's flush at exit, go to devnull instead of raising again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if artifact:
+            raise
+
+
 def _flagset(args, names) -> dict:
     return {name: getattr(args, name) for name in names}
 
@@ -91,12 +112,11 @@ def cmd_construct(args) -> int:
         if args.dim is None:
             raise EntspanError("construct --kind random needs --dim")
         basis = construct_mod.random_subspace(args.da, args.db, args.dim, args.seed)
-        bound = args.dim
+        bound = None  # --dim is the size asked for, not a bound
     payload = to_json(basis)
     payload["metadata"]["run"] = _flagset(args, ("da", "db", "r", "kind", "dim", "seed"))
     _write_atomic(args.out, _dump_json(payload))
-    print(f"dim={basis.dimension} bound={bound}")
-    print(f"artifact: {args.out}")
+    _say(f"dim={basis.dimension}" + ("" if bound is None else f" bound={bound}") + f"\nartifact: {args.out}\n")
     return EXIT_OK
 
 
@@ -147,8 +167,7 @@ def cmd_verify(args) -> int:
     bits.append(f"n={report.samples_or_points}")
     if "restarts_run" in (report.params or {}):
         bits.append(f"restarts_run={report.params['restarts_run']}")
-    print(" ".join(bits))
-    print(f"artifact: {args.out}")
+    _say(" ".join(bits) + f"\nartifact: {args.out}\n")
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -171,9 +190,9 @@ def cmd_bounds(args) -> int:
         text = bounds_mod.bounds_table_text(rows) + "\n"
     if args.out:
         _write_atomic(args.out, text)
-        print(f"artifact: {args.out}")
+        _say(f"artifact: {args.out}\n")
     else:
-        sys.stdout.write(text)
+        _say(text, artifact=True)
     return EXIT_OK
 
 
@@ -197,16 +216,11 @@ def cmd_report(args) -> int:
             f"asymptotic={rep.asymptotic:.1f} threshold_k={rep.threshold_k:.4f}"
         )
     payload["run"] = _flagset(args, ("kind", "d", "p", "da", "db", "k"))
-    if args.format == "json" or args.out:
-        text = _dump_json(payload)
-        if args.out:
-            _write_atomic(args.out, text)
-            print(line)
-            print(f"artifact: {args.out}")
-        else:
-            sys.stdout.write(text)
+    if args.out:
+        _write_atomic(args.out, _dump_json(payload))
+        _say(f"{line}\nartifact: {args.out}\n")
     else:
-        print(line)
+        _say(_dump_json(payload) if args.format == "json" else line + "\n", artifact=True)
     return EXIT_OK
 
 

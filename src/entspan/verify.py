@@ -63,10 +63,12 @@ SIGMA_TOL = 1e-7
 #: ``tol * SIGMA_STOP``, which leaves its witness polished well below ``tol``.
 SIGMA_STOP = 1e-3
 
-#: Restarts after the first that one stacked descent runs at once on a
-#: rational basis.  On a 2-core Xeon an 8x8 descent took about 31 µs per
-#: iteration alone, 20 µs per lane at 8 lanes and 18 µs at 16 to 64; larger
-#: groups save little and discard more lanes after a refutation mid-group.
+#: Restarts that one stacked descent runs at once on a rational basis.  On a
+#: 2-core Xeon, best of 7 at 500 iterations, an 8x8 descent took 34 µs per
+#: iteration alone and 53 µs as a single lane, and per lane 37 µs at 2 lanes,
+#: 30 µs at 3, 22 µs at 8 and 19-20 µs at 16 to 64; larger groups save little
+#: and discard more lanes after a refutation mid-group, and a group of fewer
+#: than 3 starts runs them one by one on the lone kernel.
 SIGMA_LANES = 8
 
 #: Residual bound every reported pencil root must satisfy.
@@ -319,9 +321,9 @@ def _descents(basis: SubspaceBasis, A: np.ndarray, r: int, restarts: int, iters:
 
     On a complex basis each restart runs alone and ends below ``tol * SIGMA_STOP``,
     so the search usually ends after the first.  On a rational basis every descent
-    runs to its own end: the first alone, so that a refutation there costs one
-    descent, and the rest ``SIGMA_LANES`` at a time on the stacked kernel, whose
-    lanes equal lone descents bit for bit.
+    runs to its own end, ``SIGMA_LANES`` at a time on the stacked kernel, whose
+    lanes equal lone descents bit for bit; a group of fewer than 3 starts runs
+    them one by one on the lone kernel, which is faster there.
     """
     P = np.linalg.pinv(A)
     words = coeff_stream(seed)
@@ -330,9 +332,11 @@ def _descents(basis: SubspaceBasis, A: np.ndarray, r: int, restarts: int, iters:
         for x0 in starts:
             yield _kernels.sigma_descent(A, P, r, iters, x0, basis.dA, basis.dB, tol * SIGMA_STOP)
         return
-    yield _kernels.sigma_descent(A, P, r, iters, next(starts), basis.dA, basis.dB)
     while lanes := list(itertools.islice(starts, SIGMA_LANES)):
-        yield from _kernels.sigma_descent_lanes(A, P, r, iters, np.array(lanes), basis.dA, basis.dB)
+        if len(lanes) < 3:
+            yield from (_kernels.sigma_descent(A, P, r, iters, x0, basis.dA, basis.dB) for x0 in lanes)
+        else:
+            yield from _kernels.sigma_descent_lanes(A, P, r, iters, np.array(lanes), basis.dA, basis.dB)
 
 
 def minimize_sigma_r(

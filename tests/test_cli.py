@@ -51,6 +51,14 @@ class TestConstruct:
         )
         assert code == 0 and out.splitlines()[0] == "dim=3 bound=3"
 
+    def test_random_prints_no_bound(self, capsys, tmp_path):
+        # --dim is the size asked for; it bounds nothing.
+        code, out, _ = run_cli(
+            capsys, "construct", "--kind", "random", "--da", "3", "--db", "3", "--dim", "5", "--seed", "1",
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 0 and out.splitlines()[0] == "dim=5"
+
     def test_random_needs_dim(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "construct", "--kind", "random", "--da", "3", "--db", "3", "--out", str(tmp_path / "r.json")
@@ -302,6 +310,65 @@ def test_sigma_on_ill_conditioned_rational_basis_exits_4(capsys, tmp_path):
     assert "n=64 restarts_run=64" in out
 
 
+def _run_closed_stdout(argv, unbuffered=""):
+    """Run ``python -m entspan argv`` with stdout an os.pipe() whose read end is already closed."""
+    path = [os.path.dirname(os.path.dirname(entspan.__file__)), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "PYTHONUNBUFFERED": unbuffered}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run([sys.executable, "-m", "entspan", *argv], stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+
+
+class TestClosedStdout:
+    """A reader that has gone away loses the summary lines, not the exit code."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["construct", "--kind", "random", "--da", "3", "--db", "3", "--dim", "5", "--seed", "1"], 0),
+            (["verify", "--basis", "{rand}", "--mode", "sigma", "--r", "2", "--restarts", "8", "--iters", "200"], 3),
+            (["verify", "--basis", "{diag}", "--mode", "sigma", "--r", "2", "--restarts", "2", "--iters", "20"], 4),
+            (["bounds", "--da", "3", "--db", "3", "--grid", "--format", "json"], 0),
+            (["report", "--kind", "mixed", "--d", "3", "--p", "0.5", "--format", "json"], 0),
+        ],
+        ids=["construct", "refuted", "inconclusive", "bounds-out", "report-out"],
+    )
+    def test_keeps_exit_code(self, capsys, tmp_path, argv, code, unbuffered):
+        rand, diag, out_path = tmp_path / "rand.json", tmp_path / "diag.json", tmp_path / "out.json"
+        run_cli(capsys, "construct", "--kind", "random", "--da", "3", "--db", "3", "--dim", "5", "--seed", "1", "--out", str(rand))
+        diag.write_text(json.dumps(_user_basis("rational", [10**10, 0, 0, 1])))
+        argv = [a.format(rand=rand, diag=diag) for a in argv]
+        proc = _run_closed_stdout([*argv, "--out", str(out_path)], unbuffered)
+        assert (proc.returncode, proc.stderr) == (code, b"")
+        assert json.loads(out_path.read_text())
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--da", "3", "--db", "3", "--grid", "--format", "json"],
+            ["bounds", "--da", "3", "--db", "3", "--r", "2"],
+            ["report", "--kind", "mixed", "--d", "3", "--p", "0.5", "--format", "json"],
+        ],
+        ids=["bounds-json", "bounds-text", "report-json"],
+    )
+    def test_output_on_stdout_cut_short_exits_2(self, argv, unbuffered):
+        # Without --out, stdout carries the output itself, so a closed reader lost it.
+        proc = _run_closed_stdout(argv, unbuffered)
+        assert (proc.returncode, proc.stderr.decode()) == (2, "i/o error: [Errno 32] Broken pipe\n")
+
+    def test_other_os_errors_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "construct", "--da", "3", "--db", "3", "--r", "2", "--out", str(tmp_path / "missing" / "b.json")
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("i/o error: ")
+
+
 class TestParserCache:
     def test_successive_calls_share_no_state(self, capsys, tmp_path):
         basis, first, second = tmp_path / "b.json", tmp_path / "r1.json", tmp_path / "r2.json"
@@ -482,6 +549,30 @@ class TestReproducibility:
                 capsys, "verify", "--basis", str(basis_path), "--mode", "sample",
                 "--samples", "200", "--seed", "13", "--out", str(p),
             )
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "construct, flags, code",
+        [
+            # Rational, dim 4 at the bound 4 for r=2: every restart runs, in two groups of 8 lanes.
+            (["--da", "3", "--db", "3", "--r", "2"], ["--r", "2", "--seed", "27"], 0),
+            # Rational, dim 4 above the bound 1 for r=3: restart 6 refutes, mid-way through the first group.
+            (["--da", "3", "--db", "3", "--r", "2"], ["--r", "3", "--seed", "27"], 3),
+            # Complex: one restart at a time.
+            (["--kind", "random", "--da", "3", "--db", "3", "--dim", "5", "--seed", "1"], ["--r", "2"], 3),
+        ],
+        ids=["rational-at-bound", "rational-above-bound", "complex"],
+    )
+    def test_sigma_byte_identical(self, capsys, tmp_path, construct, flags, code):
+        basis_path = tmp_path / "basis.json"
+        run_cli(capsys, "construct", *construct, "--out", str(basis_path))
+        p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        for p in (p1, p2):
+            got, _, _ = run_cli(
+                capsys, "verify", "--basis", str(basis_path), "--mode", "sigma", *flags,
+                "--restarts", "16", "--iters", "200", "--out", str(p),
+            )
+            assert got == code
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_module_entry_point(self, tmp_path):

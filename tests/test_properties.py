@@ -19,6 +19,7 @@ from entspan.construct import SubspaceBasis, basis_from_json_dict, construct_min
 from entspan.errors import EntspanError
 from entspan.statemat import (
     RATIONAL,
+    StateMatrix,
     combine,
     gfp_eliminate,
     matrix_from_json_dict,
@@ -26,12 +27,14 @@ from entspan.statemat import (
     state_of_matrix,
     to_json,
 )
+from entspan.verify import minimize_sigma_r
 
 from oracles import minor_rank, perm_det
+from test_verify import _sequential_sigma
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -65,6 +68,25 @@ class TestGfpEliminate:
             assert dets[i] == (int(perm_det(rows)) % p if m == n else 0)
             alone = gfp_eliminate(stack[i : i + 1], p)
             assert (alone[0][0], alone[1][0]) == (ranks[i], dets[i])
+
+
+class TestSigmaSearch:
+    """The rational sigma search, in lanes and lone descents, against a plain loop of lone descents."""
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 10), st.integers(1, 60), st.integers(0, 10**6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sequential_descents(self, dA, dB, restarts, iters, seed, data):
+        dim = data.draw(st.integers(1, dA * dB), label="dim")
+        r = data.draw(st.integers(1, min(dA, dB)), label="r")
+        rows = data.draw(
+            st.lists(st.lists(st.integers(-3, 3), min_size=dA * dB, max_size=dA * dB), min_size=dim, max_size=dim)
+        )
+        assume(np.linalg.matrix_rank(np.array(rows)) == dim)
+        matrices = tuple(StateMatrix.rational([row[i * dB : (i + 1) * dB] for i in range(dA)]) for row in rows)
+        basis = SubspaceBasis(dA, dB, None, "user", matrices, {})
+        _, _, report = minimize_sigma_r(basis, r, restarts=restarts, iters=iters, seed=seed)
+        got = (report.verdict, report.min_sigma_r, report.witnesses, report.params["restarts_run"])
+        assert got == _sequential_sigma(basis, r, restarts, iters, seed)
 
 
 class TestJson:

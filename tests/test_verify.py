@@ -291,6 +291,32 @@ def _record_targets(monkeypatch, force=None):
     return runs
 
 
+def _record_schedule(monkeypatch):
+    """Record the sigma kernel calls in order: ("lone", 1) for ``sigma_descent``, ("lanes", n) for n lanes."""
+    descent, lanes, calls = _kernels.sigma_descent, _kernels.sigma_descent_lanes, []
+
+    def spy(*args):
+        calls.append(("lone", 1))
+        return descent(*args)
+
+    def lanes_spy(A, P, r, iters, X0, rows, cols):
+        calls.append(("lanes", len(X0)))
+        return lanes(A, P, r, iters, X0, rows, cols)
+
+    monkeypatch.setattr(_kernels, "sigma_descent", spy)
+    monkeypatch.setattr(_kernels, "sigma_descent_lanes", lanes_spy)
+    return calls
+
+
+def _e00_basis():
+    """construct_min_rank_subspace(3, 3, 2) with E00 in place of the identity: dim 4, the bound at r=2, rank 1 inside."""
+    from entspan.construct import SubspaceBasis
+
+    matrices = list(construct_min_rank_subspace(3, 3, 2).matrices)
+    matrices[1] = StateMatrix.rational([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    return SubspaceBasis(3, 3, None, "user", tuple(matrices), {})
+
+
 def _sequential_sigma(basis, r, restarts, iters, seed, tol=SIGMA_TOL):
     """The rational sigma search as a plain loop of lone descents at target 0.
 
@@ -318,23 +344,50 @@ class TestMinimizeSigmaR:
     @pytest.mark.parametrize(
         "basis, r, restarts, iters, seed, run",
         [
-            # Consistent: every restart runs, in groups 1 + 7 and 1 + 8 + 8 + 3.
+            # Consistent: every restart runs, in groups 1 (alone), 8, 8 + 1 (alone) and 8 + 8 + 4.
+            pytest.param(construct_min_rank_subspace(8, 8, 4), 4, 1, 500, 2, 1, id="8x8-1"),
             pytest.param(construct_min_rank_subspace(8, 8, 4), 4, 8, 500, 0, 8, id="8x8-8"),
+            pytest.param(construct_min_rank_subspace(8, 8, 4), 4, 9, 500, 3, 9, id="8x8-9"),
             pytest.param(construct_min_rank_subspace(8, 8, 4), 4, 20, 500, 1, 20, id="8x8-20"),
-            # Refuted at restart 2 (first lane), 6 (mid-group) and 16 (last lane of the second group).
+            # At the bound with a rank drop: refuted at restart 6, mid-way through the first group of 8.
+            pytest.param(_e00_basis(), 2, 16, 200, 23, 6, id="3x3-e00-at-bound"),
+            # Dim 4 above the bound 1: refuted at restart 2 (second lane), 6 (mid-group) and 16
+            # (last lane of the second group).
             pytest.param(construct_min_rank_subspace(3, 3, 2), 3, 16, 200, 4, 2, id="3x3-at-r3-seed4"),
             pytest.param(construct_min_rank_subspace(3, 3, 2), 3, 16, 200, 27, 6, id="3x3-at-r3-seed27"),
             pytest.param(construct_min_rank_subspace(3, 3, 2), 3, 16, 200, 1, 16, id="3x3-at-r3-seed1"),
         ],
     )
     def test_rational_search_matches_sequential_descents(self, basis, r, restarts, iters, seed, run):
-        # Restarts after the first run in lockstep lanes; read in restart order,
-        # they must give exactly what one lone descent after another gives.
+        # Restarts run in lockstep lanes; read in restart order, they must give
+        # exactly what one lone descent after another gives.
         _, value, report = minimize_sigma_r(basis, r, restarts=restarts, iters=iters, seed=seed)
         expected = _sequential_sigma(basis, r, restarts, iters, seed)
         got = (report.verdict, report.min_sigma_r, report.witnesses, report.params["restarts_run"])
         assert got == expected
         assert value == report.min_sigma_r and report.params["restarts_run"] == run
+
+    @pytest.mark.parametrize(
+        "basis, r, restarts, schedule",
+        [
+            # Rational: groups of 8 lanes, and a group of fewer than 3 starts runs them alone.
+            pytest.param(construct_min_rank_subspace(3, 3, 2), 2, 1, [("lone", 1)], id="rational-1"),
+            pytest.param(construct_min_rank_subspace(3, 3, 2), 2, 3, [("lanes", 3)], id="rational-3"),
+            pytest.param(construct_min_rank_subspace(3, 3, 2), 2, 8, [("lanes", 8)], id="rational-8"),
+            pytest.param(construct_min_rank_subspace(3, 3, 2), 2, 10, [("lanes", 8)] + [("lone", 1)] * 2, id="rational-10"),
+            pytest.param(
+                construct_min_rank_subspace(3, 3, 2), 3, 20, [("lanes", 8), ("lanes", 8), ("lanes", 4)], id="rational-20"
+            ),
+            # Complex: one restart at a time.
+            pytest.param(random_subspace(3, 3, 4, seed=5), 2, 3, [("lone", 1)] * 3, id="complex"),
+        ],
+    )
+    def test_restart_schedule(self, monkeypatch, basis, r, restarts, schedule):
+        # One iteration finds no drop, so every restart runs.
+        calls = _record_schedule(monkeypatch)
+        _, _, report = minimize_sigma_r(basis, r, restarts=restarts, iters=1, seed=0)
+        assert report.params["restarts_run"] == restarts
+        assert calls == schedule
 
     def test_overfull_random_subspace_is_refuted(self):
         # Dimension 5 > 4, the bound for rank >= 2 in 3x3, so a rank-1
