@@ -2,10 +2,10 @@
 
 The scan forms each chunk of combinations from one precomputed block and
 ranks it with ``statemat.gfp_eliminate``, the package's one GF(p)
-elimination, which also reduces it mod p.  The descent comes in two forms
-that share no code: ``sigma_descent`` runs one start and can end at a
-target, ``sigma_descent_lanes`` runs several starts in lockstep at target 0,
-each lane bit-identical to the lone descent.  All of it runs as plain Python
+elimination, which reduces it mod p and returns ranks only.  The descent
+comes in two forms that share no code: ``sigma_descent`` runs one start and
+can end at a target, ``sigma_descent_lanes`` runs several starts in lockstep
+at target 0, each lane bit-identical to the lone descent.  All of it runs as plain Python
 and numpy; there is one backend.
 """
 
@@ -74,7 +74,7 @@ def gfp_min_rank_scan(stack, p, rows, cols):
                 digits = np.arange(lo, min(lo + step, last.stop))
                 # Entries stay below p**2 + 2p < 2**63 until gfp_eliminate reduces them.
                 combos = (offset + digits[:, None] * walk[-1])[:, None, :] + tail
-                ranks = gfp_eliminate(combos.reshape(-1, rows, cols), p)[0]
+                ranks = gfp_eliminate(combos.reshape(-1, rows, cols), p)
                 k = int(ranks.argmin())
                 if ranks[k] < best_rank:
                     best_rank = int(ranks[k])

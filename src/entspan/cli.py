@@ -54,6 +54,10 @@ def _write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
+        # mkstemp makes the file 0600; give it the mode a plain open() would, 0666 less the umask.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -129,6 +133,8 @@ def _load_basis(path: str):
     except ValueError as exc:
         # Also raised by json for an integer literal over 4300 digits.
         raise EntspanError(f"malformed basis file {path}: {exc}") from None
+    except RecursionError:
+        raise EntspanError(f"malformed basis file {path}: nested too deeply") from None
     return basis_from_json_dict(data)
 
 

@@ -9,13 +9,14 @@ Three scalar fields are supported: exact rationals, prime fields GF(p) (ints
 in [0, p)), and complex doubles.  A rational matrix stores int numerators over
 one positive ``denominator`` in lowest terms, so equal matrices compare equal;
 ``at``, ``to_lists`` and ``state_of_matrix`` give its values as Fractions.
-Exact ranks use fraction-free (Bareiss) elimination on the numerators; numeric
-ranks count singular values above a relative tolerance.
+Exact ranks use fraction-free elimination: Bareiss on rational numerators, and
+one batched int64 elimination over GF(p) that returns ranks only.  Every exact
+determinant comes from Bareiss; a GF(p) minor is its integer value mod p.
+Numeric ranks count singular values above a relative tolerance.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
@@ -300,7 +301,7 @@ def schmidt_rank_numeric(m: StateMatrix, tol: float = DEFAULT_TOL) -> SchmidtInf
 
 
 # ---------------------------------------------------------------------------
-# exact elimination: one routine per field, each returning (rank, det)
+# exact elimination: one routine per field; determinants come from bareiss
 # ---------------------------------------------------------------------------
 
 def bareiss(rows: list[list[int]]) -> tuple[int, int]:
@@ -350,20 +351,8 @@ def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x**(p-2) mod p elementwise: the inverse of each nonzero residue (Fermat)."""
-    out = np.ones_like(x)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = reduce_mod(out * x, p)
-        x = reduce_mod(x * x, p)
-        e >>= 1
-    return out
-
-
-def gfp_eliminate(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ranks, determinants mod p) of an (N, m, n) stack, one elimination for all N.
+def gfp_eliminate(stack, p: int) -> np.ndarray:
+    """The (N,) ranks mod p of an (N, m, n) stack, one elimination for all N.
 
     Nested lists of Python ints too large for int64 are reduced mod p before
     the cast, so any integer input stays exact.  The elimination is
@@ -373,13 +362,6 @@ def gfp_eliminate(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     needs an inverse.  Residues are below p < 2**31 (``check_modulus``), so
     both products stay below 2**62 and each step is reduced (``reduce_mod``)
     before the next.
-
-    A determinant is 0 unless its matrix is square and nonsingular mod p (1
-    for the empty matrix).  Non-square stacks skip its bookkeeping.  Pivot k
-    scales the n - 1 - k rows still unused, and the rows taken in pivot order
-    are triangular with the pivots on the diagonal; so the determinant is the
-    pivots' product over the product of the scales, negated when the pivot
-    order is an odd permutation, with one ``_inverse_mod`` per call.
     """
     a = np.asarray(stack)
     if a.dtype.kind != "i":
@@ -388,13 +370,9 @@ def gfp_eliminate(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"need an (N, rows, cols) stack, got shape {a.shape}")
     a = reduce_mod(a.astype(np.int64), p)
     n_mats, n_rows, n_cols = a.shape
-    square = n_rows == n_cols
     every = np.arange(n_mats)
     ranks = np.zeros(n_mats, dtype=np.int64)
     unused = np.ones((n_mats, n_rows), dtype=bool)
-    order = []
-    product = np.ones(n_mats, dtype=np.int64)
-    scale = np.ones(n_mats, dtype=np.int64)
     for col in range(n_cols if n_rows else 0):
         heads = a[:, :, col] * unused
         nonzero = heads != 0
@@ -409,20 +387,9 @@ def gfp_eliminate(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
         rest -= heads[:, :, None] * pivot_rows[:, None, :]
         reduce_mod(rest, p)
         ranks += found
-        if square:
-            # Pivot k scaled n - 1 - k rows by itself, so the scales multiply to the product of
-            # the running pivot products taken before each step.
-            order.append(piv)
-            scale = reduce_mod(scale * product, p)
-            product = reduce_mod(product * pivots, p)
         if (ranks == n_rows).all():
             break
-    if not square:
-        return ranks, np.zeros(n_mats, dtype=np.int64)
-    # The parity of the pivot order is the parity of its inversions.
-    swaps = sum(order[j] > order[k] for j, k in itertools.combinations(range(len(order)), 2))
-    dets = reduce_mod(product * _inverse_mod(scale, p), p)
-    return ranks, np.where(ranks == n_rows, np.where(swaps % 2, p - dets, dets) % p, 0)
+    return ranks
 
 
 def block_rank(cells: Iterable[tuple[int, int]], width: int) -> int:
@@ -460,20 +427,19 @@ def rank_exact(m: StateMatrix) -> int:
     if m.field == RATIONAL:
         return block_rank(m._nonzero, m.cols)
     if m.field == GFP:
-        return int(gfp_eliminate([m.to_lists()], m.p)[0][0])
+        return int(gfp_eliminate([m.to_lists()], m.p)[0])
     raise FieldMismatchError("rank_exact needs an exact field; use schmidt_rank_numeric for complex")
 
 
 def minor_value(m: StateMatrix, row_idx: Sequence[int], col_idx: Sequence[int]):
-    """Determinant of the submatrix on the given (increasing) index sets."""
+    """Determinant of the submatrix on the given (increasing) index sets; over GF(p), the Bareiss value mod p."""
     if len(row_idx) != len(col_idx):
         raise DimensionError("a minor needs as many rows as columns")
     sub = [[m.entries[i * m.cols + j] for j in col_idx] for i in row_idx]
     if m.field == RATIONAL:
         return Fraction(bareiss(sub)[1], m.denominator ** len(row_idx))
     if m.field == GFP:
-        stack = np.array(sub, dtype=object).reshape(1, len(row_idx), len(col_idx))
-        return int(gfp_eliminate(stack, m.p)[1][0])
+        return bareiss(sub)[1] % m.p
     return complex(np.linalg.det(np.array(sub, dtype=np.complex128)))
 
 

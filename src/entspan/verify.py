@@ -253,13 +253,7 @@ def gfp_exhaustive_min_rank(
     r = basis.r if r is None else r
     if r is None:
         raise DomainError("no rank threshold: basis carries none and r was not given")
-    dim = basis.dimension
-    points = (p**dim - 1) // (p - 1)
-    if points > cap:
-        raise DomainError(
-            f"enumeration needs {points} projective points, above the cap of {cap}; "
-            f"raise cap to at least {points} to run this"
-        )
+    # A basis no cap could admit is refused before the cap is read.
     if basis.field == COMPLEX:
         raise FieldMismatchError("GF(p) enumeration needs an exact integer basis")
     if basis.field != RATIONAL and basis.p != p:
@@ -267,8 +261,15 @@ def gfp_exhaustive_min_rank(
     fraction = next((Fraction(v, m.denominator) for m in basis.matrices for v in m.entries if v % m.denominator), None)
     if fraction is not None:
         raise DomainError(f"basis entry {fraction} is not an integer; reduce mod {p} undefined")
+    dim = basis.dimension
+    points = (p**dim - 1) // (p - 1)
+    if points > cap:
+        raise DomainError(
+            f"enumeration needs {points} projective points, above the cap of {cap}; "
+            f"raise cap to at least {points} to run this"
+        )
     stack = [[v % p for v in m.entries] for m in basis.matrices]
-    if gfp_eliminate([stack], p)[0][0] != dim:
+    if gfp_eliminate([stack], p)[0] != dim:
         raise DomainError(f"basis loses linear independence when reduced mod {p}")
     min_rank, argmin, count = _kernels.gfp_min_rank_scan(stack, p, basis.dA, basis.dB)
     if count != points:

@@ -77,6 +77,18 @@ class TestConstruct:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_artifact_mode_follows_umask(self, capsys, tmp_path, umask):
+        # Artifacts were written 0600 whatever the umask.
+        out_path = tmp_path / "basis.json"
+        old = os.umask(umask)
+        try:
+            code, _, _ = run_cli(capsys, "construct", "--da", "2", "--db", "2", "--r", "2", "--out", str(out_path))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert out_path.stat().st_mode & 0o777 == 0o666 & ~umask
+
     def test_artifact_records_flags(self, capsys, tmp_path):
         out_path = tmp_path / "b.json"
         run_cli(capsys, "construct", "--da", "3", "--db", "3", "--r", "2", "--out", str(out_path))
@@ -213,6 +225,8 @@ BAD_INPUTS = {
         '{"da": ' + "9" * 5001 + ', "db": 2, "kind": "user", "matrices": []}',
         ["--mode", "sample"],
     ),
+    # A RecursionError traceback from json.
+    "nested_100000_deep": ("[" * 100000, ["--mode", "sample"]),
     # Read "consistent" when loaded bases were not checked for independence.
     "duplicated_matrix": (
         {**_RANK_ONE, "matrices": _RANK_ONE["matrices"] * 2},
@@ -310,10 +324,15 @@ def test_sigma_on_ill_conditioned_rational_basis_exits_4(capsys, tmp_path):
     assert "n=64 restarts_run=64" in out
 
 
+def _child_env(**extra):
+    """This environment, with the imported entspan first on a child interpreter's PYTHONPATH."""
+    path = [os.path.dirname(os.path.dirname(entspan.__file__)), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **extra}
+
+
 def _run_closed_stdout(argv, unbuffered=""):
     """Run ``python -m entspan argv`` with stdout an os.pipe() whose read end is already closed."""
-    path = [os.path.dirname(os.path.dirname(entspan.__file__)), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "PYTHONUNBUFFERED": unbuffered}
+    env = _child_env(PYTHONUNBUFFERED=unbuffered)
     read, write = os.pipe()
     os.close(read)
     try:
@@ -410,8 +429,7 @@ class TestImportFootprint:
     """
 
     def _heavy_imports(self, tmp_path, script):
-        path = [os.path.dirname(os.path.dirname(entspan.__file__)), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        env = _child_env()
         geq, rand, report = (tmp_path / name for name in ("geq.json", "rand.json", "report.json"))
         commands = [
             f"construct --kind geq --da 3 --db 4 --r 2 --out {geq}",
@@ -577,7 +595,7 @@ class TestReproducibility:
 
     def test_module_entry_point(self, tmp_path):
         cmd = [sys.executable, "-m", "entspan", "bounds", "--da", "3", "--db", "3", "--grid"]
-        a = subprocess.run(cmd, capture_output=True, text=True, check=True)
-        b = subprocess.run(cmd, capture_output=True, text=True, check=True)
+        a = subprocess.run(cmd, capture_output=True, text=True, check=True, env=_child_env())
+        b = subprocess.run(cmd, capture_output=True, text=True, check=True, env=_child_env())
         assert a.stdout == b.stdout
         assert "4" in a.stdout

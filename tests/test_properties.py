@@ -24,6 +24,7 @@ from entspan.statemat import (
     gfp_eliminate,
     matrix_from_json_dict,
     matrix_of_state,
+    minor_value,
     state_of_matrix,
     to_json,
 )
@@ -48,26 +49,41 @@ class TestMatrixOfState:
         assert matrix_of_state(state_of_matrix(m), dA, dB) == m
 
 
+#: Mostly small entries, so that ranks drop; now and then entries beyond int64.
+_WIDE_ENTRY = st.integers(-9, 9) | st.integers(-(2**80), 2**80)
+_MODULI = st.sampled_from([2, 3, 5, 7, 2**31 - 1])
+
+
 class TestGfpEliminate:
     """The one GF(p) elimination against the brute-force oracles, matrix by matrix and in a stack."""
 
-    @given(
-        st.integers(1, 4), st.integers(0, 4), st.integers(0, 4),
-        st.sampled_from([2, 3, 5, 7, 2**31 - 1]), st.data(),
-    )
+    @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 4), _MODULI, st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_oracles_alone_and_stacked(self, n_mats, m, n, p, data):
-        # Mostly small entries, so that ranks drop; now and then entries beyond int64.
-        entry = st.integers(-9, 9) | st.integers(-(2**80), 2**80)
-        values = data.draw(st.lists(entry, min_size=n_mats * m * n, max_size=n_mats * m * n))
+        values = data.draw(st.lists(_WIDE_ENTRY, min_size=n_mats * m * n, max_size=n_mats * m * n))
         wide = any(not -(2**63) <= v < 2**63 for v in values)
         stack = np.array(values, dtype=object if wide else np.int64).reshape(n_mats, m, n)
-        ranks, dets = gfp_eliminate(stack, p)
+        ranks = gfp_eliminate(stack, p)
         for i, rows in enumerate(stack.tolist()):
             assert ranks[i] == minor_rank(rows, p)
-            assert dets[i] == (int(perm_det(rows)) % p if m == n else 0)
-            alone = gfp_eliminate(stack[i : i + 1], p)
-            assert (alone[0][0], alone[1][0]) == (ranks[i], dets[i])
+            assert gfp_eliminate(stack[i : i + 1], p).tolist() == [ranks[i]]
+
+
+class TestGfpMinor:
+    """A GF(p) minor is the integer determinant of the chosen rows and columns mod p."""
+
+    @given(st.integers(0, 4), st.integers(0, 2), st.integers(0, 2), _MODULI, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_perm_det_mod_p(self, order, extra_rows, extra_cols, p, data):
+        n_rows, n_cols = max(order + extra_rows, 1), max(order + extra_cols, 1)
+        rows = data.draw(
+            st.lists(st.lists(_WIDE_ENTRY, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows)
+        )
+        ri = sorted(data.draw(st.sets(st.integers(0, n_rows - 1), min_size=order, max_size=order)))
+        ci = sorted(data.draw(st.sets(st.integers(0, n_cols - 1), min_size=order, max_size=order)))
+        value = minor_value(StateMatrix.gfp(rows, p), ri, ci)
+        assert type(value) is int
+        assert value == perm_det([[rows[i][j] for j in ci] for i in ri]) % p
 
 
 class TestSigmaSearch:

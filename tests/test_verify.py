@@ -210,6 +210,16 @@ class TestGfpExhaustive:
         with pytest.raises(DomainError, match="40"):
             gfp_exhaustive_min_rank(basis, 3, cap=10)
 
+    def test_complex_basis_above_cap_refused_for_its_field(self):
+        # 5**20 points: the cap message would ask for a cap no complex basis could use.
+        with pytest.raises(FieldMismatchError, match="exact integer basis"):
+            gfp_exhaustive_min_rank(random_subspace(4, 5, 20, 1), 5, r=2)
+
+    def test_fractional_basis_above_cap_refused_for_its_entry(self):
+        m = StateMatrix.rational([[Fraction(1, 2), 0], [0, 1]])
+        with pytest.raises(DomainError, match="1/2 is not an integer"):
+            gfp_exhaustive_min_rank(_single_matrix_basis(m, r=2), 3, cap=0)
+
     def test_independence_loss_mod_p_rejected(self):
         # Independent over the rationals, but diag(1, 4) is I mod 3.
         a = StateMatrix.rational([[1, 0], [0, 1]])
