@@ -11,6 +11,7 @@ when stdout carries the output itself, a cut-short output exits 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -46,6 +47,20 @@ _KIND_FLAGS = {
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@contextlib.contextmanager
+def _exact_ints():
+    """Lift Python's 4300-digit limit on int-to-str conversion while an artifact is encoded and written."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 before 3.10.7 has no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -117,9 +132,10 @@ def cmd_construct(args) -> int:
             raise EntspanError("construct --kind random needs --dim")
         basis = construct_mod.random_subspace(args.da, args.db, args.dim, args.seed)
         bound = None  # --dim is the size asked for, not a bound
-    payload = to_json(basis)
-    payload["metadata"]["run"] = _flagset(args, ("da", "db", "r", "kind", "dim", "seed"))
-    _write_atomic(args.out, _dump_json(payload))
+    with _exact_ints():
+        payload = to_json(basis)
+        payload["metadata"]["run"] = _flagset(args, ("da", "db", "r", "kind", "dim", "seed"))
+        _write_atomic(args.out, _dump_json(payload))
     _say(f"dim={basis.dimension}" + ("" if bound is None else f" bound={bound}") + f"\nartifact: {args.out}\n")
     return EXIT_OK
 
@@ -157,12 +173,13 @@ def cmd_verify(args) -> int:
         )
     else:
         report = verify_mod.structural_verify(basis, r, args.samples, args.seed)
-    payload = verify_mod.report_to_json_dict(report)
-    payload["params"] = payload["params"] or {}
-    payload["params"]["run"] = _flagset(
-        args, ("basis", "mode", "r", "samples", "seed", "p", "restarts", "iters", "tol", "require", "cap")
-    )
-    _write_atomic(args.out, _dump_json(payload))
+    with _exact_ints():
+        payload = verify_mod.report_to_json_dict(report)
+        payload["params"] = payload["params"] or {}
+        payload["params"]["run"] = _flagset(
+            args, ("basis", "mode", "r", "samples", "seed", "p", "restarts", "iters", "tol", "require", "cap")
+        )
+        _write_atomic(args.out, _dump_json(payload))
     bits = [f"mode={report.mode}", f"verdict={report.verdict}"]
     if report.min_rank_observed is not None:
         bits.append(f"min_rank_observed={report.min_rank_observed}")
@@ -185,15 +202,16 @@ def cmd_bounds(args) -> int:
             raise EntspanError("bounds needs --r or --grid")
         rs = [args.r]
     rows = [bounds_mod.bounds_table(args.da, args.db, r) for r in rs]
-    if args.format == "json":
-        text = _dump_json(
-            {
-                "run": _flagset(args, ("da", "db", "r", "grid", "format")),
-                "rows": to_json(rows),
-            }
-        )
-    else:
-        text = bounds_mod.bounds_table_text(rows) + "\n"
+    with _exact_ints():
+        if args.format == "json":
+            text = _dump_json(
+                {
+                    "run": _flagset(args, ("da", "db", "r", "grid", "format")),
+                    "rows": to_json(rows),
+                }
+            )
+        else:
+            text = bounds_mod.bounds_table_text(rows) + "\n"
     if args.out:
         _write_atomic(args.out, text)
         _say(f"artifact: {args.out}\n")

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import CertificateError, DimensionError, DomainError, FieldMismatchError
 from .statemat import (
-    COMPLEX,
     RATIONAL,
     StateMatrix,
     _coerce_entry,
@@ -37,7 +36,6 @@ from .statemat import (
     combine,
     matrix_from_json_dict,
     matrix_of_state,
-    rank_exact,
     schmidt_rank_numeric,
 )
 
@@ -189,7 +187,7 @@ class SubspaceBasis:
         for m in self.matrices:
             if (m.rows, m.cols) != (self.dA, self.dB):
                 raise DimensionError(f"basis is {self.dA}x{self.dB} but found a {m.rows}x{m.cols} matrix")
-            if (m.field, m.p) != (head.field, head.p):
+            if m.field != head.field:
                 raise FieldMismatchError("basis matrices must share one field")
         rank = basis_stack_rank(self)
         if rank != self.dimension:
@@ -203,10 +201,6 @@ class SubspaceBasis:
     def field(self) -> str:
         return self.matrices[0].field
 
-    @property
-    def p(self) -> int | None:
-        return self.matrices[0].p
-
     def combination(self, coeffs: Sequence) -> StateMatrix:
         return combine(self.matrices, coeffs)
 
@@ -217,10 +211,7 @@ def basis_stack_rank(basis: SubspaceBasis) -> int:
     if basis.field == RATIONAL:
         return block_rank(((i * size + k, v) for i, m in enumerate(basis.matrices) for k, v in m._nonzero), size)
     flat = tuple(v for m in basis.matrices for v in m.entries)
-    stack = StateMatrix(basis.dimension, size, basis.field, flat, basis.p)
-    if basis.field == COMPLEX:
-        return schmidt_rank_numeric(stack).rank
-    return rank_exact(stack)
+    return schmidt_rank_numeric(StateMatrix(basis.dimension, size, basis.field, flat)).rank
 
 
 def _self_check_rank_floor(basis: SubspaceBasis, r: int) -> None:
@@ -267,7 +258,7 @@ def vandermonde(nodes: Sequence) -> StateMatrix:
 
     Entry (i, j) is nodes[i]**j.  Such matrices are totally positive: every minor is positive.
     """
-    xs = [_coerce_entry(x, RATIONAL, None) for x in nodes]
+    xs = [_coerce_entry(x, RATIONAL) for x in nodes]
     if not xs:
         raise DomainError("need at least one node")
     if xs[0] <= 0:

@@ -5,14 +5,13 @@ amplitudes: amplitude (i, j) sits at row i, column j, i.e. flat position
 i * dB + j (row-major, 0-based).  The Schmidt rank of the state equals the
 linear rank of this matrix, which is what every routine here computes.
 
-Three scalar fields are supported: exact rationals, prime fields GF(p) (ints
-in [0, p)), and complex doubles.  A rational matrix stores int numerators over
-one positive ``denominator`` in lowest terms, so equal matrices compare equal;
-``at``, ``to_lists`` and ``state_of_matrix`` give its values as Fractions.
-Exact ranks use fraction-free elimination: Bareiss on rational numerators, and
-one batched int64 elimination over GF(p) that returns ranks only.  Every exact
-determinant comes from Bareiss; a GF(p) minor is its integer value mod p.
-Numeric ranks count singular values above a relative tolerance.
+Two scalar fields are supported: exact rationals and complex doubles.  A
+rational matrix stores int numerators over one positive ``denominator`` in
+lowest terms, so equal matrices compare equal; ``at``, ``to_lists`` and
+``state_of_matrix`` give its values as Fractions.  Exact ranks and
+determinants come from Bareiss elimination on the numerators; numeric ranks
+count singular values above a relative tolerance.  GF(p) is no stored field:
+``gfp_eliminate`` ranks integer stacks mod p for the scan of an integer basis.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,9 +29,8 @@ from .errors import DimensionError, DomainError, FieldMismatchError, NumericErro
 
 RATIONAL = "rational"
 COMPLEX = "complex"
-GFP = "gfp"
 
-_FIELDS = (RATIONAL, COMPLEX, GFP)
+_FIELDS = (RATIONAL, COMPLEX)
 
 #: Default relative cutoff for numeric rank: singular values are counted
 #: when strictly greater than DEFAULT_TOL times the largest one.
@@ -51,7 +49,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@lru_cache(maxsize=64)  # trial division up to 2**31 takes milliseconds; every matrix checks its modulus
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -77,26 +74,16 @@ def check_modulus(p) -> None:
         raise DomainError(f"GF(p) needs a prime p below 2**31, got {p!r}")
 
 
-def _coerce_entry(value, field: str, p: int | None):
+def _coerce_entry(value, field: str):
     """A scalar of ``field``; rationals come back as a Fraction or an int, both with numerator/denominator."""
-    # Plain ints, most entries of a constructed basis, return before the slower isinstance tests
-    # below; bools and numpy ints are not of type int, so they still take those tests.
-    if type(value) is int:
-        if field == RATIONAL:
-            return value
-        if field == GFP:
-            return value % p
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if field == RATIONAL:
-        if isinstance(value, Fraction):
+        # Plain ints, most entries of a constructed basis, return before the slower isinstance tests
+        # below; bools and numpy ints are not of type int, so they still take those tests.
+        if type(value) is int or isinstance(value, Fraction):
             return value
-        if integer:
+        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
             return int(value)
         raise FieldMismatchError(f"rational matrices take int/Fraction entries, got {type(value).__name__}")
-    if field == GFP:
-        if not integer:
-            raise FieldMismatchError(f"GF(p) matrices take int entries, got {type(value).__name__}")
-        return int(value) % p
     if field == COMPLEX:
         try:
             # complex() would also parse strings and read bools as 0 and 1.
@@ -119,7 +106,6 @@ class StateMatrix:
     cols: int
     field: str
     entries: tuple
-    p: int | None = None
     denominator: int = 1
 
     def __post_init__(self):
@@ -127,10 +113,6 @@ class StateMatrix:
             raise DimensionError(f"need positive dimensions, got {self.rows}x{self.cols}")
         if self.field not in _FIELDS:
             raise DomainError(f"unknown field {self.field!r}")
-        if self.field == GFP:
-            check_modulus(self.p)
-        elif self.p is not None:
-            raise DomainError(f"field {self.field!r} takes no modulus")
         if len(self.entries) != self.rows * self.cols:
             raise DimensionError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(self.entries)}"
@@ -143,21 +125,16 @@ class StateMatrix:
                 raise DomainError(f"denominator must be a positive int in lowest terms with the entries, got {d!r}")
         elif not (_is_int(d) and d == 1):
             raise DomainError(f"field {self.field!r} takes no denominator, got {d!r}")
-        elif self.field == GFP:
-            if not set(map(type, self.entries)) <= {int}:
-                raise FieldMismatchError("GF(p) entries are ints")
-            if not 0 <= min(self.entries) <= max(self.entries) < self.p:
-                raise DomainError(f"GF(p) entries must lie in [0, {self.p})")
 
     @classmethod
-    def from_rows(cls, rows_of_entries, field: str = RATIONAL, p: int | None = None) -> "StateMatrix":
+    def from_rows(cls, rows_of_entries, field: str = RATIONAL) -> "StateMatrix":
         rows = len(rows_of_entries)
         if rows == 0:
             raise DimensionError("empty matrix")
         cols = len(rows_of_entries[0])
         if any(len(r) != cols for r in rows_of_entries):
             raise DimensionError("ragged rows")
-        return matrix_of_state([v for r in rows_of_entries for v in r], rows, cols, field, p)
+        return matrix_of_state([v for r in rows_of_entries for v in r], rows, cols, field)
 
     @classmethod
     def rational(cls, rows_of_entries) -> "StateMatrix":
@@ -168,12 +145,8 @@ class StateMatrix:
         return cls.from_rows(rows_of_entries, COMPLEX)
 
     @classmethod
-    def gfp(cls, rows_of_entries, p: int) -> "StateMatrix":
-        return cls.from_rows(rows_of_entries, GFP, p)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int, field: str = RATIONAL, p: int | None = None) -> "StateMatrix":
-        return cls(rows, cols, field, (0j if field == COMPLEX else 0,) * (rows * cols), p)
+    def zero(cls, rows: int, cols: int, field: str = RATIONAL) -> "StateMatrix":
+        return cls(rows, cols, field, (0j if field == COMPLEX else 0,) * (rows * cols))
 
     def at(self, i: int, j: int):
         v = self.entries[i * self.cols + j]
@@ -185,7 +158,7 @@ class StateMatrix:
 
     def transpose(self) -> "StateMatrix":
         flat = tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
-        return StateMatrix(self.cols, self.rows, self.field, flat, self.p, self.denominator)
+        return StateMatrix(self.cols, self.rows, self.field, flat, self.denominator)
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -198,18 +171,16 @@ class StateMatrix:
         return tuple([(k, v) for k, v in enumerate(self.entries) if v])
 
 
-def matrix_of_state(amplitudes: Sequence, dA: int, dB: int, field: str = RATIONAL, p: int | None = None) -> StateMatrix:
+def matrix_of_state(amplitudes: Sequence, dA: int, dB: int, field: str = RATIONAL) -> StateMatrix:
     """Arrange a flat amplitude list (index i*dB + j) into its dA x dB matrix."""
     if len(amplitudes) != dA * dB:
         raise DimensionError(f"{dA}x{dB} state needs {dA * dB} amplitudes, got {len(amplitudes)}")
-    if field == GFP:
-        check_modulus(p)
-    values = [_coerce_entry(v, field, p) for v in amplitudes]
+    values = [_coerce_entry(v, field) for v in amplitudes]
     if field != RATIONAL:
-        return StateMatrix(dA, dB, field, tuple(values), p)
+        return StateMatrix(dA, dB, field, tuple(values))
     # The lcm of reduced denominators leaves the numerators in lowest terms with it.
     d = math.lcm(*[f.denominator for f in values])
-    return StateMatrix(dA, dB, field, tuple([f.numerator * (d // f.denominator) for f in values]), p, d)
+    return StateMatrix(dA, dB, field, tuple([f.numerator * (d // f.denominator) for f in values]), d)
 
 
 def state_of_matrix(m: StateMatrix) -> list:
@@ -227,9 +198,9 @@ def combine(matrices: Sequence[StateMatrix], coeffs: Sequence) -> StateMatrix:
         raise DimensionError(f"{len(matrices)} matrices but {len(coeffs)} coefficients")
     head = matrices[0]
     for m in matrices[1:]:
-        if (m.rows, m.cols, m.field, m.p) != (head.rows, head.cols, head.field, head.p):
+        if (m.rows, m.cols, m.field) != (head.rows, head.cols, head.field):
             raise FieldMismatchError("combination over mismatched matrices")
-    cs = [_coerce_entry(c, head.field, head.p) for c in coeffs]
+    cs = [_coerce_entry(c, head.field) for c in coeffs]
     denominator = 1
     if head.field == RATIONAL:
         # c_i * M_i = c_i.numerator * entries_i / (c_i.denominator * denominator_i)
@@ -244,11 +215,9 @@ def combine(matrices: Sequence[StateMatrix], coeffs: Sequence) -> StateMatrix:
     if head.field == RATIONAL:
         g = math.gcd(denominator, *acc)
         flat, denominator = tuple([a // g for a in acc]), denominator // g
-    elif head.field == GFP:
-        flat = tuple(a % head.p for a in acc)
     else:
         flat = tuple(complex(a) for a in acc)
-    return StateMatrix(head.rows, head.cols, head.field, flat, head.p, denominator)
+    return StateMatrix(head.rows, head.cols, head.field, flat, denominator)
 
 
 @dataclass(frozen=True)
@@ -267,8 +236,6 @@ def unit_scaled(m: StateMatrix) -> tuple[np.ndarray, int]:
     their integer form (``int / int`` after a power-of-two shift), so entries beyond the double range
     convert too; where an entry's own double is normal, ``a`` holds it times 2**-e, bit for bit.
     """
-    if m.field == GFP:
-        raise FieldMismatchError("GF(p) has no numeric values: numeric rank and sigma descent run over the complex numbers")
     if m.field == COMPLEX:
         a, shift = np.array(m.entries, dtype=np.complex128), 0
     else:
@@ -423,23 +390,19 @@ def block_rank(cells: Iterable[tuple[int, int]], width: int) -> int:
 
 
 def rank_exact(m: StateMatrix) -> int:
-    """Exact linear rank over an exact field (rationals or GF(p))."""
+    """Exact linear rank of a rational matrix."""
     if m.field == RATIONAL:
         return block_rank(m._nonzero, m.cols)
-    if m.field == GFP:
-        return int(gfp_eliminate([m.to_lists()], m.p)[0])
     raise FieldMismatchError("rank_exact needs an exact field; use schmidt_rank_numeric for complex")
 
 
 def minor_value(m: StateMatrix, row_idx: Sequence[int], col_idx: Sequence[int]):
-    """Determinant of the submatrix on the given (increasing) index sets; over GF(p), the Bareiss value mod p."""
+    """Determinant of the submatrix on the given (increasing) index sets: exact over the rationals, numeric over the complex numbers."""
     if len(row_idx) != len(col_idx):
         raise DimensionError("a minor needs as many rows as columns")
     sub = [[m.entries[i * m.cols + j] for j in col_idx] for i in row_idx]
     if m.field == RATIONAL:
         return Fraction(bareiss(sub)[1], m.denominator ** len(row_idx))
-    if m.field == GFP:
-        return bareiss(sub)[1] % m.p
     return complex(np.linalg.det(np.array(sub, dtype=np.complex128)))
 
 
@@ -450,8 +413,8 @@ def minor_value(m: StateMatrix, row_idx: Sequence[int], col_idx: Sequence[int]):
 def to_json(obj):
     """JSON-ready form of a matrix, basis, report or any value inside one.
 
-    Matrices carry ``p`` only over GF(p); dataclasses become objects keyed
-    by their lower-cased field names, and a basis adds its ``field``.
+    Dataclasses become objects keyed by their lower-cased field names, and
+    a basis adds its ``field``.
     Tuples become lists, rationals reduced ``"n/d"`` strings and complex
     numbers ``[re, im]`` pairs.
     """
@@ -459,10 +422,7 @@ def to_json(obj):
         entries, d = obj.entries, obj.denominator
         if obj.field == RATIONAL:
             entries = [f"{v // (g := math.gcd(v, d))}/{d // g}" for v in entries]
-        out = {"rows": obj.rows, "cols": obj.cols, "field": obj.field, "entries": to_json(entries)}
-        if obj.field == GFP:
-            out["p"] = obj.p
-        return out
+        return {"rows": obj.rows, "cols": obj.cols, "field": obj.field, "entries": to_json(entries)}
     if is_dataclass(obj):
         out = {f.name.lower(): to_json(getattr(obj, f.name)) for f in fields(obj)}
         if hasattr(obj, "matrices"):
@@ -479,7 +439,7 @@ def to_json(obj):
     return obj
 
 
-def _decode_entry(value, field: str, p: int | None):
+def _decode_entry(value, field: str):
     if field == RATIONAL:
         text = _RATIONAL_TEXT.fullmatch(value) if isinstance(value, str) else None
         if text or _is_int(value):
@@ -488,20 +448,16 @@ def _decode_entry(value, field: str, p: int | None):
             except (ValueError, ZeroDivisionError):
                 pass
         raise DomainError(f"bad rational entry {value!r}; use an int or an 'n' or 'n/d' string")
-    if field == COMPLEX:
-        try:
-            real, imag = value
-            if isinstance(real, bool) or isinstance(imag, bool):
-                raise TypeError
-            z = complex(real, imag)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError(f"complex entries are [re, im] number pairs, got {value!r}") from None
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise NumericError(f"non-finite entry {value!r}")
-        return z
-    if not _is_int(value):
-        raise DomainError(f"bad GF(p) entry {value!r}")
-    return value % p
+    try:
+        real, imag = value
+        if isinstance(real, bool) or isinstance(imag, bool):
+            raise TypeError
+        z = complex(real, imag)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"complex entries are [re, im] number pairs, got {value!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise NumericError(f"non-finite entry {value!r}")
+    return z
 
 
 def matrix_from_json_dict(d: dict) -> StateMatrix:
@@ -516,18 +472,13 @@ def matrix_from_json_dict(d: dict) -> StateMatrix:
         raise DomainError(f"unknown field {field!r}")
     if not isinstance(entries, list):
         raise DomainError("matrix 'entries' must be a list")
-    p = d.get("p")
-    if field == GFP:
-        if p is None:
-            raise DomainError("GF(p) matrix object is missing its modulus field 'p'")
-        check_modulus(p)
     if field != RATIONAL:
-        return StateMatrix(rows, cols, field, tuple(_decode_entry(v, field, p) for v in entries), p)
+        return StateMatrix(rows, cols, field, tuple(_decode_entry(v, field) for v in entries))
     # Each distinct text decodes once (most cells of a constructed basis read "0/1").
     decoded = {}
     for v in entries:
         if type(v) is not str or v not in decoded:
-            decoded[v] = _decode_entry(v, field, p)
+            decoded[v] = _decode_entry(v, field)
     d = math.lcm(*[f.denominator for f in decoded.values()])
     scaled = {v: f.numerator * (d // f.denominator) for v, f in decoded.items()}
-    return StateMatrix(rows, cols, field, tuple(map(scaled.__getitem__, entries)), p, d)
+    return StateMatrix(rows, cols, field, tuple(map(scaled.__getitem__, entries)), d)

@@ -137,7 +137,7 @@ def structural_certificate(basis: SubspaceBasis, coeffs: Sequence) -> RankCertif
     if len(coeffs) != basis.dimension:
         raise DimensionError(f"{basis.dimension} basis matrices but {len(coeffs)} coefficients")
     r = basis.r
-    cs = [Fraction(_coerce_entry(c, RATIONAL, None)) for c in coeffs]
+    cs = [Fraction(_coerce_entry(c, RATIONAL)) for c in coeffs]
     if not any(cs):
         raise DomainError("coefficients must not all be zero")
     combo = basis.combination(cs)
@@ -254,19 +254,19 @@ def gfp_exhaustive_min_rank(
     if r is None:
         raise DomainError("no rank threshold: basis carries none and r was not given")
     # A basis no cap could admit is refused before the cap is read.
-    if basis.field == COMPLEX:
+    if basis.field != RATIONAL:
         raise FieldMismatchError("GF(p) enumeration needs an exact integer basis")
-    if basis.field != RATIONAL and basis.p != p:
-        raise DomainError(f"basis lives over GF({basis.p}); re-reducing mod {p} is undefined")
     fraction = next((Fraction(v, m.denominator) for m in basis.matrices for v in m.entries if v % m.denominator), None)
     if fraction is not None:
         raise DomainError(f"basis entry {fraction} is not an integer; reduce mod {p} undefined")
     dim = basis.dimension
     points = (p**dim - 1) // (p - 1)
     if points > cap:
+        # str() refuses ints over 4300 digits, and no cap reaches a count near that: give its size.
+        need = points if points < 10**18 else f"a {int(math.log10(points)) + 1}-digit number of"
         raise DomainError(
-            f"enumeration needs {points} projective points, above the cap of {cap}; "
-            f"raise cap to at least {points} to run this"
+            f"enumeration needs {need} projective points, above the cap of {cap}; "
+            f"raise cap to at least that many to run this"
         )
     stack = [[v % p for v in m.entries] for m in basis.matrices]
     if gfp_eliminate([stack], p)[0] != dim:

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import entspan
-from entspan.cli import build_parser, main
+from entspan.cli import _exact_ints, build_parser, main
 from entspan.construct import basis_from_json_dict
 
 
@@ -215,7 +216,8 @@ BAD_INPUTS = {
     "complex_entry_as_string": (_user_basis("complex", ["1+2j", [0, 0], [0, 0], [1, 0]]), ["--mode", "sigma"]),
     # Decoded as 1 and 0: the pair [true, 0] read (1+0j).
     "complex_part_as_bool": (_user_basis("complex", [[True, 0], [0, 0], [0, 0], [0, False]]), ["--mode", "sigma"]),
-    "sigma_on_gfp_basis": (_user_basis("gfp", [1, 0, 0, 1], p=5), ["--mode", "sigma"]),
+    # GF(p) is no stored field; a matrix that claims it is refused at load, whatever the mode.
+    "gfp_field_refused_at_load": (_user_basis("gfp", [1, 0, 0, 1], p=5), ["--mode", "sigma"]),
     # Fraction would expand this exponent into a 3.3-billion-bit integer.
     "rational_exponent": (_user_basis("rational", ["1e999999999", 5, 6, 11]), ["--mode", "sample"]),
     "rational_decimal": (_user_basis("rational", ["1.5", 5, 6, 11]), ["--mode", "sample"]),
@@ -283,6 +285,16 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out_path.exists()
+
+    def test_gfp_field_named(self, capsys, tmp_path):
+        # Even gfp mode, which reduces a rational basis mod p, takes no basis stored over GF(p).
+        basis_path, out_path = tmp_path / "basis.json", tmp_path / "rep.json"
+        basis_path.write_text(json.dumps(_user_basis("gfp", [1, 0, 0, 1], p=5)))
+        code, out, err = run_cli(
+            capsys, "verify", "--basis", str(basis_path), "--mode", "gfp", "--p", "5", "--out", str(out_path)
+        )
+        assert (code, out, err) == (2, "", "error: unknown field 'gfp'\n")
         assert not out_path.exists()
 
     @pytest.mark.parametrize("kind", ["geq", "flanders", "fixed", "antisym", "random"])
@@ -477,6 +489,74 @@ class TestNumericScale:
         )
         assert (code, err) == (0, "")
         assert "verdict=consistent" in out
+
+
+class TestBeyondStrDigitLimit:
+    """Integers past the 4300 digits that Python's str() takes by default are written exactly, or named by size."""
+
+    @pytest.fixture(autouse=True)
+    def _default_limit(self):
+        """Each test starts at Python's default limit, whatever ran before it."""
+        if not hasattr(sys, "set_int_max_str_digits"):
+            yield
+            return
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(before)
+
+    def _verify(self, capsys, tmp_path, doc, *flags):
+        basis_path, rep_path = tmp_path / "basis.json", tmp_path / "rep.json"
+        with _exact_ints():
+            basis_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--basis", str(basis_path), *flags, "--out", str(rep_path))
+        # The limit is lifted only while the artifact is written.
+        assert getattr(sys, "get_int_max_str_digits", lambda: 4300)() == 4300
+        return code, out, err, rep_path
+
+    def test_gfp_cap_names_the_count_by_its_digits(self, capsys, tmp_path):
+        # 529 matrices mod 2**31 - 1: (p**529 - 1)/(p - 1) points, a number of 4928 digits.
+        basis_path = tmp_path / "basis.json"
+        run_cli(capsys, "construct", "--da", "24", "--db", "24", "--r", "2", "--out", str(basis_path))
+        code, out, err = run_cli(
+            capsys, "verify", "--basis", str(basis_path), "--mode", "gfp", "--p", "2147483647",
+            "--out", str(tmp_path / "rep.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: enumeration needs a 4928-digit number of projective points")
+        assert err.count("\n") == 1
+
+    def test_structural_minor_written_exactly(self, capsys, tmp_path):
+        big = 10**2199
+        matrix = {**_DIAGONAL["matrices"][0], "entries": [big, 0, 0, 0, big, 0, 0, 0, big]}
+        code, _, err, rep_path = self._verify(
+            capsys, tmp_path, {**_DIAGONAL, "matrices": [matrix]}, "--mode", "structural", "--samples", "2"
+        )
+        assert (code, err) == (0, "")
+        with _exact_ints():
+            for w in json.loads(rep_path.read_text())["witnesses"]:
+                # An order-2 minor of 4400 digits or more.
+                assert Fraction(w["minor_value"]) == (Fraction(w["coeffs"][0]) * big) ** 2
+
+    def test_sample_witness_written_exactly(self, capsys, tmp_path):
+        big = 10**4300 - 1  # as wide as a basis file's integer literals may be
+        matrix = {"rows": 3, "cols": 3, "field": "rational", "entries": [big, 0, 0, 0, big, 0, 0, 0, 0]}
+        doc = {"da": 3, "db": 3, "kind": "user", "matrices": [matrix]}
+        code, _, err, rep_path = self._verify(capsys, tmp_path, doc, "--mode", "sample", "--r", "3", "--samples", "2")
+        assert (code, err) == (3, "")
+        with _exact_ints():
+            for w in json.loads(rep_path.read_text())["witnesses"]:
+                c = w["coeffs"][0]
+                assert [Fraction(v) for v in w["matrix"]["entries"]] == [c * big, 0, 0, 0, c * big, 0, 0, 0, 0]
+
+    def test_bounds_of_huge_dimensions(self, capsys):
+        d = 10**4000
+        with _exact_ints():
+            flag = str(d)
+        code, out, err = run_cli(capsys, "bounds", "--da", flag, "--db", flag, "--r", "2", "--format", "json")
+        assert (code, err) == (0, "")
+        with _exact_ints():
+            assert json.loads(out)["rows"][0]["max_dim_geq"] == (d - 1) ** 2
 
 
 class TestBoundsCommand:

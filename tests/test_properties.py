@@ -24,13 +24,12 @@ from entspan.statemat import (
     gfp_eliminate,
     matrix_from_json_dict,
     matrix_of_state,
-    minor_value,
     state_of_matrix,
     to_json,
 )
 from entspan.verify import minimize_sigma_r
 
-from oracles import minor_rank, perm_det
+from oracles import minor_rank
 from test_verify import _sequential_sigma
 
 pytest.importorskip("hypothesis")
@@ -67,23 +66,6 @@ class TestGfpEliminate:
         for i, rows in enumerate(stack.tolist()):
             assert ranks[i] == minor_rank(rows, p)
             assert gfp_eliminate(stack[i : i + 1], p).tolist() == [ranks[i]]
-
-
-class TestGfpMinor:
-    """A GF(p) minor is the integer determinant of the chosen rows and columns mod p."""
-
-    @given(st.integers(0, 4), st.integers(0, 2), st.integers(0, 2), _MODULI, st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_perm_det_mod_p(self, order, extra_rows, extra_cols, p, data):
-        n_rows, n_cols = max(order + extra_rows, 1), max(order + extra_cols, 1)
-        rows = data.draw(
-            st.lists(st.lists(_WIDE_ENTRY, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows)
-        )
-        ri = sorted(data.draw(st.sets(st.integers(0, n_rows - 1), min_size=order, max_size=order)))
-        ci = sorted(data.draw(st.sets(st.integers(0, n_cols - 1), min_size=order, max_size=order)))
-        value = minor_value(StateMatrix.gfp(rows, p), ri, ci)
-        assert type(value) is int
-        assert value == perm_det([[rows[i][j] for j in ci] for i in ri]) % p
 
 
 class TestSigmaSearch:
@@ -157,7 +139,7 @@ VALID_DOCS = [
     to_json(random_subspace(2, 2, 2, seed=0)),
     {
         "da": 2, "db": 2, "r": 2, "kind": "user", "metadata": {},
-        "matrices": [{"rows": 2, "cols": 2, "field": "gfp", "p": 5, "entries": [1, 2, 3, 4]}],
+        "matrices": [{"rows": 2, "cols": 2, "field": "rational", "entries": [1, 2, 3, 4]}],
     },
 ]
 
@@ -191,7 +173,7 @@ class TestDecoderFuzz:
 
 @pytest.fixture(scope="module")
 def fuzz_bases(tmp_path_factory):
-    """Small basis files over every field: diagonal, antisymmetric, GF(5), complex."""
+    """Small basis files over both fields: diagonal, antisymmetric, a user integer basis, complex."""
     directory = tmp_path_factory.mktemp("fuzz")
     for name, argv in [
         ("geq", ["--da", "3", "--db", "3", "--r", "2"]),
@@ -200,8 +182,8 @@ def fuzz_bases(tmp_path_factory):
     ]:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["construct", *argv, "--out", str(directory / f"{name}.json")]) == 0
-    gfp = [{"rows": 2, "cols": 2, "field": "gfp", "p": 5, "entries": e} for e in ([1, 2, 0, 3], [0, 1, 1, 0], [4, 0, 0, 1])]
-    (directory / "gfp5.json").write_text(json.dumps({"da": 2, "db": 2, "r": 2, "kind": "user", "matrices": gfp}))
+    user = [{"rows": 2, "cols": 2, "field": "rational", "entries": e} for e in ([1, 2, 0, 3], [0, 1, 1, 0], [4, 0, 0, 1])]
+    (directory / "user.json").write_text(json.dumps({"da": 2, "db": 2, "r": 2, "kind": "user", "matrices": user}))
     return sorted(str(path) for path in directory.glob("*.json"))
 
 

@@ -8,7 +8,6 @@ from entspan import statemat
 from entspan.errors import DimensionError, DomainError, FieldMismatchError, NumericError
 from entspan.statemat import (
     COMPLEX,
-    GFP,
     RATIONAL,
     StateMatrix,
     bareiss,
@@ -166,10 +165,10 @@ class TestRankExact:
 
     def test_gfp_rank_drop(self):
         # det = 1*4 - 2*2 = 0 over Q; [[1,2],[2,4]] rank 1 over GF(5) as well
-        assert rank_exact(StateMatrix.gfp([[1, 2], [2, 4]], p=5)) == 1
+        assert gfp_eliminate([[[1, 2], [2, 4]]], 5).tolist() == [1]
         # [[1,2],[2,9]] has det 5, so rank 2 over Q but 1 over GF(5)
         assert rank_exact(rational([[1, 2], [2, 9]])) == 2
-        assert rank_exact(StateMatrix.gfp([[1, 2], [2, 9]], p=5)) == 1
+        assert gfp_eliminate([[[1, 2], [2, 9]]], 5).tolist() == [1]
 
     def test_gfp_monotonicity(self):
         rng = np.random.default_rng(7)
@@ -265,44 +264,35 @@ class TestOrderRMinors:
                 assert (rank < r) == all_minors_vanish(rows, r)
 
 
-def _draw_scalar(rng, field, p):
+def _draw_scalar(rng, field):
     """A seeded scalar of the field, zero about a third of the time."""
     if rng.random() < 1 / 3:
         return 0
     if field == RATIONAL:
         return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
-    if field == GFP:
-        return int(rng.integers(-3 * p, 3 * p))
     return complex(*rng.standard_normal(2))
 
 
 class TestCombineAndMinorValue:
-    @pytest.mark.parametrize(
-        "field, p",
-        [(RATIONAL, None), (GFP, 2), (GFP, 7), (GFP, 2**31 - 1), (COMPLEX, None)],
-        ids=["rational", "gfp2", "gfp7", "gfp2147483647", "complex"],
-    )
-    def test_combine_matches_dense_sum(self, field, p):
+    @pytest.mark.parametrize("field", [RATIONAL, COMPLEX], ids=["rational", "complex"])
+    def test_combine_matches_dense_sum(self, field):
         rng = np.random.default_rng(17)
         for _ in range(10):
             rows, cols = (int(v) for v in rng.integers(1, 5, size=2))
             pool = [
-                StateMatrix.from_rows(
-                    [[_draw_scalar(rng, field, p) for _ in range(cols)] for _ in range(rows)], field, p
-                )
+                StateMatrix.from_rows([[_draw_scalar(rng, field) for _ in range(cols)] for _ in range(rows)], field)
                 for _ in range(4)
             ]
             # Each pool matrix serves several calls, some twice in one call,
             # so its cached nonzero cells are reused.
             for _ in range(6):
                 picks = [pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 6)))]
-                coeffs = [_draw_scalar(rng, field, p) for _ in picks]
+                coeffs = [_draw_scalar(rng, field) for _ in picks]
                 got = combine(picks, coeffs)
                 values = [state_of_matrix(m) for m in picks]
                 for k, value in enumerate(state_of_matrix(got)):
-                    dense = sum(c * v[k] for c, v in zip(coeffs, values))
-                    assert value == (dense % p if field == GFP else dense)
-                    assert type(value) is {RATIONAL: Fraction, GFP: int, COMPLEX: complex}[field]
+                    assert value == sum(c * v[k] for c, v in zip(coeffs, values))
+                    assert type(value) is {RATIONAL: Fraction, COMPLEX: complex}[field]
 
     def test_minor_value_matches_oracle(self):
         rng = np.random.default_rng(13)
@@ -311,11 +301,9 @@ class TestCombineAndMinorValue:
         value = minor_value(m, (0, 2, 3), (1, 2, 3))
         assert value == perm_det([[rows[i][j] for j in (1, 2, 3)] for i in (0, 2, 3)])
 
-    def test_minor_value_fractional_and_gfp(self):
+    def test_minor_value_fractional(self):
         rows = [[Fraction(1, 2), Fraction(2, 3), 1], [3, Fraction(-1, 4), 0], [Fraction(5, 7), 2, -1]]
         assert minor_value(rational(rows), (0, 1, 2), (0, 1, 2)) == perm_det(rows)
-        ints = [[4, 9, 1], [3, 8, 0], [5, 2, 6]]
-        assert minor_value(StateMatrix.gfp(ints, 7), (0, 1, 2), (0, 1, 2)) == perm_det(ints) % 7
 
 
 class TestElimination:
@@ -359,36 +347,28 @@ class TestElimination:
     def test_empty_matrix(self):
         assert bareiss([]) == (0, 1)
         assert gfp_eliminate(np.zeros((1, 0, 0), dtype=np.int64), 5).tolist() == [0]
-        assert minor_value(StateMatrix.gfp([[3]], 5), (), ()) == 1
 
 
 class TestStoredForm:
     """A rational matrix is int numerators over one positive denominator, in lowest terms."""
 
     @pytest.mark.parametrize(
-        "field, entries, p, denominator, error",
+        "field, entries, denominator, error",
         [
-            (RATIONAL, (Fraction(1, 2), 0), None, 1, FieldMismatchError),
-            (RATIONAL, (True, 0), None, 1, FieldMismatchError),
-            (RATIONAL, (1, 2), None, 0, DomainError),
-            (RATIONAL, (1, 2), None, -2, DomainError),
-            (RATIONAL, (1, 2), None, 2.0, DomainError),
-            (RATIONAL, (2, 4), None, 2, DomainError),
-            (GFP, (1, 2), 5, 3, DomainError),
-            (COMPLEX, (1j, 0j), None, 3, DomainError),
-            (GFP, (7, 3), 5, 1, DomainError),
-            (GFP, (0, -3), 5, 1, DomainError),
-            (GFP, (1.5, 2), 5, 1, FieldMismatchError),
-            (GFP, (True, 0), 5, 1, FieldMismatchError),
+            (RATIONAL, (Fraction(1, 2), 0), 1, FieldMismatchError),
+            (RATIONAL, (True, 0), 1, FieldMismatchError),
+            (RATIONAL, (1, 2), 0, DomainError),
+            (RATIONAL, (1, 2), -2, DomainError),
+            (RATIONAL, (1, 2), 2.0, DomainError),
+            (RATIONAL, (2, 4), 2, DomainError),
+            (COMPLEX, (1j, 0j), 3, DomainError),
+            ("gfp", (1, 2), 1, DomainError),
         ],
-        ids=[
-            "fraction", "bool", "zero", "negative", "float", "not-reduced", "gfp", "complex",
-            "gfp-above-p", "gfp-negative", "gfp-float", "gfp-bool",
-        ],
+        ids=["fraction", "bool", "zero", "negative", "float", "not-reduced", "complex", "gfp"],
     )
-    def test_constructor_rejects(self, field, entries, p, denominator, error):
+    def test_constructor_rejects(self, field, entries, denominator, error):
         with pytest.raises(error):
-            StateMatrix(1, 2, field, entries, p, denominator)
+            StateMatrix(1, 2, field, entries, denominator)
 
     def test_equal_from_every_route(self):
         half_third = matrix_of_state([Fraction(1, 2), Fraction(1, 3)], 1, 2)
@@ -414,23 +394,15 @@ class TestStoredForm:
         assert all(type(v) is Fraction for v in state_of_matrix(m))
         assert m._nonzero == ((0, 2), (1, 12), (3, -5))
 
-    def test_gfp_routes_reduce_into_range(self):
-        decoded = matrix_from_json_dict({"rows": 1, "cols": 2, "field": GFP, "p": 5, "entries": [7, -3]})
-        assert decoded.entries == StateMatrix.gfp([[7, -3]], 5).entries == (2, 2)
-        assert combine([StateMatrix.gfp([[1, 4]], 5)], [-3]).entries == (2, 3)
-
     def test_bools_rejected(self):
         with pytest.raises(FieldMismatchError):
             StateMatrix.rational([[True, False]])
-        with pytest.raises(FieldMismatchError):
-            StateMatrix.gfp([[True]], 5)
         with pytest.raises(FieldMismatchError):
             combine([rational([[1, 2]])], [True])
 
     def test_numpy_ints_become_plain_ints(self):
         # Only plain ints skip the isinstance tests; numpy ints still pass them and are converted.
         assert StateMatrix.rational([[np.int64(3), -2]]).entries == (3, -2)
-        assert StateMatrix.gfp([[np.int32(7), -4]], 5).entries == (2, 1)
         assert {type(v) for v in combine([rational([[1, 2]])], [np.int64(3)]).entries} == {int}
 
     @pytest.mark.parametrize(
@@ -457,12 +429,6 @@ class TestJson:
         m = StateMatrix.complex_([[1 + 2j, 0], [0.5, -1j]])
         d = to_json(m)
         assert d["entries"][0] == [1.0, 2.0]
-        assert matrix_from_json_dict(d) == m
-
-    def test_gfp_round_trip(self):
-        m = StateMatrix.gfp([[1, 2], [3, 4]], p=5)
-        d = to_json(m)
-        assert d["p"] == 5
         assert matrix_from_json_dict(d) == m
 
 

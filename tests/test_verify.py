@@ -198,8 +198,6 @@ class TestGfpExhaustive:
         basis = construct_min_rank_subspace(3, 3, 2)
         with pytest.raises(DomainError, match="below 2\\*\\*31"):
             gfp_exhaustive_min_rank(basis, p)
-        with pytest.raises(DomainError, match="below 2\\*\\*31"):
-            StateMatrix.gfp([[1, 0], [0, 1]], p=p)
 
     def test_largest_allowed_modulus(self):
         rep = gfp_exhaustive_min_rank(_single_matrix_basis(StateMatrix.rational([[3, 5], [6, 10]]), r=2), 2**31 - 1)
@@ -230,13 +228,9 @@ class TestGfpExhaustive:
         with pytest.raises(DomainError, match="independence"):
             gfp_exhaustive_min_rank(basis, 3)
 
-    def test_gfp_basis_with_other_modulus_rejected(self):
-        m = StateMatrix.gfp([[1, 0], [0, 1]], p=5)
-        basis = _single_matrix_basis(m, r=2)
-        with pytest.raises(DomainError, match="GF"):
-            gfp_exhaustive_min_rank(basis, 3)
-        rep = gfp_exhaustive_min_rank(basis, 5)
-        assert rep.min_rank_observed == 2
+    def test_rational_identity_reads_rank_2_mod_5(self):
+        rep = gfp_exhaustive_min_rank(_single_matrix_basis(StateMatrix.rational([[1, 0], [0, 1]]), r=2), 5)
+        assert (rep.verdict, rep.min_rank_observed, rep.samples_or_points) == (VERDICT_CONSISTENT, 2, 1)
 
     def test_mod_p_drop_is_inconclusive_not_refuted(self):
         # det = 3, invertible over Q but rank 1 mod 3.
