@@ -37,6 +37,8 @@ CASES = [
     ("construct_geq_small", ["construct", "--da", "3", "--db", "3", "--r", "2", "--out", "small.json"]),
     # The largest basis the suite pins: 25 matrices on the nodes 1..8.
     ("construct_geq_8x8", ["construct", "--da", "8", "--db", "8", "--r", "4", "--out", "geq8.json"]),
+    # Entries up to 16**8 = 2**32, past the 8x8 case's 8**4.
+    ("construct_geq_16x16", ["construct", "--da", "16", "--db", "16", "--r", "8", "--out", "geq16.json"]),
     ("verify_sample", ["verify", "--basis", "geq.json", "--mode", "sample", "--samples", "40", "--seed", "4", "--out", "sample.json"]),
     ("verify_sample_refuted", ["verify", "--basis", "flanders.json", "--mode", "sample", "--r", "3", "--samples", "6", "--seed", "1", "--out", "refuted.json"]),
     ("verify_sample_fractional", ["verify", "--basis", "frac.json", "--mode", "sample", "--r", "1", "--require", "leq", "--samples", "6", "--seed", "3", "--out", "frac_refuted.json"]),
@@ -55,6 +57,7 @@ GOLDEN = {
     "construct_antisym": (0, 'db2e34a64c0594149d6322eab74926530f03ac8c0d488021ebbd8197d3e5d878'),
     "construct_geq_small": (0, '1758319784c0b51c4c6cd7379689da215dedde3d1b8082df43f25154fee20bd6'),
     "construct_geq_8x8": (0, '6bb05fa4de3d1897038cd0fa7802c6b8e3318d71eec12fedd9c19c51337cebac'),
+    "construct_geq_16x16": (0, '5041c41c75d7b9e74811934894645ded6fefdd7acb106c09f16a7618b92766ff'),
     "verify_sample": (0, '0871ea88cf8b4ae8a7b587022b40bc9e2f1a130e4cce2cd388caf1cbefe998c2'),
     "verify_sample_refuted": (3, 'ea5e01c1838903eff94c2c37ca3a93dd436635e0bd3f8e42b95118eef4f10b11'),
     "verify_sample_fractional": (3, '4a6a29f50ce8040bd2c9d2eb07db1fe226069e3c6126b011d4c5f47af77d532b'),
