@@ -22,13 +22,11 @@ from .construct import (
     SubspaceBasis,
     antisymmetric_basis_3x3,
     basis_from_json_dict,
-    build_diagonal_family,
     construct_fixed_rank_subspace,
     construct_max_rank_leq_subspace,
     construct_min_rank_subspace,
     diagonals,
     random_subspace,
-    vandermonde,
 )
 from .errors import (
     CertificateError,

@@ -160,6 +160,8 @@ class MixedStateReport:
 def mixed_state_report(d: int, p: float) -> MixedStateReport:
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
+    if d > 2**53:  # r and the asymptote come from doubles, which hold every integer only up to 2**53
+        raise DomainError("need d <= 2**53, beyond which a dimension has no exact double")
     if not 0.0 < p < 1.0:
         raise DomainError(f"need 0 < p < 1, got {p}")
     r = _guarded_ceil((1.0 - p) * d)
@@ -204,6 +206,8 @@ class RandomComparison:
 
 def random_comparison(dA: int, dB: int, k: float) -> RandomComparison:
     a, b = _normalize(dA, dB)
+    if b > 2**53:  # as in mixed_state_report
+        raise DomainError("need dA, dB <= 2**53, beyond which a dimension has no exact double")
     if not 0.0 < k <= 1.0:
         raise DomainError(f"need 0 < k <= 1, got {k}")
     r = max(1, _guarded_ceil(k * a))

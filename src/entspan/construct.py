@@ -30,12 +30,10 @@ from .errors import CertificateError, DimensionError, DomainError, FieldMismatch
 from .statemat import (
     RATIONAL,
     StateMatrix,
-    _coerce_entry,
     _is_int,
     block_rank,
     combine,
     matrix_from_json_dict,
-    matrix_of_state,
     schmidt_rank_numeric,
 )
 
@@ -134,10 +132,8 @@ def draw_normals(words: Iterator[int], n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiagonalIndex:
-    """One diagonal of a dA x dB matrix: label k = col - row, cells by row."""
+    """One diagonal of a matrix: label k = col - row, and its (row, col) cells by row."""
 
-    dA: int
-    dB: int
     k: int
     length: int
     cells: tuple[tuple[int, int], ...]
@@ -157,7 +153,7 @@ def diagonals(dA: int, dB: int) -> list[DiagonalIndex]:
         i0 = max(0, -k)
         length = min(dA, dB, dA + k, dB - k)
         cells = tuple((i, i + k) for i in range(i0, i0 + length))
-        out.append(DiagonalIndex(dA, dB, k, length, cells))
+        out.append(DiagonalIndex(k, length, cells))
     return out
 
 
@@ -253,48 +249,9 @@ def _self_check_rank_floor(basis: SubspaceBasis, r: int) -> None:
             powers = [v * x for v, x in zip(powers, nodes)]
 
 
-def vandermonde(nodes: Sequence) -> StateMatrix:
-    """Vandermonde matrix on strictly increasing positive rational nodes.
-
-    Entry (i, j) is nodes[i]**j.  Such matrices are totally positive: every minor is positive.
-    """
-    xs = [_coerce_entry(x, RATIONAL) for x in nodes]
-    if not xs:
-        raise DomainError("need at least one node")
-    if xs[0] <= 0:
-        raise DomainError(f"nodes must be positive, got {xs[0]}")
-    for a, b in zip(xs, xs[1:]):
-        if b <= a:
-            raise DomainError(f"nodes must be strictly increasing, got {a} then {b}")
-    m = len(xs)
-    return StateMatrix.rational([[x**j for j in range(m)] for x in xs])
-
-
 def default_tns(m: int) -> StateMatrix:
-    """The package-wide deterministic source: Vandermonde on nodes 1..m."""
-    return vandermonde(range(1, m + 1))
-
-
-def build_diagonal_family(diag: DiagonalIndex, r: int, tns: StateMatrix) -> list[StateMatrix]:
-    """The length - r + 1 generators living on one diagonal.
-
-    Matrix j carries column j of the leading length x length block of ``tns``
-    down the diagonal's cells.  Diagonals shorter than r contribute nothing
-    and yield an empty list.
-    """
-    if r < 1:
-        raise DomainError(f"rank threshold must be at least 1, got {r}")
-    if diag.length < r:
-        return []
-    if tns.rows < diag.length:
-        raise DimensionError(f"TNS source of size {tns.rows} too small for a length-{diag.length} diagonal")
-    out = []
-    for j in range(diag.length - r + 1):
-        flat = [0] * (diag.dA * diag.dB)
-        for i, (row, col) in enumerate(diag.cells):
-            flat[row * diag.dB + col] = tns.at(i, j)
-        out.append(matrix_of_state(flat, diag.dA, diag.dB))
-    return out
+    """The integer Vandermonde matrix on the nodes 1..m: entry (i, j) is (i + 1)**j."""
+    return StateMatrix(m, m, RATIONAL, tuple([x**j for x in range(1, m + 1) for j in range(m)]))
 
 
 def construct_min_rank_subspace(dA: int, dB: int, r: int) -> SubspaceBasis:
@@ -302,12 +259,17 @@ def construct_min_rank_subspace(dA: int, dB: int, r: int) -> SubspaceBasis:
     if not 2 <= r <= min(dA, dB):
         raise DomainError(f"need 2 <= r <= min(dA, dB) = {min(dA, dB)}, got r={r}")
     m = min(dA, dB)
-    tns = default_tns(m)
+    powers = default_tns(m).entries  # (i + 1)**j at i * m + j
     matrices: list[StateMatrix] = []
     per_matrix: list[dict] = []
     for diag in diagonals(dA, dB):
-        for j, mat in enumerate(build_diagonal_family(diag, r, tns)):
-            matrices.append(mat)
+        flat = [row * dB + col for row, col in diag.cells]
+        # Generator j writes Vandermonde column j down the diagonal, as int numerators over 1.
+        for j in range(diag.length - r + 1):
+            entries = [0] * (dA * dB)
+            for i, idx in enumerate(flat):
+                entries[idx] = powers[i * m + j]
+            matrices.append(StateMatrix(dA, dB, RATIONAL, tuple(entries)))
             per_matrix.append({"k": diag.k, "tns_column": j})
     expected = (dA - r + 1) * (dB - r + 1)
     if len(matrices) != expected:
@@ -321,7 +283,7 @@ def construct_min_rank_subspace(dA: int, dB: int, r: int) -> SubspaceBasis:
         {
             "per_matrix": per_matrix,
             # Column 1 of a Vandermonde matrix holds its nodes.
-            "tns_nodes": [str(tns.at(i, 1)) for i in range(m)],
+            "tns_nodes": [str(powers[i * m + 1]) for i in range(m)],
         },
     )
     _self_check_rank_floor(basis, r)

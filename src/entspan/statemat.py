@@ -77,8 +77,8 @@ def check_modulus(p) -> None:
 def _coerce_entry(value, field: str):
     """A scalar of ``field``; rationals come back as a Fraction or an int, both with numerator/denominator."""
     if field == RATIONAL:
-        # Plain ints, most entries of a constructed basis, return before the slower isinstance tests
-        # below; bools and numpy ints are not of type int, so they still take those tests.
+        # Plain ints, most entries passed to ``from_rows`` and most coefficients, return before the slower
+        # isinstance tests below; bools and numpy ints are not of type int, so they still take those tests.
         if type(value) is int or isinstance(value, Fraction):
             return value
         if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
@@ -445,7 +445,9 @@ def _decode_entry(value, field: str):
         if text or _is_int(value):
             try:
                 return Fraction(int(text[1]), int(text[2] or 1)) if text else Fraction(value)
-            except (ValueError, ZeroDivisionError):
+            except ValueError:  # the text is digits, so int() refused its length
+                raise DomainError(f"rational entry {value[:20]!r}... passes Python's int digit limit (4300 by default)") from None
+            except ZeroDivisionError:
                 pass
         raise DomainError(f"bad rational entry {value!r}; use an int or an 'n' or 'n/d' string")
     try:

@@ -270,6 +270,12 @@ BAD_INPUTS = {
     "construct_random_with_r": (None, ["construct", "--kind", "random", "--da", "3", "--db", "3", "--dim", "2", "--r", "5"]),
     "construct_geq_with_dim": (None, ["construct", "--da", "3", "--db", "3", "--r", "2", "--dim", "4"]),
     "construct_flanders_with_dim": (None, ["construct", "--kind", "flanders", "--da", "3", "--db", "3", "--r", "1", "--dim", "9"]),
+    # Above 2**53 a dimension has no exact double: an OverflowError traceback,
+    # an "int too large to convert to float" exit 1, and an r of 5000...02625...
+    # where 5 * 10**299 is exact.
+    "report_mixed_d_10_200": (None, ["report", "--kind", "mixed", "--d", str(10**200), "--p", "0.5"]),
+    "report_random_db_10_400": (None, ["report", "--kind", "random", "--da", "3", "--db", str(10**400), "--k", "0.5"]),
+    "report_random_10_300_square": (None, ["report", "--kind", "random", "--da", str(10**300), "--db", str(10**300), "--k", "0.5"]),
 }
 
 
@@ -549,6 +555,14 @@ class TestBeyondStrDigitLimit:
                 c = w["coeffs"][0]
                 assert [Fraction(v) for v in w["matrix"]["entries"]] == [c * big, 0, 0, 0, c * big, 0, 0, 0, 0]
 
+    @pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000], ids=["integer", "denominator"])
+    def test_entry_text_past_the_limit_named(self, capsys, tmp_path, text):
+        # The refusal used to echo all 5000 digits and call the entry malformed.
+        code, out, err, rep_path = self._verify(capsys, tmp_path, _user_basis("rational", [text, 0, 0, 1]), "--mode", "sample")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200 and "4300" in err
+        assert not rep_path.exists()
+
     def test_bounds_of_huge_dimensions(self, capsys):
         d = 10**4000
         with _exact_ints():
@@ -615,6 +629,17 @@ class TestReportCommand:
         code, out, _ = run_cli(capsys, "report", "--kind", "random", "--da", "100", "--db", "100", "--k", "0.5")
         assert code == 0
         assert "exact_dim=2601" in out and "asymptotic=2500.0" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--kind", "mixed", "--d", str(2**53), "--p", "0.5"], ["--kind", "random", "--da", str(2**53), "--db", str(2**53), "--k", "0.5"]],
+        ids=["mixed", "random"],
+    )
+    def test_runs_at_2_53(self, capsys, flags):
+        # The largest dimension a double holds exactly, with every integer below it.
+        code, out, err = run_cli(capsys, "report", *flags, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["r"] == 2**52
 
     def test_mixed_out_of_domain(self, capsys):
         code, _, err = run_cli(capsys, "report", "--kind", "mixed", "--d", "10", "--p", "0.9")

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from entspan.construct import (
     antisymmetric_basis_3x3,
     basis_from_json_dict,
     basis_stack_rank,
-    build_diagonal_family,
     coeff_stream,
     construct_fixed_rank_subspace,
     construct_max_rank_leq_subspace,
@@ -25,10 +23,9 @@ from entspan.construct import (
     draw_coeffs,
     draw_normals,
     random_subspace,
-    vandermonde,
 )
 from entspan import construct, statemat
-from entspan.errors import CertificateError, DimensionError, DomainError, FieldMismatchError
+from entspan.errors import CertificateError, DimensionError, DomainError
 from entspan.statemat import COMPLEX, RATIONAL, StateMatrix, rank_exact, to_json
 from oracles import minor_rank, perm_det
 
@@ -85,24 +82,28 @@ class TestDiagonals:
             diagonals(0, 3)
 
 
+def _family(k):
+    """The generators of the 3x3 r=2 basis on diagonal k, in basis order, and that diagonal."""
+    diag = next(d for d in diagonals(3, 3) if d.k == k)
+    basis = construct_min_rank_subspace(3, 3, 2)
+    return [m for m in basis.matrices if any(m.at(i, j) for i, j in diag.cells)], diag
+
+
 class TestBuildDiagonalFamily:
     def test_length_equals_r_single_matrix(self):
-        diag = next(d for d in diagonals(3, 3) if d.k == 1)  # length 2
-        fam = build_diagonal_family(diag, 2, default_tns(3))
+        fam, diag = _family(1)  # length 2
         assert len(fam) == 1
         values = [fam[0].at(i, j) for i, j in diag.cells]
         assert all(v != 0 for v in values)
 
     def test_3x3_k0_r2_gives_both_vandermonde_columns(self):
-        diag = next(d for d in diagonals(3, 3) if d.k == 0)
-        fam = build_diagonal_family(diag, 2, default_tns(3))
+        fam, _ = _family(0)
         assert len(fam) == 2
         assert [fam[0].at(i, i) for i in range(3)] == [1, 1, 1]
         assert [fam[1].at(i, i) for i in range(3)] == [1, 2, 3]
 
     def test_random_combinations_keep_r_nonzeros_on_diagonal(self):
-        diag = next(d for d in diagonals(3, 3) if d.k == 0)
-        fam = build_diagonal_family(diag, 2, default_tns(3))
+        fam, _ = _family(0)
         rng = coeff_stream(31)
         for _ in range(500):
             a, b = draw_coeffs(rng, 2)
@@ -110,13 +111,7 @@ class TestBuildDiagonalFamily:
             assert sum(1 for v in combo if v != 0) >= 2
 
     def test_short_diagonal_contributes_nothing(self):
-        diag = next(d for d in diagonals(3, 3) if d.k == 2)  # length 1
-        assert build_diagonal_family(diag, 2, default_tns(3)) == []
-
-    def test_tns_too_small(self):
-        diag = next(d for d in diagonals(4, 4) if d.k == 0)
-        with pytest.raises(DimensionError):
-            build_diagonal_family(diag, 2, default_tns(3))
+        assert _family(2)[0] == []  # length 1
 
 
 class TestMinRankConstruction:
@@ -179,6 +174,15 @@ class TestMinRankConstruction:
             fwd_set = {m.transpose().entries for m in fwd.matrices}
             rev_set = {m.entries for m in rev.matrices}
             assert fwd_set == rev_set
+
+    def test_generators_written_as_ints(self, monkeypatch):
+        # No generator entry goes through the coercion of passed-in values.
+        def refuse(*args):
+            raise AssertionError(f"coerced {args!r:.60}")
+
+        monkeypatch.setattr(statemat, "_coerce_entry", refuse)
+        monkeypatch.setattr(statemat, "matrix_of_state", refuse)
+        assert construct_min_rank_subspace(6, 7, 3).dimension == 20
 
     def test_integer_entries(self):
         basis = construct_min_rank_subspace(5, 6, 3)
@@ -267,15 +271,15 @@ class TestSelfCheck:
 
 class TestVandermonde:
     def test_nodes_123(self):
-        v = vandermonde([1, 2, 3])
+        v = default_tns(3)
         assert v.to_lists() == [[1, 1, 1], [1, 2, 4], [1, 3, 9]]
         assert v.field == RATIONAL and v.denominator == 1
 
     def test_single_node(self):
-        assert vandermonde([1]).to_lists() == [[1]]
+        assert default_tns(1).to_lists() == [[1]]
 
     def test_all_69_minors_nonzero(self):
-        v = vandermonde([1, 2, 3, 4])
+        v = default_tns(4)
         rows = v.to_lists()
         checked = 0
         for order in range(1, 5):
@@ -287,14 +291,14 @@ class TestVandermonde:
 
     def test_minors_strictly_positive_up_to_5(self):
         for m in range(1, 6):
-            rows = vandermonde(range(1, m + 1)).to_lists()
+            rows = default_tns(m).to_lists()
             for order in range(1, m + 1):
                 for ri in itertools.combinations(range(m), order):
                     for ci in itertools.combinations(range(m), order):
                         assert perm_det([[rows[i][j] for j in ci] for i in ri]) > 0
 
     def test_3_node_minors_nonzero(self):
-        rows = vandermonde([1, 2, 3]).to_lists()
+        rows = default_tns(3).to_lists()
         for order in range(1, 4):
             for ri in itertools.combinations(range(3), order):
                 for ci in itertools.combinations(range(3), order):
@@ -302,7 +306,7 @@ class TestVandermonde:
 
     def test_every_square_submatrix_has_nonzero_minors_up_to_4(self):
         for m in range(2, 5):
-            rows = vandermonde(range(1, m + 1)).to_lists()
+            rows = default_tns(m).to_lists()
             for order in range(1, m + 1):
                 for ri in itertools.combinations(range(m), order):
                     for ci in itertools.combinations(range(m), order):
@@ -330,34 +334,8 @@ class TestVandermonde:
             combo = [a * v.at(i, 0) + b * v.at(i, 1) for i in range(3)]
             assert sum(1 for x in combo if x != 0) >= 2
 
-    def test_rational_nodes(self):
-        v = vandermonde([Fraction(1, 2), Fraction(3, 4), 2])
-        assert v.at(0, 2) == Fraction(1, 4)
-        rows = v.to_lists()
-        for order in range(1, 4):
-            for ri in itertools.combinations(range(3), order):
-                for ci in itertools.combinations(range(3), order):
-                    assert perm_det([[rows[i][j] for j in ci] for i in ri]) != 0
-
-    def test_bad_nodes(self):
-        with pytest.raises(DomainError):
-            vandermonde([0, 1, 2])
-        with pytest.raises(DomainError):
-            vandermonde([-1, 1])
-        with pytest.raises(DomainError):
-            vandermonde([1, 3, 2])
-        with pytest.raises(DomainError):
-            vandermonde([1, 1, 2])
-        with pytest.raises(DomainError):
-            vandermonde([])
-
     def test_default_tns_nodes(self):
         assert [default_tns(3).at(i, 1) for i in range(3)] == [1, 2, 3]
-
-    @pytest.mark.parametrize("nodes", [[0.5, 1.5], [True, 2], ["1/2", "3"], [1, 2.0]])
-    def test_inexact_nodes_rejected(self, nodes):
-        with pytest.raises(FieldMismatchError):
-            vandermonde(nodes)
 
 
 class TestMaxRankConstruction:
