@@ -95,7 +95,6 @@ class BoundsTable:
     westwick_hi: int | None
     westwick_exact: int | None
     westwick_reason: str
-    naive_fixed_upper: int | None
     variety_dim_affine: int
     variety_dim_projective: int
 
@@ -106,12 +105,11 @@ def bounds_table(dA: int, dB: int, r: int) -> BoundsTable:
     leq = flanders_max_leq(a, b, r)
     if r >= 2:
         w_lo, w_hi, w_exact, w_reason = westwick_range(a, b, r)
-        naive = w_hi
     else:
-        w_lo = w_hi = w_exact = naive = None
+        w_lo = w_hi = w_exact = None
         w_reason = "fixed-rank bracket applies for r >= 2"
     affine, projective = variety_dim(a, b, r)
-    return BoundsTable(a, b, r, geq, leq, w_lo, w_hi, w_exact, w_reason, naive, affine, projective)
+    return BoundsTable(a, b, r, geq, leq, w_lo, w_hi, w_exact, w_reason, affine, projective)
 
 
 _TABLE_HEADER = f"{'da':>4} {'db':>4} {'r':>3} {'geq':>6} {'flanders':>9} {'westwick':>12} {'exact':>6} {'variety':>8}"

@@ -1,9 +1,9 @@
 """Command-line front end: construct, verify, bounds, report.
 
 Every command is deterministic given its flag set (randomness only ever
-flows from --seed), repeats the relevant flags inside its JSON artifact, and
-writes artifacts atomically.  Exit codes: 0 success/consistent, 2 usage or
-input errors, 3 refuted, 4 inconclusive.  A reader that closes stdout early
+flows from --seed), repeats that flag set as its JSON artifact's top-level
+``run``, and writes artifacts atomically.  Exit codes: 0 success/consistent,
+2 usage or input errors, 3 refuted, 4 inconclusive.  A reader that closes stdout early
 loses the summary lines of an artifact written to --out, never the exit code;
 when stdout carries the output itself, a cut-short output exits 2.
 """
@@ -134,7 +134,7 @@ def cmd_construct(args) -> int:
         bound = None  # --dim is the size asked for, not a bound
     with _exact_ints():
         payload = to_json(basis)
-        payload["metadata"]["run"] = _flagset(args, ("da", "db", "r", "kind", "dim", "seed"))
+        payload["run"] = _flagset(args, ("da", "db", "r", "kind", "dim", "seed"))
         _write_atomic(args.out, _dump_json(payload))
     _say(f"dim={basis.dimension}" + ("" if bound is None else f" bound={bound}") + f"\nartifact: {args.out}\n")
     return EXIT_OK
@@ -155,6 +155,8 @@ def _load_basis(path: str):
 
 
 def cmd_verify(args) -> int:
+    if args.require != "geq" and args.mode != "sample":
+        raise EntspanError(f"verify --mode {args.mode} checks rank >= r only; --require {args.require} needs --mode sample")
     basis = _load_basis(args.basis)
     r = args.r if args.r is not None else basis.r
     if r is None:
@@ -175,8 +177,7 @@ def cmd_verify(args) -> int:
         report = verify_mod.structural_verify(basis, r, args.samples, args.seed)
     with _exact_ints():
         payload = verify_mod.report_to_json_dict(report)
-        payload["params"] = payload["params"] or {}
-        payload["params"]["run"] = _flagset(
+        payload["run"] = _flagset(
             args, ("basis", "mode", "r", "samples", "seed", "p", "restarts", "iters", "tol", "require", "cap")
         )
         _write_atomic(args.out, _dump_json(payload))

@@ -166,7 +166,6 @@ class SubspaceBasis:
     r: int | None
     kind: str
     matrices: tuple[StateMatrix, ...]
-    metadata: dict
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -175,8 +174,6 @@ class SubspaceBasis:
             raise DimensionError(f"basis dimensions must be integers, got {self.dA!r}x{self.dB!r}")
         if self.r is not None and not (_is_int(self.r) and self.r >= 1):
             raise DomainError(f"rank threshold must be a positive integer, got {self.r!r}")
-        if not isinstance(self.metadata, dict):
-            raise DomainError("basis metadata must be an object")
         if not self.matrices:
             raise DimensionError("a basis needs at least one matrix")
         head = self.matrices[0]
@@ -261,7 +258,6 @@ def construct_min_rank_subspace(dA: int, dB: int, r: int) -> SubspaceBasis:
     m = min(dA, dB)
     powers = default_tns(m).entries  # (i + 1)**j at i * m + j
     matrices: list[StateMatrix] = []
-    per_matrix: list[dict] = []
     for diag in diagonals(dA, dB):
         flat = [row * dB + col for row, col in diag.cells]
         # Generator j writes Vandermonde column j down the diagonal, as int numerators over 1.
@@ -270,22 +266,10 @@ def construct_min_rank_subspace(dA: int, dB: int, r: int) -> SubspaceBasis:
             for i, idx in enumerate(flat):
                 entries[idx] = powers[i * m + j]
             matrices.append(StateMatrix(dA, dB, RATIONAL, tuple(entries)))
-            per_matrix.append({"k": diag.k, "tns_column": j})
     expected = (dA - r + 1) * (dB - r + 1)
     if len(matrices) != expected:
         raise CertificateError(f"diagonal counting bug: built {len(matrices)} matrices, expected {expected}")
-    basis = SubspaceBasis(
-        dA,
-        dB,
-        r,
-        KIND_MIN_RANK,
-        tuple(matrices),
-        {
-            "per_matrix": per_matrix,
-            # Column 1 of a Vandermonde matrix holds its nodes.
-            "tns_nodes": [str(powers[i * m + 1]) for i in range(m)],
-        },
-    )
+    basis = SubspaceBasis(dA, dB, r, KIND_MIN_RANK, tuple(matrices))
     _self_check_rank_floor(basis, r)
     return basis
 
@@ -299,26 +283,12 @@ def construct_max_rank_leq_subspace(dA: int, dB: int, r: int) -> SubspaceBasis:
     """
     if not 1 <= r <= min(dA, dB):
         raise DomainError(f"need 1 <= r <= min(dA, dB) = {min(dA, dB)}, got r={r}")
-    factor_side = "rows" if dA <= dB else "cols"
-    matrices = []
-    per_matrix = []
-    if factor_side == "rows":
-        span = [(i, j) for i in range(r) for j in range(dB)]
+    if dA <= dB:
+        cells = [i * dB + j for i in range(r) for j in range(dB)]  # E_ij on the first r rows
     else:
-        span = [(i, j) for j in range(r) for i in range(dA)]
-    for i, j in span:
-        entries = [[0] * dB for _ in range(dA)]
-        entries[i][j] = 1
-        matrices.append(StateMatrix.rational(entries))
-        per_matrix.append({"row": i, "col": j})
-    return SubspaceBasis(
-        dA,
-        dB,
-        r,
-        KIND_MAX_RANK,
-        tuple(matrices),
-        {"factor_side": factor_side, "factor_count": r, "per_matrix": per_matrix},
-    )
+        cells = [i * dB + j for j in range(r) for i in range(dA)]  # E_ij on the first r columns
+    units = [(0,) * idx + (1,) + (0,) * (dA * dB - idx - 1) for idx in cells]
+    return SubspaceBasis(dA, dB, r, KIND_MAX_RANK, tuple(StateMatrix(dA, dB, RATIONAL, u) for u in units))
 
 
 def construct_fixed_rank_subspace(dA: int, dB: int) -> SubspaceBasis:
@@ -341,21 +311,12 @@ def antisymmetric_basis_3x3() -> SubspaceBasis:
     Nonzero antisymmetric matrices of odd size have even rank below the size,
     which pins the rank of every nonzero combination at exactly 2.
     """
-    pairs = [(0, 1), (0, 2), (1, 2)]
     matrices = []
-    for i, j in pairs:
-        entries = [[0] * 3 for _ in range(3)]
-        entries[i][j] = 1
-        entries[j][i] = -1
-        matrices.append(StateMatrix.rational(entries))
-    return SubspaceBasis(
-        3,
-        3,
-        2,
-        KIND_ANTISYMMETRIC,
-        tuple(matrices),
-        {"generators": [f"E{i}{j}-E{j}{i}" for i, j in pairs]},
-    )
+    for i, j in [(0, 1), (0, 2), (1, 2)]:
+        entries = [0] * 9
+        entries[3 * i + j], entries[3 * j + i] = 1, -1
+        matrices.append(StateMatrix(3, 3, RATIONAL, tuple(entries)))
+    return SubspaceBasis(3, 3, 2, KIND_ANTISYMMETRIC, tuple(matrices))
 
 
 def random_subspace(dA: int, dB: int, dim: int, seed: int) -> SubspaceBasis:
@@ -369,11 +330,11 @@ def random_subspace(dA: int, dB: int, dim: int, seed: int) -> SubspaceBasis:
         raise DomainError(f"need 1 <= dim <= {dA * dB}, got {dim}")
     draws = draw_normals(coeff_stream(seed), dim * dA * dB).reshape(dim, dA, dB)
     matrices = tuple(StateMatrix.complex_(a.tolist()) for a in draws)
-    return SubspaceBasis(dA, dB, None, KIND_RANDOM, matrices, {"seed": seed})
+    return SubspaceBasis(dA, dB, None, KIND_RANDOM, matrices)
 
 
 def basis_from_json_dict(d: dict) -> SubspaceBasis:
-    """Decode a basis object; malformed input raises an EntspanError."""
+    """Decode a basis object, ignoring keys other than its own; malformed input raises an EntspanError."""
     if not isinstance(d, dict):
         raise DomainError("a basis must be a JSON object")
     try:
@@ -383,4 +344,4 @@ def basis_from_json_dict(d: dict) -> SubspaceBasis:
     if not isinstance(matrices, list):
         raise DomainError("basis 'matrices' must be a list")
     matrices = tuple(matrix_from_json_dict(md) for md in matrices)
-    return SubspaceBasis(dA, dB, d.get("r"), kind, matrices, d.get("metadata", {}))
+    return SubspaceBasis(dA, dB, d.get("r"), kind, matrices)

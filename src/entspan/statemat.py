@@ -258,8 +258,8 @@ def schmidt_rank_numeric(m: StateMatrix, tol: float = DEFAULT_TOL) -> SchmidtInf
     The zero matrix has rank 0.  ``tol`` is relative, so the answer is
     invariant under rescaling the state.
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:  # also refuses NaN, which no comparison admits
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     scaled, e = unit_scaled(m)
     sv = np.linalg.svd(scaled, compute_uv=False)
     rank = int(np.sum(sv > tol * sv[0])) if sv[0] > 0.0 else 0
@@ -449,14 +449,14 @@ def _decode_entry(value, field: str):
                 raise DomainError(f"rational entry {value[:20]!r}... passes Python's int digit limit (4300 by default)") from None
             except ZeroDivisionError:
                 pass
-        raise DomainError(f"bad rational entry {value!r}; use an int or an 'n' or 'n/d' string")
+        raise DomainError(f"bad rational entry {value!r:.60}; use an int or an 'n' or 'n/d' string")
     try:
         real, imag = value
         if isinstance(real, bool) or isinstance(imag, bool):
             raise TypeError
         z = complex(real, imag)
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"complex entries are [re, im] number pairs, got {value!r}") from None
+        raise DomainError(f"complex entries are [re, im] number pairs, got {value!r:.60}") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NumericError(f"non-finite entry {value!r}")
     return z

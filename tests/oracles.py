@@ -9,6 +9,12 @@ import itertools
 from fractions import Fraction
 
 
+def diagonal_of(m):
+    """The one diagonal k = col - row that holds every nonzero entry of matrix m."""
+    (k,) = {j - i for i in range(m.rows) for j in range(m.cols) if m.at(i, j)}
+    return k
+
+
 def perm_det(rows):
     """Determinant by signed permutation expansion; O(n!) but independent."""
     n = len(rows)

@@ -127,7 +127,6 @@ class TestBoundsTable:
         assert t.max_dim_geq == 6
         assert t.flanders_max_leq == 8
         assert (t.westwick_lo, t.westwick_hi, t.westwick_exact) == (3, 4, 3)
-        assert t.naive_fixed_upper == t.westwick_hi
         assert t.variety_dim_affine + t.max_dim_geq == 12
 
     def test_r1_row_has_no_westwick(self):

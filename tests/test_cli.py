@@ -94,8 +94,8 @@ class TestConstruct:
         out_path = tmp_path / "b.json"
         run_cli(capsys, "construct", "--da", "3", "--db", "3", "--r", "2", "--out", str(out_path))
         payload = json.loads(out_path.read_text())
-        assert payload["metadata"]["run"]["da"] == 3
-        assert payload["metadata"]["run"]["kind"] == "geq"
+        assert payload["run"]["da"] == 3
+        assert payload["run"]["kind"] == "geq"
 
 
 class TestVerify:
@@ -116,7 +116,7 @@ class TestVerify:
         assert "min_rank_observed=2" in out
         payload = json.loads(rep_path.read_text())
         assert payload["verdict"] == "consistent"
-        assert payload["params"]["run"]["seed"] == 7
+        assert payload["run"]["seed"] == 7
 
     def test_sigma_mode_refutes_overfull_random(self, capsys, tmp_path):
         basis_path = tmp_path / "rand.json"
@@ -264,7 +264,7 @@ BAD_INPUTS = {
     "construct_flanders_zero_db": (None, ["construct", "--kind", "flanders", "--da", "3", "--db", "0", "--r", "1"]),
     "construct_fixed_negative_da": (None, ["construct", "--kind", "fixed", "--da", "-2", "--db", "3"]),
     "construct_random_zero_da": (None, ["construct", "--kind", "random", "--da", "0", "--db", "3", "--dim", "1"]),
-    # Flags a kind ignores were accepted and recorded in metadata.run.
+    # Flags a kind ignores were accepted and recorded in the artifact's run.
     "construct_fixed_with_r_and_dim": (None, ["construct", "--kind", "fixed", "--da", "2", "--db", "4", "--r", "9", "--dim", "7"]),
     "construct_antisym_with_r": (None, ["construct", "--kind", "antisym", "--da", "3", "--db", "3", "--r", "2"]),
     "construct_random_with_r": (None, ["construct", "--kind", "random", "--da", "3", "--db", "3", "--dim", "2", "--r", "5"]),
@@ -317,6 +317,45 @@ class TestBadInput:
             "--out", str(tmp_path / "b.json"),
         )
         assert (code, err) == (2, "error: construct --kind fixed does not take --dim\n")
+
+    @pytest.mark.parametrize("require", ["leq", "eq"])
+    @pytest.mark.parametrize("mode", ["gfp", "sigma", "structural"])
+    def test_require_other_than_geq_needs_sample_mode(self, capsys, tmp_path, mode, require):
+        # These modes answer rank >= r whatever --require says: each read "consistent"
+        # here, though every nonzero element of this basis has rank >= 2 > 1.
+        basis_path, out_path = tmp_path / "basis.json", tmp_path / "rep.json"
+        run_cli(capsys, "construct", "--da", "3", "--db", "3", "--r", "2", "--out", str(basis_path))
+        code, out, err = run_cli(
+            capsys, "verify", "--basis", str(basis_path), "--mode", mode, "--p", "3", "--r", "1",
+            "--require", require, "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: verify --mode {mode} checks rank >= r only; --require {require} needs --mode sample\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("mode", ["gfp", "sigma", "structural"])
+    def test_require_geq_outside_sample_mode_runs(self, capsys, tmp_path, mode):
+        basis_path = tmp_path / "basis.json"
+        run_cli(capsys, "construct", "--da", "3", "--db", "3", "--r", "2", "--out", str(basis_path))
+        flags = ["verify", "--basis", str(basis_path), "--mode", mode, "--p", "3", "--restarts", "2", "--iters", "20"]
+        assert run_cli(capsys, *flags, "--out", str(tmp_path / "default.json"))[0] == 0
+        assert run_cli(capsys, *flags, "--require", "geq", "--out", str(tmp_path / "geq.json"))[0] == 0
+        assert (tmp_path / "geq.json").read_bytes() == (tmp_path / "default.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, entry, mode",
+        [("rational", "1." + "0" * 5000, "sample"), ("complex", ["x" * 5000, 0], "sigma")],
+        ids=["rational", "complex"],
+    )
+    def test_long_malformed_entry_quoted_short(self, capsys, tmp_path, field, entry, mode):
+        # The refusal echoed the whole entry: a stderr line of over 5000 characters.
+        basis_path, out_path = tmp_path / "basis.json", tmp_path / "rep.json"
+        zero = 0 if field == "rational" else [0, 0]
+        basis_path.write_text(json.dumps(_user_basis(field, [entry, zero, zero, zero])))
+        code, out, err = run_cli(capsys, "verify", "--basis", str(basis_path), "--mode", mode, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200 and err.startswith("error: ")
+        assert not out_path.exists()
 
     def test_construct_negative_seed(self, capsys, tmp_path):
         out_path = tmp_path / "b.json"
@@ -417,7 +456,7 @@ class TestParserCache:
         assert code == 0
         code, _, _ = run_cli(capsys, "verify", "--basis", str(basis), "--mode", "structural", "--out", str(second))
         assert code == 0
-        run = json.loads(second.read_text())["params"]["run"]
+        run = json.loads(second.read_text())["run"]
         assert (run["mode"], run["samples"], run["seed"], run["r"], run["require"]) == ("structural", 1000, 0, None, "geq")
         assert build_parser() is build_parser()
 
@@ -654,6 +693,38 @@ class TestReportCommand:
         payload = json.loads(out_path.read_text())
         assert payload["dim"] == 36
         assert payload["run"]["kind"] == "mixed"
+
+
+#: One run of every construct kind and verify mode, then a bounds and a report artifact; later runs read earlier bases.
+ARTIFACT_RUNS = [
+    ["construct", "--da", "3", "--db", "3", "--r", "2", "--out", "geq.json"],
+    ["construct", "--kind", "flanders", "--da", "3", "--db", "4", "--r", "2", "--out", "flanders.json"],
+    ["construct", "--kind", "fixed", "--da", "2", "--db", "4", "--out", "fixed.json"],
+    ["construct", "--kind", "antisym", "--da", "3", "--db", "3", "--out", "antisym.json"],
+    ["construct", "--kind", "random", "--da", "2", "--db", "3", "--dim", "2", "--seed", "4", "--out", "random.json"],
+    ["verify", "--basis", "flanders.json", "--mode", "sample", "--samples", "5", "--require", "eq", "--out", "sample.json"],
+    ["verify", "--basis", "geq.json", "--mode", "gfp", "--p", "3", "--out", "gfp.json"],
+    ["verify", "--basis", "random.json", "--mode", "sigma", "--r", "2", "--restarts", "2", "--iters", "20", "--out", "sigma.json"],
+    ["verify", "--basis", "geq.json", "--mode", "structural", "--samples", "3", "--seed", "2", "--out", "structural.json"],
+    ["bounds", "--da", "3", "--db", "4", "--grid", "--format", "json", "--out", "bounds.json"],
+    ["report", "--kind", "mixed", "--d", "6", "--p", "0.5", "--out", "mixed.json"],
+    ["report", "--kind", "random", "--da", "4", "--db", "5", "--k", "0.5", "--format", "json", "--out", "compare.json"],
+]
+
+
+def test_every_artifact_carries_its_flag_set_as_top_level_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in ARTIFACT_RUNS:
+        assert main(argv) in (0, 3, 4), argv
+        # --out names the artifact itself, and a report artifact is JSON whatever --format says.
+        unrecorded = {"command", "func", "out"} | ({"format"} if argv[0] == "report" else set())
+        flags = {k: v for k, v in vars(build_parser().parse_args(argv)).items() if k not in unrecorded}
+        doc = json.loads((tmp_path / argv[-1]).read_text())
+        assert doc["run"] == flags, argv
+        if argv[0] == "construct":
+            assert "metadata" not in doc
+        if argv[0] == "verify":
+            assert "run" not in doc["params"]
 
 
 class TestReproducibility:

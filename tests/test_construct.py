@@ -27,7 +27,7 @@ from entspan.construct import (
 from entspan import construct, statemat
 from entspan.errors import CertificateError, DimensionError, DomainError
 from entspan.statemat import COMPLEX, RATIONAL, StateMatrix, rank_exact, to_json
-from oracles import minor_rank, perm_det
+from oracles import diagonal_of, minor_rank, perm_det
 
 GRID = [
     (dA, dB, r)
@@ -127,11 +127,6 @@ class TestMinRankConstruction:
     def test_4x5_r3_dimension(self):
         assert construct_min_rank_subspace(4, 5, 3).dimension == 6
 
-    def test_tns_nodes_metadata(self):
-        meta = construct_min_rank_subspace(9, 9, 8).metadata
-        assert set(meta) == {"per_matrix", "tns_nodes"}
-        assert meta["tns_nodes"] == [str(x) for x in range(1, 10)]
-
     def test_r_out_of_range(self):
         with pytest.raises(DomainError):
             construct_min_rank_subspace(3, 3, 5)
@@ -152,14 +147,14 @@ class TestMinRankConstruction:
 
     def test_support_disjoint_across_diagonals(self):
         basis = construct_min_rank_subspace(4, 5, 2)
-        per = basis.metadata["per_matrix"]
         supports = {}
-        for meta, m in zip(per, basis.matrices):
+        for m in basis.matrices:
+            k = diagonal_of(m)
             cells = frozenset(
                 (i, j) for i in range(m.rows) for j in range(m.cols) if m.at(i, j) != 0
             )
-            supports.setdefault(meta["k"], set()).update(cells)
-            assert all(j - i == meta["k"] for i, j in cells)
+            supports.setdefault(k, set()).update(cells)
+            assert all(j - i == k for i, j in cells)
         ks = sorted(supports)
         for a in ks:
             for b in ks:
@@ -238,20 +233,11 @@ class TestSelfCheck:
         # The 3x3 r=2 basis with its two main-diagonal generators replaced;
         # a witness is a combination of the replacements with rank 1.
         first, *_, last = construct_min_rank_subspace(3, 3, 2).matrices
-        basis = SubspaceBasis(3, 3, 2, "user", (first, *map(StateMatrix.rational, main), last), {})
+        basis = SubspaceBasis(3, 3, 2, "user", (first, *map(StateMatrix.rational, main), last))
         if witness:
             assert rank_exact(basis.combination([0, *witness, 0])) == 1
         with pytest.raises(CertificateError, match=match):
             _self_check_rank_floor(basis, 2)
-
-    @pytest.mark.parametrize("labels", ["removed", "reversed"])
-    def test_reads_no_metadata(self, labels):
-        basis = construct_min_rank_subspace(5, 6, 3)
-        meta = dict(basis.metadata)
-        per_matrix = meta.pop("per_matrix")
-        if labels == "reversed":
-            meta["per_matrix"] = per_matrix[::-1]
-        _self_check_rank_floor(replace(basis, metadata=meta), 3)
 
     def test_zero_count_by_minor_rank_up_to_5(self):
         # The lemma the proof rests on, by brute force: on each diagonal any
@@ -362,7 +348,7 @@ class TestMaxRankConstruction:
     def test_tall_matrices_use_columns(self):
         basis = construct_max_rank_leq_subspace(5, 3, 2)
         assert basis.dimension == 10  # r * max(dA, dB)
-        assert basis.metadata["factor_side"] == "cols"
+        assert all(j < 2 for m in basis.matrices for i in range(5) for j in range(3) if m.at(i, j))
         rng = coeff_stream(35)
         for _ in range(100):
             coeffs = draw_coeffs(rng, 10)
@@ -371,6 +357,18 @@ class TestMaxRankConstruction:
     def test_r_out_of_range(self):
         with pytest.raises(DomainError):
             construct_max_rank_leq_subspace(3, 4, 4)
+
+    @pytest.mark.parametrize(
+        "build", [lambda: construct_max_rank_leq_subspace(4, 6, 2), antisymmetric_basis_3x3], ids=["flanders", "antisym"]
+    )
+    def test_units_written_as_ints(self, monkeypatch, build):
+        # Like the diagonal construction, no entry goes through the coercion of passed-in values.
+        def refuse(*args):
+            raise AssertionError(f"coerced {args!r:.60}")
+
+        monkeypatch.setattr(statemat, "_coerce_entry", refuse)
+        monkeypatch.setattr(statemat, "matrix_of_state", refuse)
+        assert all(m.denominator == 1 for m in build().matrices)
 
 
 class TestFixedRankConstruction:
@@ -441,7 +439,7 @@ class TestIndependence:
     def test_zero_matrix_rejected(self, field):
         matrices = tuple(StateMatrix.from_rows(rows, field) for rows in ([[1, 0], [0, 1]], [[0, 0], [0, 0]]))
         with pytest.raises(DomainError, match="not linearly independent"):
-            SubspaceBasis(2, 2, 2, "user", matrices, {})
+            SubspaceBasis(2, 2, 2, "user", matrices)
 
 
 class TestStackRank:
@@ -457,7 +455,7 @@ class TestStackRank:
 
         monkeypatch.setattr(statemat, "bareiss", counting)
         assert basis_stack_rank(basis) == basis.dimension
-        labels = [m["k"] for m in basis.metadata["per_matrix"]]
+        labels = [diagonal_of(m) for m in basis.matrices]
         assert sorted(calls) == sorted(labels.count(k) for k in set(labels))
 
     def test_dependency_inside_one_block_rejected(self):
@@ -592,7 +590,7 @@ class TestBasisJson:
 
     def test_keys_match_schema(self):
         d = to_json(antisymmetric_basis_3x3())
-        assert set(d) == {"da", "db", "r", "kind", "field", "matrices", "metadata"}
+        assert set(d) == {"da", "db", "r", "kind", "field", "matrices"}
 
     def test_complex_round_trip(self):
         basis = random_subspace(2, 3, 4, seed=9)

@@ -51,20 +51,20 @@ CASES = [
 ]
 
 GOLDEN = {
-    "construct_geq": (0, 'e8906ad25577c6f7a80809b8068ecde0cff642cc17ebe256a04b5966c95f71f3'),
-    "construct_flanders": (0, '1cea7759f2bb7c2f2cb817ec9c2bb151afa6ec779023023bc8fc4b453186e935'),
-    "construct_fixed": (0, '9978f1cedda5a3394b15388cd8373b138f56fb4cd94d784ab0d2bbe45d5fabb6'),
-    "construct_antisym": (0, 'db2e34a64c0594149d6322eab74926530f03ac8c0d488021ebbd8197d3e5d878'),
-    "construct_geq_small": (0, '1758319784c0b51c4c6cd7379689da215dedde3d1b8082df43f25154fee20bd6'),
-    "construct_geq_8x8": (0, '6bb05fa4de3d1897038cd0fa7802c6b8e3318d71eec12fedd9c19c51337cebac'),
-    "construct_geq_16x16": (0, '5041c41c75d7b9e74811934894645ded6fefdd7acb106c09f16a7618b92766ff'),
-    "verify_sample": (0, '0871ea88cf8b4ae8a7b587022b40bc9e2f1a130e4cce2cd388caf1cbefe998c2'),
-    "verify_sample_refuted": (3, 'ea5e01c1838903eff94c2c37ca3a93dd436635e0bd3f8e42b95118eef4f10b11'),
-    "verify_sample_fractional": (3, '4a6a29f50ce8040bd2c9d2eb07db1fe226069e3c6126b011d4c5f47af77d532b'),
-    "verify_structural": (0, 'bf5c843a8748a2e73be072bf1a3a1f4d5920df00d294852248e9eb3ca14ced84'),
-    "verify_gfp": (0, '286a9d4be816fafa3b902f71d6449617b6dd1741d4dada4bde3221ea8ec3645c'),
-    "verify_gfp_inconclusive": (4, '83d8e2502b72372f959dd62d926599592b462b47279993dee7fb38d12b338f73'),
-    "bounds_grid": (0, 'b9c9e83351256096344e1c2e01eb6f26a595b2ff9b12c08e9dcaa8ef469b056f'),
+    "construct_geq": (0, '56a43107696524644837fa061bdb84774cd58c4beaed7637f4ca30a87423f856'),
+    "construct_flanders": (0, '204d7c27b47d60b2547a54a44ba91d566888e5426d30413fa14fe918242ced7c'),
+    "construct_fixed": (0, '3420185cc137412d023ca70e97cc055b471688cd6b73da52492c1a334e8fc552'),
+    "construct_antisym": (0, '52303b8a87df4eb828562c33497f687a0c70b03f8d0152a3dbaae483c164204e'),
+    "construct_geq_small": (0, '00ab397ba55d13a86a212dca8fc0f636357d6ad2613c1ea68550f4219a4e6720'),
+    "construct_geq_8x8": (0, '9c592061ce1db3ba6988915ec03717bd92de1b49cc6523baec875574644be5f1'),
+    "construct_geq_16x16": (0, '0ca7dbf6802ad77388c8db126f026c0d024e754c0103a0e1291d26b4cc5dd93e'),
+    "verify_sample": (0, '0b5823132b47212e3d008ce96a0ebfee3ebef6a05588da861a50f2bd555b49e1'),
+    "verify_sample_refuted": (3, '0fefc5b749ce58f137589ed3337d696aa127712a8aeea60cb765ad293924d53c'),
+    "verify_sample_fractional": (3, '0520beaa715a331e65328116b7afd9b502e5b954bfa149af833ce2445a4aea25'),
+    "verify_structural": (0, '0dff5222ef63815ff4ec07005bdeac4b0f93c194a8d252c2f8e054ab5b1226ff'),
+    "verify_gfp": (0, '1a16e6bc62b383925e25d714395d839bc36bbae85fac9690b2421eac274af005'),
+    "verify_gfp_inconclusive": (4, '6f386475000a0971c8a636aa509b5e4533f6312371f83a2b86da45127896e7d3'),
+    "bounds_grid": (0, '8c6ae6e25cd291c6f5cc475ebb22b4ccba8874182f728331958417d0dc8ce7a1'),
     "report_mixed": (0, '35df22fbec65d4fcf9cf82cfdcb862ae75a7dfcb009dcae367df459184cbbb54'),
     "report_random": (0, '9b755df08796b73d2a015bbb23c72cc83be8e9f62f8e9e3d4d5b4662b6fc4141'),
 }
@@ -99,16 +99,21 @@ def test_artifact_bytes_are_pinned(artifacts, name, capsys):
 
 @pytest.mark.parametrize("tamper", ["removed", "shuffled"])
 def test_structural_bytes_ignore_diagonal_labels(tmp_path, monkeypatch, capsys, tamper):
-    # Certificates read each diagonal from the combination, so the
-    # metadata.per_matrix labels cannot change the structural artifact.
+    # Certificates read each diagonal from the combination and a loaded basis
+    # ignores a metadata key, so the per-matrix diagonal labels that the builder
+    # no longer writes ("removed"), put back in order or reversed ("shuffled"),
+    # cannot change the structural artifact.
     monkeypatch.chdir(tmp_path)
     cases = dict(CASES)
     assert main(cases["construct_geq"]) == 0
     doc = json.loads((tmp_path / "geq.json").read_text())
-    labels = doc["metadata"].pop("per_matrix")
-    if tamper == "shuffled":
-        doc["metadata"]["per_matrix"] = labels[::-1]
-        assert doc["metadata"]["per_matrix"] != labels
+    labels = [
+        {"k": cell % doc["db"] - cell // doc["db"]}
+        for m in doc["matrices"]
+        for cell in [next(n for n, v in enumerate(m["entries"]) if v != "0/1")]
+    ]
+    doc["metadata"] = {"per_matrix": labels[::-1] if tamper == "shuffled" else labels}
+    assert labels[::-1] != labels
     (tmp_path / "geq.json").write_text(json.dumps(doc))
     argv = cases["verify_structural"]
     code = main(argv)

@@ -154,7 +154,7 @@ class TestSigmaDescent:
 def _units_basis():
     """E00, E01 and E10: rank-1 elements abound, so descents at r=2 end at different iterations."""
     units = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]
-    return SubspaceBasis(2, 2, None, "user", tuple(StateMatrix.rational(m) for m in units), {})
+    return SubspaceBasis(2, 2, None, "user", tuple(StateMatrix.rational(m) for m in units))
 
 
 class TestSigmaDescentLanes:

@@ -81,7 +81,7 @@ class TestSigmaSearch:
         )
         assume(np.linalg.matrix_rank(np.array(rows)) == dim)
         matrices = tuple(StateMatrix.rational([row[i * dB : (i + 1) * dB] for i in range(dA)]) for row in rows)
-        basis = SubspaceBasis(dA, dB, None, "user", matrices, {})
+        basis = SubspaceBasis(dA, dB, None, "user", matrices)
         _, _, report = minimize_sigma_r(basis, r, restarts=restarts, iters=iters, seed=seed)
         got = (report.verdict, report.min_sigma_r, report.witnesses, report.params["restarts_run"])
         assert got == _sequential_sigma(basis, r, restarts, iters, seed)
@@ -227,4 +227,4 @@ class TestCliFuzz:
             assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
         else:
             assert code in (0, 3, 4) and err.getvalue() == ""
-            assert json.loads(out_path.read_text())["params"]["run"]["mode"] == mode
+            assert json.loads(out_path.read_text())["run"]["mode"] == mode

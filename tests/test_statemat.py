@@ -69,6 +69,12 @@ class TestSchmidtRankNumeric:
         m = StateMatrix.zero(3, 2, COMPLEX)
         assert schmidt_rank_numeric(m).rank == 0
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+    def test_tolerance_outside_0_inf_refused(self, tol):
+        # NaN and inf passed a "tol <= 0" test and gave the identity rank 0.
+        with pytest.raises(DomainError, match="positive and finite"):
+            schmidt_rank_numeric(StateMatrix.complex_([[1, 0], [0, 1]]), tol)
+
     def test_nonfinite_entries(self):
         with pytest.raises(NumericError):
             StateMatrix.complex_([[1, float("inf")], [0, 1]])

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from entspan import _kernels
 from entspan.construct import (
     antisymmetric_basis_3x3,
+    basis_from_json_dict,
     coeff_stream,
     construct_max_rank_leq_subspace,
     construct_min_rank_subspace,
@@ -36,21 +36,21 @@ from entspan.verify import (
     structural_certificate,
     structural_verify,
 )
-from oracles import minor_rank, perm_det
+from oracles import diagonal_of, minor_rank, perm_det
 
 
 def _single_matrix_basis(matrix, r=2):
     from entspan.construct import SubspaceBasis
 
-    return SubspaceBasis(matrix.rows, matrix.cols, r, "user", (matrix,), {})
+    return SubspaceBasis(matrix.rows, matrix.cols, r, "user", (matrix,))
 
 
 class TestStructuralCertificate:
     def test_unit_vector_on_length3_diagonal(self):
         basis = construct_min_rank_subspace(3, 3, 2)
         idx = next(
-            i for i, meta in enumerate(basis.metadata["per_matrix"])
-            if meta["k"] == 0 and meta["tns_column"] == 0
+            n for n, m in enumerate(basis.matrices)
+            if diagonal_of(m) == 0 and all(m.at(i, i) == 1 for i in range(3))
         )
         coeffs = [0] * basis.dimension
         coeffs[idx] = 1
@@ -91,20 +91,23 @@ class TestStructuralCertificate:
 
     def test_kappa_is_max_used_diagonal(self):
         basis = construct_min_rank_subspace(3, 4, 2)
-        per = basis.metadata["per_matrix"]
-        lowest = min(range(basis.dimension), key=lambda i: per[i]["k"])
-        highest = max(range(basis.dimension), key=lambda i: per[i]["k"])
+        ks = [diagonal_of(m) for m in basis.matrices]
+        lowest = min(range(basis.dimension), key=ks.__getitem__)
+        highest = max(range(basis.dimension), key=ks.__getitem__)
         coeffs = [0] * basis.dimension
         coeffs[lowest] = 3
         coeffs[highest] = -2
         cert = structural_certificate(basis, coeffs)
-        assert cert.kappa == per[highest]["k"]
+        assert cert.kappa == ks[highest]
 
     def test_labels_are_not_read(self):
+        # A loaded file's metadata.per_matrix labels, reversed here, are ignored.
         basis = construct_min_rank_subspace(4, 5, 3)
-        unlabelled = replace(basis, metadata={})
+        labels = [{"k": diagonal_of(m)} for m in reversed(basis.matrices)]
+        labelled = basis_from_json_dict({**to_json(basis), "metadata": {"per_matrix": labels}})
         coeffs = [(-1) ** i * (i % 4) for i in range(basis.dimension)]
-        assert structural_certificate(unlabelled, coeffs) == structural_certificate(basis, coeffs)
+        assert labelled == basis
+        assert structural_certificate(labelled, coeffs) == structural_certificate(basis, coeffs)
 
     def test_rejects_wrong_kind(self):
         with pytest.raises(DomainError):
@@ -224,7 +227,7 @@ class TestGfpExhaustive:
         b = StateMatrix.rational([[1, 0], [0, 4]])
         from entspan.construct import SubspaceBasis
 
-        basis = SubspaceBasis(2, 2, 2, "user", (a, b), {})
+        basis = SubspaceBasis(2, 2, 2, "user", (a, b))
         with pytest.raises(DomainError, match="independence"):
             gfp_exhaustive_min_rank(basis, 3)
 
@@ -318,7 +321,7 @@ def _e00_basis():
 
     matrices = list(construct_min_rank_subspace(3, 3, 2).matrices)
     matrices[1] = StateMatrix.rational([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    return SubspaceBasis(3, 3, None, "user", tuple(matrices), {})
+    return SubspaceBasis(3, 3, None, "user", tuple(matrices))
 
 
 def _sequential_sigma(basis, r, restarts, iters, seed, tol=SIGMA_TOL):
@@ -414,7 +417,6 @@ class TestMinimizeSigmaR:
         basis = SubspaceBasis(
             3, 3, None, "user",
             (StateMatrix.complex_(rank1.tolist()), StateMatrix.complex_(other.tolist())),
-            {},
         )
         _, value, report = minimize_sigma_r(basis, 2, restarts=8, iters=200, seed=0)
         assert value < 1e-8
@@ -455,7 +457,6 @@ class TestMinimizeSigmaR:
             scaled = SubspaceBasis(
                 basis.dA, basis.dB, None, "user",
                 tuple(StateMatrix(m.rows, m.cols, m.field, tuple(z * 2.0**shift for z in m.entries)) for m in basis.matrices),
-                {},
             )
             _, _, plain = minimize_sigma_r(basis, 2, restarts=4, iters=100, seed=0)
             _, _, big = minimize_sigma_r(scaled, 2, restarts=4, iters=100, seed=0)
@@ -478,7 +479,7 @@ class TestMinimizeSigmaR:
 
         units = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]
         matrices = tuple(StateMatrix.rational([[v * scale for v in row] for row in m]) for m in units)
-        basis = SubspaceBasis(2, 2, None, "user", matrices, {})
+        basis = SubspaceBasis(2, 2, None, "user", matrices)
         _, _, report = minimize_sigma_r(basis, 2, restarts=8, iters=100, seed=0)
         assert report.verdict == VERDICT_REFUTED
         assert report.witnesses[0].rank_found == 1
@@ -535,7 +536,7 @@ class TestMinimizeSigmaR:
         from entspan.construct import SubspaceBasis
 
         units = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]
-        basis = SubspaceBasis(2, 2, None, "user", tuple(StateMatrix.rational(m) for m in units), {})
+        basis = SubspaceBasis(2, 2, None, "user", tuple(StateMatrix.rational(m) for m in units))
         runs = _record_targets(monkeypatch)
         _, _, report = minimize_sigma_r(basis, 2, restarts=8, iters=100, seed=0)
         assert report.verdict == VERDICT_REFUTED
@@ -548,7 +549,7 @@ class TestMinimizeSigmaR:
         from entspan.construct import SubspaceBasis
 
         m1, m2 = StateMatrix.rational([[2**600, 0], [0, 1]]), StateMatrix.rational([[0, 0], [0, 1]])
-        basis = SubspaceBasis(2, 2, None, "user", (m1, m2), {})
+        basis = SubspaceBasis(2, 2, None, "user", (m1, m2))
         x = np.array([np.linalg.norm(unit_scaled(m)[0]) * 2.0 ** (unit_scaled(m)[1] - 601) for m in (m1, m2)])
         x = x * np.array([1, -1]) * np.exp(1.5707j)  # real parts near 0 until turned
         assert _exact_drop(basis, x, 2)
