@@ -46,7 +46,8 @@ _KIND_FLAGS = {
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """One line of compact JSON with sorted keys; without an indent, json runs its C encoder."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @contextlib.contextmanager

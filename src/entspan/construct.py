@@ -169,17 +169,19 @@ class SubspaceBasis:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise DomainError(f"unknown basis kind {self.kind!r}")
+            raise DomainError(f"unknown basis kind {self.kind!r:.60}")
         if not (_is_int(self.dA) and _is_int(self.dB)):
-            raise DimensionError(f"basis dimensions must be integers, got {self.dA!r}x{self.dB!r}")
+            raise DimensionError(f"basis dimensions must be integers, got {self.dA!r:.60}x{self.dB!r:.60}")
         if self.r is not None and not (_is_int(self.r) and self.r >= 1):
-            raise DomainError(f"rank threshold must be a positive integer, got {self.r!r}")
+            raise DomainError(f"rank threshold must be a positive integer, got {self.r!r:.60}")
         if not self.matrices:
             raise DimensionError("a basis needs at least one matrix")
         head = self.matrices[0]
         for m in self.matrices:
             if (m.rows, m.cols) != (self.dA, self.dB):
-                raise DimensionError(f"basis is {self.dA}x{self.dB} but found a {m.rows}x{m.cols} matrix")
+                raise DimensionError(
+                    f"basis is {self.dA!r:.60}x{self.dB!r:.60} but found a {m.rows!r:.60}x{m.cols!r:.60} matrix"
+                )
             if m.field != head.field:
                 raise FieldMismatchError("basis matrices must share one field")
         rank = basis_stack_rank(self)
@@ -219,13 +221,12 @@ def _self_check_rank_floor(basis: SubspaceBasis, r: int) -> None:
     of them head a triangular nonzero minor (every entry above that diagonal
     is zero).
     """
-    families: dict[int, list[dict[int, Fraction]]] = {}
+    families: dict[int, list[StateMatrix]] = {}
     for n, m in enumerate(basis.matrices):
-        cells = {idx: Fraction(v, m.denominator) for idx, v in m._nonzero}
-        ks = {idx % basis.dB - idx // basis.dB for idx in cells}
+        ks = {idx % basis.dB - idx // basis.dB for idx, _ in m._nonzero}
         if len(ks) != 1:
             raise CertificateError(f"matrix {n} is not on one diagonal: it has cells on diagonals {sorted(ks)}")
-        families.setdefault(ks.pop(), []).append(cells)
+        families.setdefault(ks.pop(), []).append(m)
     for diag in diagonals(basis.dA, basis.dB):
         family = families.get(diag.k)
         if not family:
@@ -236,14 +237,16 @@ def _self_check_rank_floor(basis: SubspaceBasis, r: int) -> None:
                 f"more than {max(0, diag.length - r + 1)}"
             )
         flat = [row * basis.dB + col for row, col in diag.cells]
-        nodes = [family[1].get(idx, 0) for idx in flat] if len(family) > 1 else []
+        # Node i is nodes[i] / scale, read off the second matrix; node i to the t is powers[i] / scale**t.
+        nodes, scale = ([family[1].entries[idx] for idx in flat], family[1].denominator) if len(family) > 1 else ([], 1)
         if len(set(nodes)) != len(nodes):
-            raise CertificateError(f"diagonal {diag.k} repeats a node: {', '.join(map(str, nodes))}")
-        powers = [1] * diag.length
-        for t, cells in enumerate(family):
-            if cells != {idx: v for idx, v in zip(flat, powers) if v}:
+            raise CertificateError(f"diagonal {diag.k} repeats a node: {', '.join(str(Fraction(x, scale)) for x in nodes)}")
+        powers, power_scale = [1] * diag.length, 1
+        for t, m in enumerate(family):
+            # Every cell of m lies on this diagonal, so m reads node**t iff each cross-multiplied pair agrees.
+            if [m.entries[idx] * power_scale for idx in flat] != [v * m.denominator for v in powers]:
                 raise CertificateError(f"diagonal {diag.k}: its matrix {t} does not read node**{t} down the diagonal")
-            powers = [v * x for v, x in zip(powers, nodes)]
+            powers, power_scale = [v * x for v, x in zip(powers, nodes)], power_scale * scale
 
 
 def default_tns(m: int) -> StateMatrix:
@@ -343,5 +346,6 @@ def basis_from_json_dict(d: dict) -> SubspaceBasis:
         raise DomainError(f"basis object missing key {exc}") from None
     if not isinstance(matrices, list):
         raise DomainError("basis 'matrices' must be a list")
-    matrices = tuple(matrix_from_json_dict(md) for md in matrices)
+    decoded: dict = {}  # entry text -> value, for this basis only
+    matrices = tuple(matrix_from_json_dict(md, decoded) for md in matrices)
     return SubspaceBasis(dA, dB, d.get("r"), kind, matrices)

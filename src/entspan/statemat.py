@@ -110,12 +110,12 @@ class StateMatrix:
 
     def __post_init__(self):
         if not (_is_int(self.rows) and _is_int(self.cols)) or self.rows < 1 or self.cols < 1:
-            raise DimensionError(f"need positive dimensions, got {self.rows}x{self.cols}")
+            raise DimensionError(f"need positive dimensions, got {self.rows!r:.60}x{self.cols!r:.60}")
         if self.field not in _FIELDS:
-            raise DomainError(f"unknown field {self.field!r}")
+            raise DomainError(f"unknown field {self.field!r:.60}")
         if len(self.entries) != self.rows * self.cols:
             raise DimensionError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(self.entries)}"
+                f"{self.rows!r:.60}x{self.cols!r:.60} matrix needs one entry per cell, got {len(self.entries)} entries"
             )
         d = self.denominator
         if self.field == RATIONAL:
@@ -462,7 +462,8 @@ def _decode_entry(value, field: str):
     return z
 
 
-def matrix_from_json_dict(d: dict) -> StateMatrix:
+def matrix_from_json_dict(d: dict, decoded: dict | None = None) -> StateMatrix:
+    """Decode a matrix object; ``decoded`` maps entry texts to values, and a basis shares one among its matrices."""
     if not isinstance(d, dict):
         raise DomainError("a matrix must be a JSON object")
     try:
@@ -471,16 +472,24 @@ def matrix_from_json_dict(d: dict) -> StateMatrix:
     except KeyError as exc:
         raise DomainError(f"matrix object missing key {exc}") from None
     if field not in _FIELDS:
-        raise DomainError(f"unknown field {field!r}")
+        raise DomainError(f"unknown field {field!r:.60}")
     if not isinstance(entries, list):
         raise DomainError("matrix 'entries' must be a list")
     if field != RATIONAL:
         return StateMatrix(rows, cols, field, tuple(_decode_entry(v, field) for v in entries))
-    # Each distinct text decodes once (most cells of a constructed basis read "0/1").
-    decoded = {}
-    for v in entries:
-        if type(v) is not str or v not in decoded:
+    if not set(map(type, entries)) <= {str}:
+        # Only texts share ``decoded``: True and 1.0 hash and compare equal to 1.  The other
+        # entries decode one by one, and the first that is no int raises.
+        for v in entries:
+            if type(v) is not str:
+                _decode_entry(v, field)
+    # Each distinct text decodes once per ``decoded`` (most cells of a constructed basis read "0/1").
+    decoded = {} if decoded is None else decoded
+    own = set(entries)
+    for v in own.difference(decoded):
+        if type(v) is str:
             decoded[v] = _decode_entry(v, field)
-    d = math.lcm(*[f.denominator for f in decoded.values()])
-    scaled = {v: f.numerator * (d // f.denominator) for v, f in decoded.items()}
+    values = {v: decoded.get(v, v) for v in own}  # an int stands for itself
+    d = math.lcm(*[f.denominator for f in values.values()])
+    scaled = {v: f.numerator * (d // f.denominator) for v, f in values.items()}
     return StateMatrix(rows, cols, field, tuple(map(scaled.__getitem__, entries)), d)

@@ -343,15 +343,25 @@ class TestBadInput:
         assert (tmp_path / "geq.json").read_bytes() == (tmp_path / "default.json").read_bytes()
 
     @pytest.mark.parametrize(
-        "field, entry, mode",
-        [("rational", "1." + "0" * 5000, "sample"), ("complex", ["x" * 5000, 0], "sigma")],
-        ids=["rational", "complex"],
+        "doc, mode",
+        [
+            (_user_basis("rational", ["1." + "0" * 5000, 0, 0, 0]), "sample"),
+            (_user_basis("complex", [["x" * 5000, 0], [0, 0], [0, 0], [0, 0]]), "sigma"),
+            ({**_RANK_ONE, "kind": "x" * 5000}, "sample"),
+            ({**_RANK_ONE, "da": "x" * 5000}, "sample"),
+            ({**_RANK_ONE, "da": 10**4000}, "sample"),
+            ({**_RANK_ONE, "r": "x" * 5000}, "sample"),
+            (_user_basis("x" * 5000, [1, 0, 0, 1]), "sample"),
+            ({**_RANK_ONE, "matrices": [{**_RANK_ONE["matrices"][0], "rows": "x" * 5000}]}, "sample"),
+            # A cell count past Python's 4300-digit limit on int-to-str conversion: a ValueError traceback.
+            ({**_RANK_ONE, "matrices": [{**_RANK_ONE["matrices"][0], "rows": 10**4000, "cols": 10**4000}]}, "sample"),
+        ],
+        ids=["rational", "complex", "kind", "da", "da_of_4001_digits", "r", "field", "rows", "cells_past_digit_limit"],
     )
-    def test_long_malformed_entry_quoted_short(self, capsys, tmp_path, field, entry, mode):
-        # The refusal echoed the whole entry: a stderr line of over 5000 characters.
+    def test_long_malformed_entry_quoted_short(self, capsys, tmp_path, doc, mode):
+        # Each refusal echoed the whole value: a stderr line of over 4000 characters.
         basis_path, out_path = tmp_path / "basis.json", tmp_path / "rep.json"
-        zero = 0 if field == "rational" else [0, 0]
-        basis_path.write_text(json.dumps(_user_basis(field, [entry, zero, zero, zero])))
+        basis_path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "verify", "--basis", str(basis_path), "--mode", mode, "--out", str(out_path))
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and len(err) < 200 and err.startswith("error: ")
@@ -366,6 +376,51 @@ class TestBadInput:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out_path.exists()
+
+
+#: Rational entries that are neither text nor int, each in one matrix and split across two:
+#: the second matrix's bool or float hashes and compares equal to an int entry of the first.
+#: Read as that int, every basis here is independent and would pass.
+NON_TEXT_ENTRIES = {
+    "int_and_true": ([[1, True, 0, 1]], [[1, 0, 0, 1], [0, True, 0, 0]]),
+    "int_and_float": ([[1, 1.0, 0, 1]], [[1, 0, 0, 1], [0, 1.0, 0, 0]]),
+    "text_and_true": ([["1", True, "0", "1"]], [[1, "0", "0", "1"], ["0", True, "0", "0"]]),
+    "text_and_false": ([["0/1", False, "1", "1"]], [["0/1", 0, "1", "0/1"], ["1", False, "0/1", "0/1"]]),
+}
+
+
+@pytest.mark.parametrize("layout", [0, 1], ids=["one_matrix", "two_matrices"])
+@pytest.mark.parametrize("case", sorted(NON_TEXT_ENTRIES))
+def test_non_text_entries_never_share_a_decode(capsys, tmp_path, case, layout):
+    entries = NON_TEXT_ENTRIES[case][layout]
+    flags = ["--mode", "sample", "--r", "1", "--samples", "3"]
+    for doc, expected in [
+        ({**_RANK_ONE, "matrices": [{**_RANK_ONE["matrices"][0], "entries": e} for e in entries]}, 2),
+        # The same basis with each bool and float written as its int loads and verifies.
+        ({**_RANK_ONE, "matrices": [
+            {**_RANK_ONE["matrices"][0], "entries": [int(v) if type(v) in (bool, float) else v for v in e]}
+            for e in entries
+        ]}, 0),
+    ]:
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "verify", "--basis", str(basis_path), *flags, "--out", str(tmp_path / "rep.json"))
+        assert code == expected, doc
+        if expected == 2:
+            assert err.count("\n") == 1 and err.startswith("error: bad rational entry ")
+
+
+def test_no_load_outlives_its_call(capsys, tmp_path):
+    # A path rewritten with a dependent basis between two calls in one process is read afresh.
+    basis_path = tmp_path / "basis.json"
+    argv = ["verify", "--basis", str(basis_path), "--mode", "sample", "--r", "1", "--samples", "3",
+            "--out", str(tmp_path / "rep.json")]
+    for second, expected in [([0, 1, 0, 0], 0), (["2", 0, 0, "2"], 2)]:
+        matrices = [{**_RANK_ONE["matrices"][0], "entries": e} for e in ([1, 0, 0, 1], second)]
+        basis_path.write_text(json.dumps({**_RANK_ONE, "matrices": matrices}))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == expected
+    assert err == "error: basis is not linearly independent: stack rank 1 != 2\n"
 
 
 def test_sigma_on_ill_conditioned_rational_basis_exits_4(capsys, tmp_path):
@@ -725,6 +780,39 @@ def test_every_artifact_carries_its_flag_set_as_top_level_run(capsys, tmp_path, 
             assert "metadata" not in doc
         if argv[0] == "verify":
             assert "run" not in doc["params"]
+
+
+def _compact(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_every_artifact_is_one_line_of_compact_json(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in ARTIFACT_RUNS:
+        main(argv)
+        text = (tmp_path / argv[-1]).read_text()
+        assert text == _compact(text), argv
+    for argv in (["bounds", "--da", "3", "--db", "4", "--grid", "--format", "json"],
+                 ["report", "--kind", "random", "--da", "4", "--db", "5", "--k", "0.5", "--format", "json"]):
+        capsys.readouterr()
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert text == _compact(text), argv
+
+
+@pytest.mark.parametrize("mode", ["sample", "structural"])
+def test_indented_basis_still_loads(capsys, tmp_path, monkeypatch, mode):
+    # Artifacts were written with indent=2 before they were compact; a basis in that layout
+    # gives the same report, whose run repeats its path.
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "--da", "4", "--db", "5", "--r", "3", "--out", "new.json"]) == 0
+    text = (tmp_path / "new.json").read_text()
+    (tmp_path / "old.json").write_text(json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n")
+    reports = []
+    for name in ("new", "old"):
+        assert main(["verify", "--basis", f"{name}.json", "--mode", mode, "--samples", "5", "--out", f"{name}_rep.json"]) == 0
+        reports.append((tmp_path / f"{name}_rep.json").read_text())
+    assert reports[1] == reports[0].replace('"basis":"new.json"', '"basis":"old.json"') != reports[0]
 
 
 class TestReproducibility:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -238,6 +239,24 @@ class TestSelfCheck:
             assert rank_exact(basis.combination([0, *witness, 0])) == 1
         with pytest.raises(CertificateError, match=match):
             _self_check_rank_floor(basis, 2)
+
+    @pytest.mark.parametrize(
+        "squares, holds",
+        [(["1/4", 1, "9/4"], True), (["1/2", 2, "9/2"], False), ([1, 4, 9], False)],
+        ids=["powers", "scaled_powers", "integer_squares"],
+    )
+    def test_rational_nodes(self, squares, holds):
+        # Nodes 1/2, 1, 3/2 on the 3x3 main diagonal: the third matrix must read their
+        # squares, whose denominator differs from the nodes'.
+        diagonal = [["1/2", 1, "3/2"], squares]
+        main = [ONES, *([[v if i == j else 0 for j in range(3)] for i, v in enumerate(d)] for d in diagonal)]
+        matrices = tuple(StateMatrix.rational([[Fraction(v) for v in row] for row in m]) for m in main)
+        basis = SubspaceBasis(3, 3, 1, "user", matrices)
+        if holds:
+            _self_check_rank_floor(basis, 1)
+        else:
+            with pytest.raises(CertificateError, match=r"diagonal 0: its matrix 2 does not read node\*\*2"):
+                _self_check_rank_floor(basis, 1)
 
     def test_zero_count_by_minor_rank_up_to_5(self):
         # The lemma the proof rests on, by brute force: on each diagonal any

@@ -51,34 +51,34 @@ CASES = [
 ]
 
 GOLDEN = {
-    "construct_geq": (0, '56a43107696524644837fa061bdb84774cd58c4beaed7637f4ca30a87423f856'),
-    "construct_flanders": (0, '204d7c27b47d60b2547a54a44ba91d566888e5426d30413fa14fe918242ced7c'),
-    "construct_fixed": (0, '3420185cc137412d023ca70e97cc055b471688cd6b73da52492c1a334e8fc552'),
-    "construct_antisym": (0, '52303b8a87df4eb828562c33497f687a0c70b03f8d0152a3dbaae483c164204e'),
-    "construct_geq_small": (0, '00ab397ba55d13a86a212dca8fc0f636357d6ad2613c1ea68550f4219a4e6720'),
-    "construct_geq_8x8": (0, '9c592061ce1db3ba6988915ec03717bd92de1b49cc6523baec875574644be5f1'),
-    "construct_geq_16x16": (0, '0ca7dbf6802ad77388c8db126f026c0d024e754c0103a0e1291d26b4cc5dd93e'),
-    "verify_sample": (0, '0b5823132b47212e3d008ce96a0ebfee3ebef6a05588da861a50f2bd555b49e1'),
-    "verify_sample_refuted": (3, '0fefc5b749ce58f137589ed3337d696aa127712a8aeea60cb765ad293924d53c'),
-    "verify_sample_fractional": (3, '0520beaa715a331e65328116b7afd9b502e5b954bfa149af833ce2445a4aea25'),
-    "verify_structural": (0, '0dff5222ef63815ff4ec07005bdeac4b0f93c194a8d252c2f8e054ab5b1226ff'),
-    "verify_gfp": (0, '1a16e6bc62b383925e25d714395d839bc36bbae85fac9690b2421eac274af005'),
-    "verify_gfp_inconclusive": (4, '6f386475000a0971c8a636aa509b5e4533f6312371f83a2b86da45127896e7d3'),
-    "bounds_grid": (0, '8c6ae6e25cd291c6f5cc475ebb22b4ccba8874182f728331958417d0dc8ce7a1'),
-    "report_mixed": (0, '35df22fbec65d4fcf9cf82cfdcb862ae75a7dfcb009dcae367df459184cbbb54'),
-    "report_random": (0, '9b755df08796b73d2a015bbb23c72cc83be8e9f62f8e9e3d4d5b4662b6fc4141'),
+    "construct_geq": (0, '5cf4adadcb8c36b15b818fc5f71effaa92b6d9b606fe6c897569c9f5affbcb96'),
+    "construct_flanders": (0, 'b304e550f7c7bc77451a1c6b2cc2e20735dc0752fd93131f2d480f8d6f2021bf'),
+    "construct_fixed": (0, '7d4246ec22fd93abf6d839d6bdf293a4ddc60c082ba9a61703d0bef64d12b266'),
+    "construct_antisym": (0, '49d2a4a23f9c0b2d577a0c919c89b9bb3387eeccf76b52eded315ad86a66f58f'),
+    "construct_geq_small": (0, '4e3056529ddfb230aa777346e6c3ae4b13769622bbbcfebe9cd87a1cdc73501f'),
+    "construct_geq_8x8": (0, '39141cd36e6c54027d0fc1bcffdff6193ae14b5ad95124a03a9d35de86b14198'),
+    "construct_geq_16x16": (0, 'fcfcd04f1d32e55a5cfa6ca3da315a442f4acde82362f3235b74e171ef7d5163'),
+    "verify_sample": (0, '545878255a118dc827944b5131737b7074b60cbb550140be1798b5b3cd88ee7a'),
+    "verify_sample_refuted": (3, '68939abf1d85bca65ecdf2b7b1c96c94a43e04dfc62753a76438a8c54e104d49'),
+    "verify_sample_fractional": (3, 'd7427b287d6c45801ef8694fb50a039159dcf3c606f53a57388c072a183cf04c'),
+    "verify_structural": (0, '544cba2b6a9bbaf2dff8d1c7bf484e3f48dc339b30f38d02f2d247da7dc5bd71'),
+    "verify_gfp": (0, '2250748496d22c909dac62470373ef31e21edf56a2424202b98949adbfe61a01'),
+    "verify_gfp_inconclusive": (4, 'e48857e1b74c4811fb5f35773aad7b3f21e84be643a600a1ded0b23b66e1297e'),
+    "bounds_grid": (0, 'fe3ffdcef82e1d9532ed96349d100d2575c6494e1fb2964789b8454f74926d9b'),
+    "report_mixed": (0, 'afb1cb51474a25effac77040d65db2105d9e2fd13ea6228c76702478431f39f7'),
+    "report_random": (0, '694c19658772c561bf45b04eae4dd2d4c1214cc5dc54719f4d5d2030fe106ced'),
 }
 
 
 def run_cases(directory, monkeypatch):
-    """Run every case in ``directory``; return {name: (exit code, sha256)}."""
+    """Run every case in ``directory``; return {name: (exit code, sha256, artifact text)}."""
     monkeypatch.chdir(directory)
     (directory / "frac.json").write_text(json.dumps(FRACTIONAL_BASIS))
     out = {}
     for name, argv in CASES:
         code = main(argv)
-        digest = hashlib.sha256((directory / argv[argv.index("--out") + 1]).read_bytes()).hexdigest()
-        out[name] = (code, digest)
+        data = (directory / argv[argv.index("--out") + 1]).read_bytes()
+        out[name] = (code, hashlib.sha256(data).hexdigest(), data.decode())
     return out
 
 
@@ -94,7 +94,13 @@ def artifacts(tmp_path_factory):
 @pytest.mark.parametrize("name", [name for name, _ in CASES])
 def test_artifact_bytes_are_pinned(artifacts, name, capsys):
     capsys.readouterr()
-    assert artifacts[name] == GOLDEN[name]
+    assert artifacts[name][:2] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CASES])
+def test_artifact_is_one_line_of_compact_json(artifacts, name):
+    text = artifacts[name][2]
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize("tamper", ["removed", "shuffled"])

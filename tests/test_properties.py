@@ -128,8 +128,11 @@ class TestJson:
         assert math.gcd(m.denominator, *m.entries) == 1
 
 
+#: Long values that a refusal must not echo whole: text, digits past Python's int digit limit, a 4001-digit int.
+LONG_VALUES = st.sampled_from(["x" * 5000, "1" * 5000, "1/" + "7" * 4500, 10**4000])
+
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | LONG_VALUES,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=10,
 )
@@ -145,7 +148,7 @@ VALID_DOCS = [
 
 
 class TestDecoderFuzz:
-    """Malformed basis documents raise EntspanError, never anything else."""
+    """Malformed basis documents raise EntspanError with a short message, never anything else."""
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -166,14 +169,15 @@ class TestDecoderFuzz:
                 target[key] = data.draw(JSON_VALUES)
         try:
             basis = basis_from_json_dict(doc)
-        except EntspanError:
+        except EntspanError as exc:
+            assert len(str(exc)) < 200
             return
         assert isinstance(basis, SubspaceBasis)
 
 
 @pytest.fixture(scope="module")
 def fuzz_bases(tmp_path_factory):
-    """Small basis files over both fields: diagonal, antisymmetric, a user integer basis, complex."""
+    """Small basis files over both fields: diagonal, antisymmetric, a user integer basis, complex, and two refused."""
     directory = tmp_path_factory.mktemp("fuzz")
     for name, argv in [
         ("geq", ["--da", "3", "--db", "3", "--r", "2"]),
@@ -183,7 +187,11 @@ def fuzz_bases(tmp_path_factory):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["construct", *argv, "--out", str(directory / f"{name}.json")]) == 0
     user = [{"rows": 2, "cols": 2, "field": "rational", "entries": e} for e in ([1, 2, 0, 3], [0, 1, 1, 0], [4, 0, 0, 1])]
-    (directory / "user.json").write_text(json.dumps({"da": 2, "db": 2, "r": 2, "kind": "user", "matrices": user}))
+    doc = {"da": 2, "db": 2, "r": 2, "kind": "user", "matrices": user}
+    (directory / "user.json").write_text(json.dumps(doc))
+    # Long values, each refused at load.
+    (directory / "long_kind.json").write_text(json.dumps({**doc, "kind": "x" * 5000}))
+    (directory / "long_entry.json").write_text(json.dumps({**doc, "matrices": [{**user[0], "entries": ["9" * 5000, 0, 0, 1]}]}))
     return sorted(str(path) for path in directory.glob("*.json"))
 
 
@@ -225,6 +233,7 @@ class TestCliFuzz:
         if code == 2:
             assert out.getvalue() == "" and not out_path.exists()
             assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+            assert len(err.getvalue()) < 200
         else:
             assert code in (0, 3, 4) and err.getvalue() == ""
             assert json.loads(out_path.read_text())["run"]["mode"] == mode
