@@ -202,11 +202,10 @@ class SubspaceBasis:
 
 def basis_stack_rank(basis: SubspaceBasis) -> int:
     """Exact (or, for complex, numeric) rank of the vectorized basis stack."""
-    size = basis.dA * basis.dB
     if basis.field == RATIONAL:
-        return block_rank(((i * size + k, v) for i, m in enumerate(basis.matrices) for k, v in m._nonzero), size)
+        return block_rank([m._nonzero for m in basis.matrices])
     flat = tuple(v for m in basis.matrices for v in m.entries)
-    return schmidt_rank_numeric(StateMatrix(basis.dimension, size, basis.field, flat)).rank
+    return schmidt_rank_numeric(StateMatrix(basis.dimension, basis.dA * basis.dB, basis.field, flat)).rank
 
 
 def _self_check_rank_floor(basis: SubspaceBasis, r: int) -> None:

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -359,16 +359,13 @@ def gfp_eliminate(stack, p: int) -> np.ndarray:
     return ranks
 
 
-def block_rank(cells: Iterable[tuple[int, int]], width: int) -> int:
-    """Rank of the integer matrix with ``width`` columns and these (flat index, value) cells.
+def block_rank(rows: Sequence[Sequence[tuple[int, int]]]) -> int:
+    """Rank of the integer matrix whose rows are given as their nonzero (column, value) cells.
 
     Rows linked by shared columns, directly or through other rows, form a
     block.  Blocks span subspaces on disjoint columns, so the rank is the sum
     of one ``bareiss`` per block, each over its own columns only.
     """
-    rows: dict[int, dict[int, int]] = {}
-    for k, v in cells:
-        rows.setdefault(k // width, {})[k % width] = v
     root: dict[int, int] = {}
 
     def find(c: int) -> int:
@@ -376,23 +373,29 @@ def block_rank(cells: Iterable[tuple[int, int]], width: int) -> int:
             root[c] = c = root[root[c]]
         return c
 
+    for row in rows:
+        # One step joins every block the row touches: the row's columns lead to these roots.
+        tops = {find(c) for c, _ in row}
+        if tops:
+            top = tops.pop()
+            for t in tops:
+                root[t] = top
     blocks: dict[int, list] = {}
-    for row in rows.values():
-        for c in row:
-            root[find(c)] = find(next(iter(row)))
-    for row in rows.values():
-        blocks.setdefault(find(next(iter(row))), []).append(row)
+    for row in rows:
+        if row:
+            blocks.setdefault(find(row[0][0]), []).append(row)
     rank = 0
     for block in blocks.values():
-        cols = set().union(*block)
-        rank += bareiss([[row.get(c, 0) for c in cols] for row in block])[0]
+        cols = {c for row in block for c, _ in row}
+        rank += bareiss([[row.get(c, 0) for c in cols] for row in map(dict, block)])[0]
     return rank
 
 
 def rank_exact(m: StateMatrix) -> int:
     """Exact linear rank of a rational matrix."""
     if m.field == RATIONAL:
-        return block_rank(m._nonzero, m.cols)
+        c = m.cols
+        return block_rank([[(j, v) for j, v in enumerate(m.entries[i * c : (i + 1) * c]) if v] for i in range(m.rows)])
     raise FieldMismatchError("rank_exact needs an exact field; use schmidt_rank_numeric for complex")
 
 
@@ -415,14 +418,19 @@ def to_json(obj):
 
     Dataclasses become objects keyed by their lower-cased field names, and
     a basis adds its ``field``.
-    Tuples become lists, rationals reduced ``"n/d"`` strings and complex
-    numbers ``[re, im]`` pairs.
+    Tuples become lists and complex numbers ``[re, im]`` pairs.  A rational
+    matrix with denominator 1 writes its entries as ints; any other rational
+    matrix, and every Fraction, writes reduced ``"n/d"`` strings.
     """
     if isinstance(obj, StateMatrix):
         entries, d = obj.entries, obj.denominator
-        if obj.field == RATIONAL:
+        if obj.field != RATIONAL:
+            entries = to_json(entries)
+        elif d == 1:
+            entries = list(entries)
+        else:
             entries = [f"{v // (g := math.gcd(v, d))}/{d // g}" for v in entries]
-        return {"rows": obj.rows, "cols": obj.cols, "field": obj.field, "entries": to_json(entries)}
+        return {"rows": obj.rows, "cols": obj.cols, "field": obj.field, "entries": entries}
     if is_dataclass(obj):
         out = {f.name.lower(): to_json(getattr(obj, f.name)) for f in fields(obj)}
         if hasattr(obj, "matrices"):
@@ -442,9 +450,9 @@ def to_json(obj):
 def _decode_entry(value, field: str):
     if field == RATIONAL:
         text = _RATIONAL_TEXT.fullmatch(value) if isinstance(value, str) else None
-        if text or _is_int(value):
+        if text:
             try:
-                return Fraction(int(text[1]), int(text[2] or 1)) if text else Fraction(value)
+                return Fraction(int(text[1]), int(text[2] or 1))
             except ValueError:  # the text is digits, so int() refused its length
                 raise DomainError(f"rational entry {value[:20]!r}... passes Python's int digit limit (4300 by default)") from None
             except ZeroDivisionError:
@@ -477,13 +485,16 @@ def matrix_from_json_dict(d: dict, decoded: dict | None = None) -> StateMatrix:
         raise DomainError("matrix 'entries' must be a list")
     if field != RATIONAL:
         return StateMatrix(rows, cols, field, tuple(_decode_entry(v, field) for v in entries))
-    if not set(map(type, entries)) <= {str}:
-        # Only texts share ``decoded``: True and 1.0 hash and compare equal to 1.  The other
-        # entries decode one by one, and the first that is no int raises.
+    types = set(map(type, entries))
+    if types <= {int}:  # an integral matrix as written: the ints are its numerators over 1
+        return StateMatrix(rows, cols, field, tuple(entries))
+    if not types <= {str, int}:
+        # Only texts share ``decoded``: True and 1.0 hash and compare equal to 1.  An exact int
+        # stands for itself; the first entry of any other type raises.
         for v in entries:
-            if type(v) is not str:
+            if type(v) not in (str, int):
                 _decode_entry(v, field)
-    # Each distinct text decodes once per ``decoded`` (most cells of a constructed basis read "0/1").
+    # Each distinct text decodes once per ``decoded`` (most cells of a text-form basis read "0/1").
     decoded = {} if decoded is None else decoded
     own = set(entries)
     for v in own.difference(decoded):

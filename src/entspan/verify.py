@@ -137,7 +137,7 @@ def structural_certificate(basis: SubspaceBasis, coeffs: Sequence) -> RankCertif
     if len(coeffs) != basis.dimension:
         raise DimensionError(f"{basis.dimension} basis matrices but {len(coeffs)} coefficients")
     r = basis.r
-    cs = [Fraction(_coerce_entry(c, RATIONAL)) for c in coeffs]
+    cs = [_coerce_entry(c, RATIONAL) for c in coeffs]  # ints stay ints, so they are written as JSON ints
     if not any(cs):
         raise DomainError("coefficients must not all be zero")
     combo = basis.combination(cs)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import entspan
-from entspan.cli import _exact_ints, build_parser, main
+from entspan.cli import _exact_ints, _load_basis, build_parser, main
 from entspan.construct import basis_from_json_dict
 
 
@@ -802,12 +802,16 @@ def test_every_artifact_is_one_line_of_compact_json(capsys, tmp_path, monkeypatc
 
 @pytest.mark.parametrize("mode", ["sample", "structural"])
 def test_indented_basis_still_loads(capsys, tmp_path, monkeypatch, mode):
-    # Artifacts were written with indent=2 before they were compact; a basis in that layout
-    # gives the same report, whose run repeats its path.
+    # Earlier versions wrote artifacts with indent=2 and every rational entry as "n/d" text. A basis
+    # in that form loads to the same basis and gives the same report, whose run repeats its path.
     monkeypatch.chdir(tmp_path)
     assert main(["construct", "--da", "4", "--db", "5", "--r", "3", "--out", "new.json"]) == 0
-    text = (tmp_path / "new.json").read_text()
-    (tmp_path / "old.json").write_text(json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n")
+    doc = json.loads((tmp_path / "new.json").read_text())
+    for matrix in doc["matrices"]:
+        assert {type(v) for v in matrix["entries"]} == {int}
+        matrix["entries"] = [f"{v}/1" for v in matrix["entries"]]
+    (tmp_path / "old.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert _load_basis("old.json") == _load_basis("new.json")
     reports = []
     for name in ("new", "old"):
         assert main(["verify", "--basis", f"{name}.json", "--mode", mode, "--samples", "5", "--out", f"{name}_rep.json"]) == 0

@@ -51,17 +51,17 @@ CASES = [
 ]
 
 GOLDEN = {
-    "construct_geq": (0, '5cf4adadcb8c36b15b818fc5f71effaa92b6d9b606fe6c897569c9f5affbcb96'),
-    "construct_flanders": (0, 'b304e550f7c7bc77451a1c6b2cc2e20735dc0752fd93131f2d480f8d6f2021bf'),
-    "construct_fixed": (0, '7d4246ec22fd93abf6d839d6bdf293a4ddc60c082ba9a61703d0bef64d12b266'),
-    "construct_antisym": (0, '49d2a4a23f9c0b2d577a0c919c89b9bb3387eeccf76b52eded315ad86a66f58f'),
-    "construct_geq_small": (0, '4e3056529ddfb230aa777346e6c3ae4b13769622bbbcfebe9cd87a1cdc73501f'),
-    "construct_geq_8x8": (0, '39141cd36e6c54027d0fc1bcffdff6193ae14b5ad95124a03a9d35de86b14198'),
-    "construct_geq_16x16": (0, 'fcfcd04f1d32e55a5cfa6ca3da315a442f4acde82362f3235b74e171ef7d5163'),
+    "construct_geq": (0, '296a0038eaa0810b90e29a80034c9a02fb641cdebac6b6a0cd8ea0433e19c58e'),
+    "construct_flanders": (0, 'c422499d62c35358c58e2ef374e0a441852a2b3c682b56e62951d6c0d6a1d607'),
+    "construct_fixed": (0, '2bd8e18ed2fb562a3fba645c80a30a6ef372ed02a3dcc128a92cd554accf300d'),
+    "construct_antisym": (0, '3a60412b0b48b266bd833538043f3a6e5d51f2a1b3111c2c4a47b2720eec8d8b'),
+    "construct_geq_small": (0, '2d1b88e696067c9df623398599b60b5807e2cf8a40bafefc554d942b3a7e1218'),
+    "construct_geq_8x8": (0, '6bee7c96cd99decc573d3361e71b13ba9de39de941510851a54de5e75317d402'),
+    "construct_geq_16x16": (0, '0ff94998ef8596bbfeaddfeba1819eb1f6c9dfc7622ca005b2e93e67025e30a2'),
     "verify_sample": (0, '545878255a118dc827944b5131737b7074b60cbb550140be1798b5b3cd88ee7a'),
-    "verify_sample_refuted": (3, '68939abf1d85bca65ecdf2b7b1c96c94a43e04dfc62753a76438a8c54e104d49'),
+    "verify_sample_refuted": (3, '897f5da085d64b77ed3cfed5c4ec792f659603516a0e3e37b1d29d1123efa0c5'),
     "verify_sample_fractional": (3, 'd7427b287d6c45801ef8694fb50a039159dcf3c606f53a57388c072a183cf04c'),
-    "verify_structural": (0, '544cba2b6a9bbaf2dff8d1c7bf484e3f48dc339b30f38d02f2d247da7dc5bd71'),
+    "verify_structural": (0, '42c95d23221cd1f799551fd387857fd4507711380a3b4eae29aa8b8799873041'),
     "verify_gfp": (0, '2250748496d22c909dac62470373ef31e21edf56a2424202b98949adbfe61a01'),
     "verify_gfp_inconclusive": (4, 'e48857e1b74c4811fb5f35773aad7b3f21e84be643a600a1ded0b23b66e1297e'),
     "bounds_grid": (0, 'fe3ffdcef82e1d9532ed96349d100d2575c6494e1fb2964789b8454f74926d9b'),
@@ -116,7 +116,7 @@ def test_structural_bytes_ignore_diagonal_labels(tmp_path, monkeypatch, capsys, 
     labels = [
         {"k": cell % doc["db"] - cell // doc["db"]}
         for m in doc["matrices"]
-        for cell in [next(n for n, v in enumerate(m["entries"]) if v != "0/1")]
+        for cell in [next(n for n, v in enumerate(m["entries"]) if v)]
     ]
     doc["metadata"] = {"per_matrix": labels[::-1] if tamper == "shuffled" else labels}
     assert labels[::-1] != labels

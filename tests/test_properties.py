@@ -88,14 +88,28 @@ class TestSigmaSearch:
 
 
 class TestJson:
-    @given(st.integers(1, 3), st.integers(1, 3), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_rational_round_trip_property(self, dA, dB, data):
-        nums = data.draw(st.lists(st.integers(-40, 40), min_size=dA * dB, max_size=dA * dB))
-        dens = data.draw(st.lists(st.integers(1, 9), min_size=dA * dB, max_size=dA * dB))
-        flat = [Fraction(n, d) for n, d in zip(nums, dens)]
-        m = matrix_of_state(flat, dA, dB)
-        assert matrix_from_json_dict(to_json(m)) == m
+    @given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rational_round_trip_property(self, dA, dB, integral, data):
+        # Through JSON text, with numerators and denominators past 2**53, where doubles stop being
+        # exact, and past 2**63.
+        sizes = st.integers(-40, 40) | st.integers(-(2**70), 2**70) | st.sampled_from([2**53 + 1, -(2**63) - 1, 2**64])
+        nums = data.draw(st.lists(sizes, min_size=dA * dB, max_size=dA * dB))
+        dens = [1] * (dA * dB) if integral else data.draw(
+            st.lists(st.integers(1, 9) | st.integers(1, 2**66), min_size=dA * dB, max_size=dA * dB)
+        )
+        m = matrix_of_state([Fraction(n, d) for n, d in zip(nums, dens)], dA, dB)
+        written = to_json(m)
+        assert matrix_from_json_dict(json.loads(json.dumps(written))) == m
+        cells = written["entries"]
+        if m.denominator == 1:
+            assert cells == list(m.entries) and {type(v) for v in cells} == {int}
+        else:
+            # Every cell, zeros included, is "n/d" text in lowest terms.
+            for k, text in enumerate(cells):
+                n, d = map(int, text.split("/"))
+                assert text == f"{n}/{d}" and d >= 1 and math.gcd(n, d) == 1
+                assert Fraction(n, d) == Fraction(m.entries[k], m.denominator)
 
     @given(st.integers(1, 3), st.integers(1, 4), st.data())
     @settings(max_examples=60, deadline=None)

@@ -463,6 +463,11 @@ def _block_matrix(rng, fractional):
     return rows
 
 
+def _cells(rows):
+    """Each row as its nonzero (column, value) cells, the form ``block_rank`` takes."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+
+
 class TestBlockRank:
     @pytest.mark.parametrize("fractional", [False, True], ids=["integer", "fractional"])
     def test_matches_minor_oracle(self, fractional):
@@ -475,18 +480,39 @@ class TestBlockRank:
         rng = np.random.default_rng(63)
         for _ in range(60):
             rows = [[int(v) for v in row] for row in _block_matrix(rng, False)]
-            width = len(rows[0])
-            cells = [(i * width + j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
-            assert block_rank(cells, width) == minor_rank(rows)
+            assert block_rank(_cells(rows)) == minor_rank(rows)
 
     def test_rows_linked_through_a_third_row_share_a_block(self):
         # Rows 0 and 2 share no column; row 1 links them, and the rank is 2, not 3.
         rows = [[1, 1, 0], [0, 1, 1], [1, 0, -1]]
-        cells = [(i * 3 + j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
-        assert block_rank(cells, 3) == minor_rank(rows) == 2
+        assert block_rank(_cells(rows)) == minor_rank(rows) == 2
+
+    def test_late_row_links_three_blocks(self, monkeypatch):
+        # Rows 0-3 make three blocks of rank 1 each (row 1 doubles row 0), and row 4 a fourth on
+        # column 3.  The last row is the sum of rows 0, 2 and 3: it touches each of the first three
+        # blocks, so they go to one elimination with it, and the rank is 4.  Ranked apart from any
+        # one of those blocks, the last row would count as independent.
+        rows = [
+            [1, 2, 0, 0, 0, 0],
+            [2, 4, 0, 0, 0, 0],
+            [0, 0, 3, 0, 0, 0],
+            [0, 0, 0, 0, 5, 7],
+            [0, 0, 0, 9, 0, 0],
+            [0, 0, 0, 0, 0, 0],
+            [1, 2, 3, 0, 5, 7],
+        ]
+        calls = []
+
+        def counting(block):
+            calls.append((len(block), len(block[0])))
+            return bareiss(block)
+
+        monkeypatch.setattr(statemat, "bareiss", counting)
+        assert block_rank(_cells(rows)) == minor_rank(rows) == 4
+        assert sorted(calls) == [(1, 1), (5, 5)]
 
     def test_empty_and_zero(self):
-        assert block_rank([], 4) == 0
+        assert block_rank([]) == block_rank([[], []]) == 0
         assert rank_exact(StateMatrix.zero(3, 2)) == 0
 
     def test_one_elimination_per_block(self, monkeypatch):
