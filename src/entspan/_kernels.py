@@ -1,12 +1,14 @@
 """Hot loops: the GF(p) projective scan and the singular-value descent.
 
-The scan forms each chunk of combinations from one precomputed block and
-ranks it with ``statemat.gfp_eliminate``, the package's one GF(p)
-elimination, which reduces it mod p and returns ranks only.  The descent
-comes in two forms that share no code: ``sigma_descent`` runs one start and
-can end at a target, ``sigma_descent_lanes`` runs several starts in lockstep
-at target 0, each lane bit-identical to the lone descent.  All of it runs as plain Python
-and numpy; there is one backend.
+The scan forms its chunks of combinations from one precomputed block, cell
+by cell as (cells, N) arrays; the last leading coordinates, whose points all
+lie in the block, share one chunk.  It ranks each chunk with ``statemat.gfp_eliminate``,
+the package's one GF(p) elimination, which sweeps the shorter side of the
+matrices in that same layout, reduces mod p and returns ranks only.  The
+descent comes in two forms that share no code: ``sigma_descent`` runs one
+start and can end at a target, ``sigma_descent_lanes`` runs several starts
+in lockstep at target 0, each lane bit-identical to the lone descent.  All of
+it runs as plain Python and numpy; there is one backend.
 """
 
 from __future__ import annotations
@@ -23,11 +25,55 @@ from .statemat import gfp_eliminate, reduce_mod
 USING_NUMBA = False
 
 #: Bytes of int64 combinations one scan chunk holds, whatever p is; the
-#: chunk's point count is at most this over 8 * rows * cols, and at least half
-#: of it unless a leading coordinate has fewer points left.  On a 3906-point
+#: chunk's point count is at most this over 8 * rows * cols.  On a 3906-point
 #: scan, chunks of 128 KiB ran as fast as 1 MiB ones, and the scan's traced
 #: peak was 0.64 MiB instead of 1.5 MiB.
 SCAN_CHUNK_BYTES = 1 << 17
+
+
+def _projective_point(k, dim, p):
+    """The k-th of the (p**dim - 1)/(p - 1) normalized points over dim coordinates, in odometer order."""
+    for lead in range(dim):
+        inner = dim - 1 - lead
+        if k < p**inner:
+            return [0] * lead + [1] + [k // p**i % p for i in range(inner - 1, -1, -1)]
+        k -= p**inner
+    raise IndexError("point index past the last projective point")
+
+
+def _scan_chunks(basis, p, chunk):
+    """The combinations of every projective point, in odometer order, as (cells, N) chunks of at most chunk points.
+
+    The combinations over the last ``depth`` coordinates are formed once, as a
+    block, by outer sums.  Each leading coordinate before the last depth + 1
+    gives chunks that add a run of digits of the coordinate before the block,
+    with the earlier digits fixed, to the whole block.  The leading coordinates
+    from dim - 1 - depth on have all their points in the block's leading runs,
+    so they share one last chunk; depth is the largest that lets those
+    (p**(depth+1) - 1)/(p - 1) points fit in a chunk.  When p alone exceeds a
+    chunk, the block holds the zero combination and the runs split the last
+    coordinate's digits.
+    """
+    dim, cells = basis.shape
+    depth = 0
+    while depth < dim - 1 and (p ** (depth + 2) - 1) // (p - 1) <= chunk:
+        depth += 1
+    block = np.zeros((cells, 1), dtype=np.int64)
+    for matrix in basis[dim - depth :]:
+        block = reduce_mod((block[:, :, None] + matrix[:, None, None] * np.arange(p)).reshape(cells, -1), p)
+    step = max(1, chunk // block.shape[1])
+    for lead in range(dim - 1 - depth):
+        *walk, last = basis[lead : dim - depth]
+        for prefix in itertools.product([1], *[range(p)] * (len(walk) - 1)):
+            offset = np.zeros(cells, dtype=np.int64)
+            for digit, matrix in zip(prefix, walk):
+                offset = reduce_mod(offset + digit * matrix, p)
+            for lo in range(0, p, step):
+                # Entries stay below p**2 + 2p < 2**63 until gfp_eliminate reduces them.
+                runs = offset[:, None] + last[:, None] * np.arange(lo, min(lo + step, p))
+                yield (runs[:, :, None] + block[:, None, :]).reshape(cells, -1)
+    group = range(dim - 1 - depth, dim)
+    yield np.concatenate([basis[lead][:, None] + block[:, : p ** (dim - 1 - lead)] for lead in group], axis=1)
 
 
 def gfp_min_rank_scan(stack, p, rows, cols):
@@ -36,51 +82,28 @@ def gfp_min_rank_scan(stack, p, rows, cols):
     ``stack`` holds the vectorized basis, one row of ints per matrix, entries
     already reduced mod p.  Points are normalized to first nonzero
     coordinate 1 and walked in base-p odometer order (last coordinate
-    fastest), (p**dim - 1)/(p - 1) of them in total, a chunk of
-    SCAN_CHUNK_BYTES at a time.  Returns (min_rank, coefficients of the
-    first minimizer, point count).
+    fastest), (p**dim - 1)/(p - 1) of them in total, a chunk of at most
+    SCAN_CHUNK_BYTES at a time (``_scan_chunks``).  Returns (min_rank,
+    coefficients of the first minimizer, point count).
 
-    The combinations over the last coordinates, as many as one chunk holds,
-    are formed once by outer sums.  Each chunk is a run of digits of the
-    coordinate before them, with the earlier digits fixed, added to that
-    block; ``gfp_eliminate`` reduces it mod p once.  When p alone exceeds a
-    chunk, the block holds the zero combination and the runs split the last
-    coordinate's digits.
+    Each chunk is built cell-major, as (cells, N), so the (N, rows, cols)
+    view ``gfp_eliminate`` ranks is a transposed contiguous array that it
+    reads without a gather.  When rows > cols the basis is transposed first,
+    which keeps every rank, so that the elimination sweeps the shorter side.
     """
-    basis = np.array(stack, dtype=np.int64)
-    dim, cells = len(basis), rows * cols
-    chunk = max(1, SCAN_CHUNK_BYTES // (8 * cells))
-    depth = 0
-    while depth < dim - 1 and p ** (depth + 1) <= chunk:
-        depth += 1
-    block = np.zeros((1, cells), dtype=np.int64)
-    for matrix in basis[dim - depth :]:
-        block = reduce_mod((block[:, None, :] + np.arange(p)[:, None] * matrix).reshape(-1, cells), p)
-    best_rank = min(rows, cols) + 1
+    basis = np.array(stack, dtype=np.int64).reshape(-1, rows, cols)
+    if rows > cols:
+        basis, rows, cols = basis.transpose(0, 2, 1), cols, rows
+    dim = len(basis)
+    best_rank = rows + 1
     best = [0] * dim
     count = 0
-    for lead in range(dim):
-        # The block's first p**inner rows are its combinations over the last inner coordinates.
-        inner = min(depth, dim - lead - 1)
-        tail = block[: p**inner]
-        walk = basis[lead : dim - inner]
-        *fixed, last = [range(1, 2)] + [range(p)] * (len(walk) - 1)
-        step = max(1, chunk // len(tail))
-        for prefix in itertools.product(*fixed):
-            offset = np.zeros(cells, dtype=np.int64)
-            for digit, matrix in zip(prefix, walk):
-                offset = reduce_mod(offset + digit * matrix, p)
-            for lo in range(last.start, last.stop, step):
-                digits = np.arange(lo, min(lo + step, last.stop))
-                # Entries stay below p**2 + 2p < 2**63 until gfp_eliminate reduces them.
-                combos = (offset + digits[:, None] * walk[-1])[:, None, :] + tail
-                ranks = gfp_eliminate(combos.reshape(-1, rows, cols), p)
-                k = int(ranks.argmin())
-                if ranks[k] < best_rank:
-                    best_rank = int(ranks[k])
-                    run, k = divmod(k, len(tail))
-                    best = [0] * lead + [*prefix, lo + run] + [k // p**i % p for i in range(inner - 1, -1, -1)]
-                count += len(digits) * len(tail)
+    for combos in _scan_chunks(basis.reshape(dim, rows * cols), p, max(1, SCAN_CHUNK_BYTES // (8 * rows * cols))):
+        ranks = gfp_eliminate(combos.reshape(rows, cols, -1).transpose(2, 0, 1), p)
+        k = int(ranks.argmin())
+        if ranks[k] < best_rank:
+            best_rank, best = int(ranks[k]), _projective_point(count + k, dim, p)
+        count += len(ranks)
     return best_rank, best, count
 
 

@@ -192,6 +192,8 @@ def cmd_verify(args) -> int:
     bits.append(f"n={report.samples_or_points}")
     if "restarts_run" in (report.params or {}):
         bits.append(f"restarts_run={report.params['restarts_run']}")
+    if "dimension_bound" in (report.params or {}):
+        bits.append("dim={dim}>bound={bound}".format(**report.params["dimension_bound"]))
     _say(" ".join(bits) + f"\nartifact: {args.out}\n")
     return _VERDICT_EXIT[report.verdict]
 

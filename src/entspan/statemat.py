@@ -322,40 +322,49 @@ def gfp_eliminate(stack, p: int) -> np.ndarray:
     """The (N,) ranks mod p of an (N, m, n) stack, one elimination for all N.
 
     Nested lists of Python ints too large for int64 are reduced mod p before
-    the cast, so any integer input stays exact.  The elimination is
-    fraction-free and swap-free: at each column every matrix pivots on its
+    the cast, so any integer input stays exact; the input is never written.
+    Since rank(A) = rank(A^T), the stack is held as (short side, long side, N)
+    and the elimination sweeps the shorter side, each step on contiguous runs
+    of N values; an (N, m, n) view of an (m, n, N) array with m <= n, or of
+    an (n, m, N) one with m > n, is read without a gather.  The elimination
+    is fraction-free and swap-free: at each column every matrix pivots on its
     first unused row with a nonzero entry there and marks that row used, and
-    each other unused row becomes pivot * row - head * pivot_row, so no entry
-    needs an inverse.  Residues are below p < 2**31 (``check_modulus``), so
-    both products stay below 2**62 and each step is reduced (``reduce_mod``)
-    before the next.
+    each other unused row becomes pivot * row - head * pivot_row, one later
+    column at a time, so no entry needs an inverse.  Residues are below
+    p < 2**31 (``check_modulus``), so both products stay below 2**62 and each
+    column is reduced (``reduce_mod``) after its update.
     """
     a = np.asarray(stack)
     if a.dtype.kind != "i":
         a = np.asarray(stack, dtype=object) % p
     if a.ndim != 3:
         raise DimensionError(f"need an (N, rows, cols) stack, got shape {a.shape}")
-    a = reduce_mod(a.astype(np.int64), p)
-    n_mats, n_rows, n_cols = a.shape
+    t = (a.transpose(1, 2, 0) if a.shape[1] <= a.shape[2] else a.transpose(2, 1, 0)).astype(np.int64, copy=False)
+    # reduce_mod into a new C-ordered array: t - (t // p) * p.
+    a = np.floor_divide(t, p, order="C")
+    a *= p
+    np.subtract(t, a, out=a)
+    n_cols, n_rows, n_mats = a.shape
     every = np.arange(n_mats)
     ranks = np.zeros(n_mats, dtype=np.int64)
-    unused = np.ones((n_mats, n_rows), dtype=bool)
-    for col in range(n_cols if n_rows else 0):
-        heads = a[:, :, col] * unused
+    unused = np.ones((n_rows, n_mats), dtype=bool)
+    for col in range(n_cols):
+        heads = a[col] * unused
         nonzero = heads != 0
-        piv = nonzero.argmax(axis=1)
-        found = nonzero[every, piv]
-        pivots = np.where(found, heads[every, piv], 1)
-        pivot_rows = a[every, piv, col + 1 :]
-        unused[every, piv] &= ~found
-        heads *= unused
-        rest = a[:, :, col + 1 :]
-        rest *= np.where(unused, pivots[:, None], 1)[:, :, None]
-        rest -= heads[:, :, None] * pivot_rows[:, None, :]
-        reduce_mod(rest, p)
+        piv = nonzero.argmax(axis=0)
+        found = nonzero[piv, every]
         ranks += found
-        if (ranks == n_rows).all():
+        if col + 1 == n_cols:
             break
+        pivots = np.where(found, heads[piv, every], 1)
+        unused[piv, every] &= ~found
+        heads *= unused
+        scale = np.where(unused, pivots, 1)
+        for rest in a[col + 1 :]:
+            pivot_row = rest[piv, every]
+            rest *= scale
+            rest -= heads * pivot_row
+            reduce_mod(rest, p)
     return ranks
 
 

@@ -16,8 +16,11 @@ tool settles it.  This module layers four kinds of evidence:
   low-rank element whose existence is guaranteed above the dimension bound;
   it stops at the first witness it accepts.
 
-Verdicts are "consistent", "refuted" or "inconclusive"; a refutation always
-carries a checkable witness.
+Verdicts are "consistent", "refuted" or "inconclusive".  A refutation
+carries a checkable witness, except one that sigma mode reads from the
+paper's theorem alone: above the dimension bound (dA-r+1)(dB-r+1) some
+nonzero element has rank below r, and the report's params carry the numbers
+the bound is recomputed from.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
+from .bounds import max_dim_geq
 from .construct import KIND_FIXED_RANK, KIND_MIN_RANK, SAMPLE_BOX, SubspaceBasis, coeff_stream, draw_coeffs, draw_normals
 from .errors import CertificateError, DimensionError, DomainError, FieldMismatchError
 from .statemat import (
@@ -362,7 +366,11 @@ def minimize_sigma_r(
     needs it polished; those descents run in lockstep groups (``_descents``).
     A best value below ``tol`` without an accepted witness is inconclusive;
     floors at least sqrt(tol) count as consistent, and anything in between is
-    inconclusive, never refuted.  The report's ``restarts_run`` counts the
+    inconclusive, never refuted, unless the dimension exceeds the theorem's
+    bound ``max_dim_geq(dA, dB, r)``: then some nonzero element has rank
+    below r, the verdict is "refuted" with no witness, and params carry
+    ``dimension_bound`` (da, db, r, dim, bound).  A report with an accepted
+    witness carries no bound.  The report's ``restarts_run`` counts the
     restarts read, in order, up to the one that ended the search; later lanes
     of that restart's group ran too, and their results are discarded.
     """
@@ -384,8 +392,13 @@ def minimize_sigma_r(
             witness = _accepted_witness(basis, A, x, r) if val < tol else None
             if witness is not None:
                 break
+    params = {"r": r, "restarts": restarts, "iters": iters, "restarts_run": run}
+    bound = max_dim_geq(basis.dA, basis.dB, r)
     if witness is not None:
         verdict = VERDICT_REFUTED
+    elif basis.dimension > bound:
+        verdict = VERDICT_REFUTED
+        params["dimension_bound"] = {"da": basis.dA, "db": basis.dB, "r": r, "dim": basis.dimension, "bound": bound}
     elif best_val >= math.sqrt(tol):
         verdict = VERDICT_CONSISTENT
     else:
@@ -399,7 +412,7 @@ def minimize_sigma_r(
         tolerance=tol,
         seed=seed,
         witnesses=() if witness is None else (witness,),
-        params={"r": r, "restarts": restarts, "iters": iters, "restarts_run": run},
+        params=params,
     )
     return best_x, best_val, report
 

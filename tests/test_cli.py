@@ -436,6 +436,42 @@ def test_sigma_on_ill_conditioned_rational_basis_exits_4(capsys, tmp_path):
     assert "n=64 restarts_run=64" in out
 
 
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+def test_sigma_above_the_bound_refutes_without_a_witness(capsys, tmp_path, restarts):
+    # dim 8 > (4-3+1)(5-3+1) = 6, so some element has rank below 3; one iteration finds no witness.
+    basis_path, rep_path = tmp_path / "rand.json", tmp_path / "rep.json"
+    run_cli(
+        capsys, "construct", "--kind", "random", "--da", "4", "--db", "5", "--dim", "8", "--seed", "3",
+        "--out", str(basis_path),
+    )
+    code, out, err = run_cli(
+        capsys, "verify", "--basis", str(basis_path), "--mode", "sigma", "--r", "3", "--iters", "1",
+        "--restarts", str(restarts), "--out", str(rep_path),
+    )
+    assert (code, err) == (3, "")
+    assert "verdict=refuted" in out and out.splitlines()[0].endswith(" dim=8>bound=6")
+    report = json.loads(rep_path.read_text())
+    assert report["witnesses"] == []
+    assert report["params"]["dimension_bound"] == {"da": 4, "db": 5, "r": 3, "dim": 8, "bound": 6}
+
+
+def test_sigma_refutes_a_rational_pencil_above_the_bound(capsys, tmp_path):
+    # span{I, [[0, 2], [1, 0]]}: dim 2 > 1 = (2-2+1)^2, so some complex element, I + x M with x^2 = 1/2, is
+    # singular.  No rational one is, so the exact check accepts no witness and sample mode stays consistent.
+    document = _user_basis("rational", [1, 0, 0, 1])
+    document["matrices"].append({**document["matrices"][0], "entries": [0, 2, 1, 0]})
+    basis_path, rep_path = tmp_path / "pencil.json", tmp_path / "rep.json"
+    basis_path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "verify", "--basis", str(basis_path), "--mode", "sigma", "--out", str(rep_path))
+    assert (code, err) == (3, "")
+    assert "verdict=refuted" in out and "n=64 restarts_run=64" in out
+    report = json.loads(rep_path.read_text())
+    assert report["witnesses"] == []
+    assert report["params"]["dimension_bound"] == {"da": 2, "db": 2, "r": 2, "dim": 2, "bound": 1}
+    code, out, _ = run_cli(capsys, "verify", "--basis", str(basis_path), "--mode", "sample", "--out", str(rep_path))
+    assert code == 0 and "verdict=consistent" in out
+
+
 def _child_env(**extra):
     """This environment, with the imported entspan first on a child interpreter's PYTHONPATH."""
     path = [os.path.dirname(os.path.dirname(entspan.__file__)), os.environ.get("PYTHONPATH", "")]

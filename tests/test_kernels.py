@@ -32,6 +32,18 @@ def _oracle_scan(stack, p, rows, cols):
     return best_rank, best, count
 
 
+def _spy_on_eliminate(monkeypatch):
+    """The point count of each elimination the scan makes, in order."""
+    eliminate, sizes = _kernels.gfp_eliminate, []
+
+    def spy(combos, p):
+        sizes.append(len(combos))
+        return eliminate(combos, p)
+
+    monkeypatch.setattr(_kernels, "gfp_eliminate", spy)
+    return sizes
+
+
 def _oracle_cases(n):
     """Seeded small bases, every other one sparse so that low ranks and ties occur."""
     rng = np.random.default_rng(55)
@@ -81,18 +93,41 @@ class TestGfpScan:
         # and c = 50000, so the first minimizer lies inside the tenth run.
         p, rows, cols = 65521, 2, 2
         stack = [[p - 40000, 12345, 0, p - 50000], [1, 0, 0, 1]]
-        eliminate, sizes = _kernels.gfp_eliminate, []
-
-        def spy(combos, p):
-            sizes.append(len(combos))
-            return eliminate(combos, p)
-
-        monkeypatch.setattr(_kernels, "gfp_eliminate", spy)
+        sizes = _spy_on_eliminate(monkeypatch)
         result = _kernels.gfp_min_rank_scan(stack, p, rows, cols)
         assert result == _oracle_scan(stack, p, rows, cols) == (1, [1, 40000], 65522)
         chunk = _kernels.SCAN_CHUNK_BYTES // (8 * rows * cols)
         assert len(sizes) <= -(-65522 // chunk) + len(stack)
         assert max(sizes) <= chunk
+
+    def test_benchmark_basis_takes_four_eliminations(self, monkeypatch):
+        # 3906 points at 1365 per chunk: lead 0's 3125 points in runs of 2, 2 and 1 digits over
+        # the 625-point block, then leads 1-5 (625 + 125 + 25 + 5 + 1 points) packed into one.
+        sizes = _spy_on_eliminate(monkeypatch)
+        report = gfp_exhaustive_min_rank(construct_min_rank_subspace(3, 4, 2), 5)
+        assert (report.verdict, report.samples_or_points) == ("consistent", 3906)
+        assert sizes == [1250, 1250, 625, 781]
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 7, None])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_no_elimination_exceeds_a_chunk(self, monkeypatch, p, points):
+        rows, cols = 2, 3
+        stack = _random_stack(71 + p, p, 4 if p < 5 else 3, rows * cols)
+        if points is not None:
+            monkeypatch.setattr(_kernels, "SCAN_CHUNK_BYTES", points * 8 * rows * cols)
+        sizes = _spy_on_eliminate(monkeypatch)
+        assert _kernels.gfp_min_rank_scan(stack, p, rows, cols) == _oracle_scan(stack, p, rows, cols)
+        assert max(sizes) <= _kernels.SCAN_CHUNK_BYTES // (8 * rows * cols)
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 7, None])
+    def test_first_minimizer_inside_the_packed_group(self, monkeypatch, points):
+        # M1 + M2 = [[1, 0], [0, 0], [0, 0]] is the first rank-1 point, and every point with
+        # lead 0 has rank 2.  At 7 points a chunk, leads 1 and 2 share the last chunk; 3x2 is
+        # scanned as its 2x3 transposes.
+        stack = [[0, 1, 0, 0, 1, 0], [1, 0, 0, 1, 0, 0], [0, 0, 0, 2, 0, 0]]
+        if points is not None:
+            monkeypatch.setattr(_kernels, "SCAN_CHUNK_BYTES", points * 8 * 6)
+        assert _kernels.gfp_min_rank_scan(stack, 3, 3, 2) == _oracle_scan(stack, 3, 3, 2) == (1, [0, 1, 1], 13)
 
     def test_end_to_end_verdict(self):
         rep = gfp_exhaustive_min_rank(construct_min_rank_subspace(3, 3, 2), 3)

@@ -14,9 +14,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from entspan.bounds import max_dim_geq
 from entspan.cli import main
 from entspan.construct import SubspaceBasis, basis_from_json_dict, construct_min_rank_subspace, random_subspace
-from entspan.errors import EntspanError
+from entspan.errors import DomainError, EntspanError
 from entspan.statemat import (
     RATIONAL,
     StateMatrix,
@@ -27,7 +28,13 @@ from entspan.statemat import (
     state_of_matrix,
     to_json,
 )
-from entspan.verify import minimize_sigma_r
+from entspan.verify import (
+    VERDICT_CONSISTENT,
+    VERDICT_REFUTED,
+    gfp_exhaustive_min_rank,
+    minimize_sigma_r,
+    sample_verify_exact,
+)
 
 from oracles import minor_rank
 from test_verify import _sequential_sigma
@@ -53,19 +60,48 @@ _WIDE_ENTRY = st.integers(-9, 9) | st.integers(-(2**80), 2**80)
 _MODULI = st.sampled_from([2, 3, 5, 7, 2**31 - 1])
 
 
+def _laid_out(values, shape, layout):
+    """The (N, m, n) stack of values in one of the forms gfp_eliminate is handed."""
+    wide = any(not -(2**63) <= v < 2**63 for v in values)
+    a = np.array(values, dtype=object if wide or layout == "object" else np.int64).reshape(shape)
+    if layout == "list":
+        return a.tolist()
+    if layout == "transposed":
+        # Each matrix a transposed view: strides (m*n, 1, n).
+        return np.array(a.transpose(0, 2, 1)).transpose(0, 2, 1)
+    if layout == "cell_major":
+        # The scan's chunks: an (m, n, N) array seen as (N, m, n).
+        return np.array(a.transpose(1, 2, 0)).transpose(2, 0, 1)
+    return a
+
+
 class TestGfpEliminate:
     """The one GF(p) elimination against the brute-force oracles, matrix by matrix and in a stack."""
 
-    @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 4), _MODULI, st.data())
+    @given(
+        st.integers(0, 4),
+        st.integers(0, 5),
+        st.integers(0, 5),
+        _MODULI,
+        st.sampled_from(["array", "transposed", "cell_major", "list", "object"]),
+        st.data(),
+    )
     @settings(max_examples=200, deadline=None)
-    def test_matches_oracles_alone_and_stacked(self, n_mats, m, n, p, data):
+    def test_matches_oracles_alone_and_stacked(self, n_mats, m, n, p, layout, data):
+        # Tall, wide and empty shapes; C-ordered arrays, strided views, nested lists and object
+        # arrays, with ints past 2**63 now and then.  A nested list cannot spell an empty stack
+        # or an empty matrix's shape.
+        assume(layout != "list" or n_mats * m)
         values = data.draw(st.lists(_WIDE_ENTRY, min_size=n_mats * m * n, max_size=n_mats * m * n))
-        wide = any(not -(2**63) <= v < 2**63 for v in values)
-        stack = np.array(values, dtype=object if wide else np.int64).reshape(n_mats, m, n)
+        stack = _laid_out(values, (n_mats, m, n), layout)
+        before = copy.deepcopy(stack)
         ranks = gfp_eliminate(stack, p)
-        for i, rows in enumerate(stack.tolist()):
+        assert ranks.shape == (n_mats,)
+        matrices = np.array(values, dtype=object).reshape(n_mats, m, n).tolist()
+        for i, rows in enumerate(matrices):
             assert ranks[i] == minor_rank(rows, p)
             assert gfp_eliminate(stack[i : i + 1], p).tolist() == [ranks[i]]
+        assert np.array_equal(np.array(stack, dtype=object), np.array(before, dtype=object))
 
 
 class TestSigmaSearch:
@@ -85,6 +121,35 @@ class TestSigmaSearch:
         _, _, report = minimize_sigma_r(basis, r, restarts=restarts, iters=iters, seed=seed)
         got = (report.verdict, report.min_sigma_r, report.witnesses, report.params["restarts_run"])
         assert got == _sequential_sigma(basis, r, restarts, iters, seed)
+
+
+class TestVerdictLattice:
+    """Every mode on one small integer basis: the one-sided verdicts may not contradict each other."""
+
+    @given(st.integers(2, 4), st.integers(2, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sound_implications_hold(self, dA, dB, data):
+        dim = data.draw(st.integers(1, 4), label="dim")
+        r = data.draw(st.integers(2, min(dA, dB)), label="r")
+        cell = st.sampled_from([0, 0, 1, -1, 2, 3])
+        rows = data.draw(st.lists(st.lists(cell, min_size=dA * dB, max_size=dA * dB), min_size=dim, max_size=dim))
+        assume(np.linalg.matrix_rank(np.array(rows)) == dim)
+        matrices = tuple(StateMatrix.rational([row[i * dB : (i + 1) * dB] for i in range(dA)]) for row in rows)
+        basis = SubspaceBasis(dA, dB, None, "user", matrices)
+        # (a) An exact rational combination of rank below r, scaled to coprime integer
+        # coefficients, stays a nonzero point of rank below r mod every p.
+        if sample_verify_exact(basis, r, 64, seed=0).verdict == VERDICT_REFUTED:
+            for p in (2, 3, 5, 7):
+                try:
+                    report = gfp_exhaustive_min_rank(basis, p, r=r)
+                except DomainError as exc:
+                    assert "loses linear independence" in str(exc)
+                    continue
+                assert report.verdict != VERDICT_CONSISTENT
+        # (b) Above the paper's bound some nonzero element has rank below r.
+        if dim > max_dim_geq(dA, dB, r):
+            _, _, report = minimize_sigma_r(basis, r, restarts=2, iters=20, seed=0)
+            assert report.verdict != VERDICT_CONSISTENT
 
 
 class TestJson:

@@ -327,7 +327,8 @@ def _e00_basis():
 def _sequential_sigma(basis, r, restarts, iters, seed, tol=SIGMA_TOL):
     """The rational sigma search as a plain loop of lone descents at target 0.
 
-    Returns (verdict, min_sigma_r, witnesses, restarts_run) under the search's stop rule.
+    Returns (verdict, min_sigma_r, witnesses, restarts_run) under the search's stop rule;
+    with no witness, a dimension above the paper's bound (dA-r+1)(dB-r+1) reads "refuted".
     """
     A = _complex_stack(basis)
     P = np.linalg.pinv(A)
@@ -340,7 +341,7 @@ def _sequential_sigma(basis, r, restarts, iters, seed, tol=SIGMA_TOL):
             witness = _accepted_witness(basis, A, x, r) if val < tol else None
             if witness is not None:
                 break
-    if witness is not None:
+    if witness is not None or basis.dimension > (basis.dA - r + 1) * (basis.dB - r + 1):
         verdict = VERDICT_REFUTED
     else:
         verdict = VERDICT_CONSISTENT if best >= math.sqrt(tol) else VERDICT_INCONCLUSIVE
