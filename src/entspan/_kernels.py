@@ -153,15 +153,20 @@ def sigma_descent_lanes(A, P, r, iters, X0, rows, cols):
 
     Each iteration takes one SVD of the stack of the live lanes' matrices.
     Every product is a stacked matmul, which runs the same BLAS call per lane
-    as the lone descent's, so lane i returns exactly (bit for bit) what
+    as the lone descent's, and ``np.vecdot`` makes the same zdotc call per
+    lane as its ``np.vdot``, so lane i returns exactly (bit for bit) what
     ``sigma_descent(A, P, r, iters, X0[i], rows, cols)`` returns; one gemm
-    over all lanes (``X @ A.T``) would not.  A lane leaves the stack where the
-    lone descent would end: at an exact zero, a stall or an underflow.
-    Returns a list of (value, coefficients), one per row of X0.
+    over all lanes (``X @ A.T``) would not.  Each lane's best value and
+    coefficients sit beside it in the stack.  A lane leaves where the lone
+    descent would end: at an exact zero, a stall or an underflow; its best is
+    written out then, and only then is the stack compacted.  A leaving lane's
+    refit is never divided by its norm, which may be 0.  Returns a list of
+    (value, coefficients), one per row of X0.
     """
-    X = np.array([x0 / math.sqrt(np.vdot(x0, x0).real) for x0 in X0])
+    X = X0 / np.sqrt(np.vecdot(X0, X0).real)[:, None]
     best_val = np.full(len(X), math.inf)
     best_X = X.copy()
+    out_val, out_X = np.empty(len(X)), np.empty_like(X)
     prev = np.full(len(X), math.inf)
     live = np.arange(len(X))
     k = r - 1
@@ -170,15 +175,19 @@ def sigma_descent_lanes(A, P, r, iters, X0, rows, cols):
         top = s[:, 0]
         # sigma_1 = 0 counts as the value 0, as in sigma_descent.
         val = np.divide(s[:, k], top, out=np.zeros(len(top)), where=~(top <= 0.0))
-        better = val < best_val[live]
-        best_val[live[better]] = val[better]
-        best_X[live[better]] = X[better]
+        better = val < best_val
+        np.copyto(best_val, val, where=better)
+        np.copyto(best_X, X, where=better[:, None])
         T = np.matmul(u[:, :, :k] * s[:, None, :k], vh[:, :k, :])
         Y = np.matmul(P, T.reshape(len(T), rows * cols, 1))[:, :, 0]
-        nrm = np.array([math.sqrt(np.vdot(y, y).real) for y in Y])
+        nrm = np.sqrt(np.vecdot(Y, Y).real)
         # Negated comparisons keep a NaN lane running, as sigma_descent does.
         go = (val != 0.0) & ~(nrm < 1e-150) & ~(abs(prev - val) < 1e-16)
-        live, X, prev = live[go], Y[go] / nrm[go, None], val[go]
-        if not len(live):
-            break
-    return list(zip(best_val.tolist(), best_X))
+        if not go.all():
+            out_val[live[~go]], out_X[live[~go]] = best_val[~go], best_X[~go]
+            live, best_val, best_X, Y, nrm, val = live[go], best_val[go], best_X[go], Y[go], nrm[go], val[go]
+            if not len(live):
+                break
+        X, prev = Y / nrm[:, None], val
+    out_val[live], out_X[live] = best_val, best_X
+    return list(zip(out_val.tolist(), out_X))

@@ -68,11 +68,12 @@ SIGMA_TOL = 1e-7
 SIGMA_STOP = 1e-3
 
 #: Restarts that one stacked descent runs at once on a rational basis.  On a
-#: 2-core Xeon, best of 7 at 500 iterations, an 8x8 descent took 34 µs per
-#: iteration alone and 53 µs as a single lane, and per lane 37 µs at 2 lanes,
-#: 30 µs at 3, 22 µs at 8 and 19-20 µs at 16 to 64; larger groups save little
-#: and discard more lanes after a refutation mid-group, and a group of fewer
-#: than 3 starts runs them one by one on the lone kernel.
+#: 2-core Xeon, best of 7 at 500 iterations, an 8x8 descent took 30 µs per
+#: iteration alone and 41-43 µs as a single lane, and per lane 28 µs at 2
+#: lanes, 24 µs at 3 and 18-19 µs at 8 and at 16; larger groups save little
+#: and discard more lanes after a refutation mid-group.  A group of fewer than
+#: 3 starts runs them one by one on the lone kernel: faster than one lane, and
+#: about 6% slower than two.
 SIGMA_LANES = 8
 
 #: Residual bound every reported pencil root must satisfy.
@@ -380,8 +381,9 @@ def minimize_sigma_r(
         raise DomainError(f"r={r} exceeds min(dA, dB) = {min(basis.dA, basis.dB)}")
     if restarts < 1 or iters < 1:
         raise DomainError("need at least one restart and one iteration")
-    if not 0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    if not 0 < tol < 1:
+        # sigma_r / sigma_1 <= 1, so a tol of 1 or more would take every restart for a drop.
+        raise DomainError(f"tol must lie in (0, 1), got {tol}")
     A = _complex_stack(basis)
     best_val = math.inf
     best_x = None

@@ -206,6 +206,11 @@ BAD_INPUTS = {
     "huge_prime_modulus": (_RANK_ONE, ["--mode", "gfp", "--p", "2305843009213693951"]),
     "zero_denominator": (_user_basis("rational", ["1/0", 5, 6, 10]), ["--mode", "sample"]),
     "negative_tolerance": (_user_basis("complex", [[1, 0], [0, 0], [0, 0], [1, 0]]), ["--mode", "sigma", "--tol", "-1"]),
+    # sigma_r / sigma_1 never exceeds 1, so no tol of 1 or more has a meaning: at
+    # --tol 5 the identity at r = 2, whose every nonzero element has rank 2, read
+    # "inconclusive".
+    "tolerance_one": (_user_basis("rational", [1, 0, 0, 1]), ["--mode", "sigma", "--r", "2", "--tol", "1"]),
+    "tolerance_five": (_user_basis("rational", [1, 0, 0, 1]), ["--mode", "sigma", "--r", "2", "--tol", "5"]),
     "structural_without_samples": (_DIAGONAL, ["--mode", "structural", "--samples", "0"]),
     # E00 + E12: its top diagonal k=1 holds one nonzero entry, so no order-2
     # triangular minor exists there.

@@ -1,6 +1,7 @@
 """The GF(p) scan and the sigma descent kernels."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,23 @@ class TestSigmaDescentLanes:
         if staggered:
             # These lanes stall at different iterations, so lanes leave the stack mid-run.
             assert len(ends) > 1 and min(ends) < iters
+
+    def test_r1_lanes_leave_at_once_without_warning(self):
+        # At r = 1 the truncation is zero, so every lane's refit has norm 0: all
+        # lanes leave after their first iterate, and none is divided by its norm.
+        basis = construct_min_rank_subspace(4, 5, 3)
+        A = _complex_stack(basis)
+        P = np.linalg.pinv(A)
+        words = coeff_stream(60)
+        X0 = np.array([draw_normals(words, basis.dimension) for _ in range(5)])
+        before = X0.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = _kernels.sigma_descent_lanes(A, P, 1, 50, X0, basis.dA, basis.dB)
+            for x0, (val, x) in zip(X0, stacked):
+                lone_val, lone_x = _kernels.sigma_descent(A, P, 1, 50, x0, basis.dA, basis.dB)
+                assert val == lone_val == 1.0 and np.array_equal(x, lone_x)
+        assert np.array_equal(X0, before)
 
     def test_exact_zero_leaves_the_stack_at_once(self):
         # E00 alone has sigma_2 = 0 exactly: the lane ends at its first iterate

@@ -14,9 +14,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from entspan import _kernels
 from entspan.bounds import max_dim_geq
 from entspan.cli import main
-from entspan.construct import SubspaceBasis, basis_from_json_dict, construct_min_rank_subspace, random_subspace
+from entspan.construct import (
+    SubspaceBasis,
+    basis_from_json_dict,
+    coeff_stream,
+    construct_min_rank_subspace,
+    draw_normals,
+    random_subspace,
+)
 from entspan.errors import DomainError, EntspanError
 from entspan.statemat import (
     RATIONAL,
@@ -31,6 +39,7 @@ from entspan.statemat import (
 from entspan.verify import (
     VERDICT_CONSISTENT,
     VERDICT_REFUTED,
+    _complex_stack,
     gfp_exhaustive_min_rank,
     minimize_sigma_r,
     sample_verify_exact,
@@ -121,6 +130,32 @@ class TestSigmaSearch:
         _, _, report = minimize_sigma_r(basis, r, restarts=restarts, iters=iters, seed=seed)
         got = (report.verdict, report.min_sigma_r, report.witnesses, report.params["restarts_run"])
         assert got == _sequential_sigma(basis, r, restarts, iters, seed)
+
+
+class TestSigmaLanes:
+    """Each lane of the stacked descent against the lone descent from the same start, bit for bit."""
+
+    @given(st.integers(2, 4), st.integers(2, 4), st.integers(3, 8), st.integers(1, 60), st.integers(0, 10**6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_each_lane_is_the_lone_descent(self, dA, dB, lanes, iters, seed, data):
+        dim = data.draw(st.integers(1, min(4, dA * dB)), label="dim")
+        r = data.draw(st.integers(1, min(dA, dB)), label="r")
+        cell = st.sampled_from([0, 0, 1, -1, 2, 3])
+        rows = data.draw(st.lists(st.lists(cell, min_size=dA * dB, max_size=dA * dB), min_size=dim, max_size=dim))
+        assume(np.linalg.matrix_rank(np.array(rows)) == dim)
+        matrices = tuple(StateMatrix.rational([row[i * dB : (i + 1) * dB] for i in range(dA)]) for row in rows)
+        A = _complex_stack(SubspaceBasis(dA, dB, None, "user", matrices))
+        P = np.linalg.pinv(A)
+        # A unit start is one basis matrix, often of exact rank below r, so its lane
+        # reads an exact 0 at once; Gaussian starts run on, and stall at their own times.
+        units = data.draw(st.lists(st.none() | st.integers(0, dim - 1), min_size=lanes, max_size=lanes), label="units")
+        words = coeff_stream(seed)
+        X0 = np.array([draw_normals(words, dim) if i is None else np.eye(dim, dtype=complex)[i] for i in units])
+        stacked = _kernels.sigma_descent_lanes(A, P, r, iters, X0, dA, dB)
+        assert len(stacked) == lanes
+        for x0, (val, x) in zip(X0, stacked):
+            lone_val, lone_x = _kernels.sigma_descent(A, P, r, iters, x0, dA, dB)
+            assert val == lone_val and np.array_equal(x, lone_x)
 
 
 class TestVerdictLattice:
