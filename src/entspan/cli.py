@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Seeds are hashed by SeedSequence (coeff_stream or numpy's default_rng), which takes no negatives.
+        # random.Random(-s) seeds with |s|, so a negative seed would silently repeat seed s's stream.
         if getattr(args, "seed", 0) < 0:
             raise EntspanError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)

@@ -19,10 +19,10 @@ and seeded random complex subspaces used as optimizer fodder.
 
 from __future__ import annotations
 
-import itertools
+import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,83 +50,37 @@ KINDS = (KIND_MIN_RANK, KIND_MAX_RANK, KIND_FIXED_RANK, KIND_ANTISYMMETRIC, KIND
 SAMPLE_BOX = 9
 
 
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+def coeff_stream(seed: int) -> random.Random:
+    """The seeded generator every sampled claim draws from: the standard library's ``random.Random(seed)``.
 
-
-def _hasher(h: int, mult: int):
-    """SeedSequence's hashmix: xor in the running constant h, step h by ``mult``, multiply by it."""
-
-    def hashmix(v: int) -> int:
-        nonlocal h
-        v = (v ^ h) * (h := h * mult & _M32) & _M32
-        return v ^ v >> 16
-
-    return hashmix
-
-
-def coeff_stream(seed: int) -> Iterator[int]:
-    """The 32-bit words numpy's ``default_rng(seed)`` draws from, bit for bit, without numpy.random.
-
-    SeedSequence hashes the seed into PCG64's 128-bit state and increment;
-    each PCG64 step emits 64 bits by XSL-RR, low half first.
+    Only its ``random()`` is read, the one method whose sequence for an int
+    seed Python keeps the same across versions.
     """
     if not (_is_int(seed) and seed >= 0):
+        # Random(-s) seeds with |s|, so a negative seed would repeat another seed's stream.
         raise DomainError(f"a seed must be a non-negative integer, got {seed!r}")
-    # SeedSequence(seed).generate_state(4, uint64): hash the seed's 32-bit words into a pool
-    # of four, mix each pool word into the other three and each later seed word into all
-    # four, then hash the pool out to eight words, read as four little-endian 64-bit ones.
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    mixes = ((d, pool[s]) for s in range(4) for d in range(4) if d != s)  # reads pool as it changes
-    for dst, word in itertools.chain(mixes, ((d, w) for w in words[4:] for d in range(4))):
-        v = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(word)) & _M32
-        pool[dst] = v ^ v >> 16
-    out = _hasher(0x8B51F9DD, 0x58F38DED)
-    w = [out(pool[k % 4]) for k in range(8)]
-    u = [w[k] | w[k + 1] << 32 for k in range(0, 8, 2)]
-    inc = (u[2] << 64 | u[3]) << 1 & _M128 | 1
-    return _pcg64_words((inc + (u[0] << 64 | u[1])) * _PCG64_MULT + inc & _M128, inc)
+    return random.Random(seed)
 
 
-def _pcg64_words(state: int, inc: int) -> Iterator[int]:
-    """PCG64 from a seeded (state, increment): step, XSL-RR output, low 32 bits then high."""
-    while True:
-        state = state * _PCG64_MULT + inc & _M128
-        x, rot = (state >> 64 ^ state) & _M64, state >> 122
-        out = (x >> rot | x << (64 - rot)) & _M64
-        yield out & _M32
-        yield out >> 32
+def draw_coeffs(rng: random.Random, dim: int) -> list[int]:
+    """``dim`` integer coefficients uniform over the sample box, not all zero, drawn from a ``coeff_stream``.
 
-
-def draw_coeffs(words: Iterator[int], dim: int) -> list[int]:
-    """``dim`` integer coefficients from the sample box, not all zero, drawn from a ``coeff_stream``.
-
-    Each is numpy's ``Generator.integers(-SAMPLE_BOX, SAMPLE_BOX + 1)``: Lemire's
-    multiply-shift of one word, redrawn while the product's low 32 bits fall below
-    the rejection threshold.
+    Each is ``int(rng.random() * span) - SAMPLE_BOX``; an all-zero draw is redrawn whole.
     """
     span = 2 * SAMPLE_BOX + 1
-    threshold = (2**32 - span) % span
     while True:
-        coeffs = []
-        for _ in range(dim):
-            m = next(words) * span
-            while m & _M32 < threshold:
-                m = next(words) * span
-            coeffs.append((m >> 32) - SAMPLE_BOX)
+        coeffs = [int(rng.random() * span) - SAMPLE_BOX for _ in range(dim)]
         if any(coeffs):
             return coeffs
 
 
-def draw_normals(words: Iterator[int], n: int) -> np.ndarray:
+def draw_normals(rng: random.Random, n: int) -> np.ndarray:
     """``n`` complex numbers whose real and imaginary parts are independent N(0, 1), from a ``coeff_stream``.
 
-    Box–Muller on pairs of words, each made a uniform u = (w + 1/2) / 2**32 in (0, 1):
-    the first word of a pair gives the radius sqrt(-2 ln u), the second the angle 2 pi u.
+    Box–Muller on pairs of uniforms u = 1 - rng.random() in (0, 1]: the first of a
+    pair gives the radius sqrt(-2 ln u), the second the angle 2 pi u.
     """
-    u = (np.fromiter(itertools.islice(words, 2 * n), np.float64, 2 * n) + 0.5) * 2.0**-32
+    u = 1.0 - np.array([rng.random() for _ in range(2 * n)])
     return np.sqrt(-2.0 * np.log(u[0::2])) * np.exp(2j * np.pi * u[1::2])
 
 

@@ -144,14 +144,6 @@ class StateMatrix:
     def complex_(cls, rows_of_entries) -> "StateMatrix":
         return cls.from_rows(rows_of_entries, COMPLEX)
 
-    @classmethod
-    def zero(cls, rows: int, cols: int, field: str = RATIONAL) -> "StateMatrix":
-        return cls(rows, cols, field, (0j if field == COMPLEX else 0,) * (rows * cols))
-
-    def at(self, i: int, j: int):
-        v = self.entries[i * self.cols + j]
-        return Fraction(v, self.denominator) if self.field == RATIONAL else v
-
     def to_lists(self) -> list[list]:
         c, values = self.cols, state_of_matrix(self)
         return [values[i * c : (i + 1) * c] for i in range(self.rows)]
@@ -159,9 +151,6 @@ class StateMatrix:
     def transpose(self) -> "StateMatrix":
         flat = tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
         return StateMatrix(self.cols, self.rows, self.field, flat, self.denominator)
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
 
     @cached_property
     def _nonzero(self) -> tuple[tuple[int, object], ...]:
@@ -409,13 +398,13 @@ def rank_exact(m: StateMatrix) -> int:
 
 
 def minor_value(m: StateMatrix, row_idx: Sequence[int], col_idx: Sequence[int]):
-    """Determinant of the submatrix on the given (increasing) index sets: exact over the rationals, numeric over the complex numbers."""
+    """Exact determinant of a rational matrix's submatrix on the given (increasing) index sets."""
+    if m.field != RATIONAL:
+        raise FieldMismatchError("minor_value needs an exact field; a complex minor has no exact value")
     if len(row_idx) != len(col_idx):
         raise DimensionError("a minor needs as many rows as columns")
     sub = [[m.entries[i * m.cols + j] for j in col_idx] for i in row_idx]
-    if m.field == RATIONAL:
-        return Fraction(bareiss(sub)[1], m.denominator ** len(row_idx))
-    return complex(np.linalg.det(np.array(sub, dtype=np.complex128)))
+    return Fraction(bareiss(sub)[1], m.denominator ** len(row_idx))
 
 
 # ---------------------------------------------------------------------------

@@ -332,8 +332,8 @@ def _descents(basis: SubspaceBasis, A: np.ndarray, r: int, restarts: int, iters:
     them one by one on the lone kernel, which is faster there.
     """
     P = np.linalg.pinv(A)
-    words = coeff_stream(seed)
-    starts = (draw_normals(words, basis.dimension) for _ in range(restarts))
+    rng = coeff_stream(seed)
+    starts = (draw_normals(rng, basis.dimension) for _ in range(restarts))
     if basis.field == COMPLEX:
         for x0 in starts:
             yield _kernels.sigma_descent(A, P, r, iters, x0, basis.dA, basis.dB, tol * SIGMA_STOP)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 def diagonal_of(m):
     """The one diagonal k = col - row that holds every nonzero entry of matrix m."""
-    (k,) = {j - i for i in range(m.rows) for j in range(m.cols) if m.at(i, j)}
+    (k,) = {j - i for i, row in enumerate(m.to_lists()) for j, v in enumerate(row) if v}
     return k
 
 

@@ -250,7 +250,7 @@ BAD_INPUTS = {
     # Each read "consistent".
     "gfp_negative_r": (_DIAGONAL, ["--mode", "gfp", "--p", "3", "--r", "-3"]),
     "sample_zero_r": (_DIAGONAL, ["--mode", "sample", "--r", "0", "--samples", "2"]),
-    # numpy raised a ValueError traceback from default_rng(-1).
+    # random.Random(-1) seeds with 1, so seed -1 would silently repeat seed 1's draws.
     "sample_negative_seed": (_DIAGONAL, ["--mode", "sample", "--seed", "-1", "--samples", "2"]),
     "sigma_negative_seed": (_user_basis("complex", [[1, 0], [0, 0], [0, 0], [1, 0]]), ["--mode", "sigma", "--seed", "-1"]),
     "structural_negative_seed": (_DIAGONAL, ["--mode", "structural", "--seed", "-1", "--samples", "2"]),

@@ -1,6 +1,8 @@
+import collections
 import itertools
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,7 +27,7 @@ from entspan.construct import (
     draw_normals,
     random_subspace,
 )
-from entspan import construct, statemat
+from entspan import statemat
 from entspan.errors import CertificateError, DimensionError, DomainError
 from entspan.statemat import COMPLEX, RATIONAL, StateMatrix, rank_exact, to_json
 from oracles import diagonal_of, minor_rank, perm_det
@@ -87,28 +89,29 @@ def _family(k):
     """The generators of the 3x3 r=2 basis on diagonal k, in basis order, and that diagonal."""
     diag = next(d for d in diagonals(3, 3) if d.k == k)
     basis = construct_min_rank_subspace(3, 3, 2)
-    return [m for m in basis.matrices if any(m.at(i, j) for i, j in diag.cells)], diag
+    return [m for m in basis.matrices if any(m.to_lists()[i][j] for i, j in diag.cells)], diag
 
 
 class TestBuildDiagonalFamily:
     def test_length_equals_r_single_matrix(self):
         fam, diag = _family(1)  # length 2
         assert len(fam) == 1
-        values = [fam[0].at(i, j) for i, j in diag.cells]
+        values = [fam[0].to_lists()[i][j] for i, j in diag.cells]
         assert all(v != 0 for v in values)
 
     def test_3x3_k0_r2_gives_both_vandermonde_columns(self):
         fam, _ = _family(0)
         assert len(fam) == 2
-        assert [fam[0].at(i, i) for i in range(3)] == [1, 1, 1]
-        assert [fam[1].at(i, i) for i in range(3)] == [1, 2, 3]
+        assert [fam[0].to_lists()[i][i] for i in range(3)] == [1, 1, 1]
+        assert [fam[1].to_lists()[i][i] for i in range(3)] == [1, 2, 3]
 
     def test_random_combinations_keep_r_nonzeros_on_diagonal(self):
         fam, _ = _family(0)
+        nodes0, nodes1 = ([f.to_lists()[i][i] for i in range(3)] for f in fam)
         rng = coeff_stream(31)
         for _ in range(500):
             a, b = draw_coeffs(rng, 2)
-            combo = [a * fam[0].at(i, i) + b * fam[1].at(i, i) for i in range(3)]
+            combo = [a * x + b * y for x, y in zip(nodes0, nodes1)]
             assert sum(1 for v in combo if v != 0) >= 2
 
     def test_short_diagonal_contributes_nothing(self):
@@ -151,9 +154,7 @@ class TestMinRankConstruction:
         supports = {}
         for m in basis.matrices:
             k = diagonal_of(m)
-            cells = frozenset(
-                (i, j) for i in range(m.rows) for j in range(m.cols) if m.at(i, j) != 0
-            )
+            cells = frozenset((i, j) for i, row in enumerate(m.to_lists()) for j, v in enumerate(row) if v != 0)
             supports.setdefault(k, set()).update(cells)
             assert all(j - i == k for i, j in cells)
         ks = sorted(supports)
@@ -206,7 +207,7 @@ class TestSelfCheck:
         # and row 7 repeats row 6's zero, leaving three nonzero entries.
         basis = construct_min_rank_subspace(8, 8, 4)
         matrices = list(basis.matrices)
-        main = [n for n, m in enumerate(matrices) if m.at(0, 0)]
+        main = [n for n, m in enumerate(matrices) if m.to_lists()[0][0]]
         assert len(main) == 5
         for n in main:
             rows = matrices[n].to_lists()
@@ -267,9 +268,9 @@ class TestSelfCheck:
                 continue
             basis = construct_min_rank_subspace(dA, dB, r)
             for diag in diagonals(dA, dB):
-                family = [m for m in basis.matrices if any(m.at(i, j) for i, j in diag.cells)]
+                family = [m for m in basis.matrices if any(m.to_lists()[i][j] for i, j in diag.cells)]
                 assert len(family) == max(0, diag.length - r + 1)
-                block = [[m.at(i, j) for m in family] for i, j in diag.cells]
+                block = [[m.to_lists()[i][j] for m in family] for i, j in diag.cells]
                 for rows in itertools.combinations(block, len(family)):
                     assert minor_rank(list(rows)) == len(family)
 
@@ -325,7 +326,7 @@ class TestVandermonde:
         v = default_tns(3)
         for col in range(3):
             for c in (-9, -1, 1, 7):
-                assert all(v.at(i, col) * c != 0 for i in range(3))
+                assert all(row[col] * c != 0 for row in v.to_lists())
 
     def test_random_column_pairs_vanish_at_most_once(self):
         # Two columns of the 3-node Vandermonde matrix: a nonzero combination
@@ -336,11 +337,11 @@ class TestVandermonde:
             a, b = (int(c) for c in rng.integers(-9, 10, size=2))
             if a == b == 0:
                 a = 1
-            combo = [a * v.at(i, 0) + b * v.at(i, 1) for i in range(3)]
+            combo = [a * row[0] + b * row[1] for row in v.to_lists()]
             assert sum(1 for x in combo if x != 0) >= 2
 
     def test_default_tns_nodes(self):
-        assert [default_tns(3).at(i, 1) for i in range(3)] == [1, 2, 3]
+        assert [row[1] for row in default_tns(3).to_lists()] == [1, 2, 3]
 
 
 class TestMaxRankConstruction:
@@ -367,7 +368,7 @@ class TestMaxRankConstruction:
     def test_tall_matrices_use_columns(self):
         basis = construct_max_rank_leq_subspace(5, 3, 2)
         assert basis.dimension == 10  # r * max(dA, dB)
-        assert all(j < 2 for m in basis.matrices for i in range(5) for j in range(3) if m.at(i, j))
+        assert all(j < 2 for m in basis.matrices for row in m.to_lists() for j, v in enumerate(row) if v)
         rng = coeff_stream(35)
         for _ in range(100):
             coeffs = draw_coeffs(rng, 10)
@@ -488,67 +489,53 @@ class TestStackRank:
             basis_from_json_dict(doc)
 
 
-def _numpy_draw(rng, dim, redraws, box=SAMPLE_BOX):
-    """draw_coeffs's contract written against numpy's Generator, the oracle."""
-    coeffs = rng.integers(-box, box + 1, size=dim)
-    while not coeffs.any():
-        redraws.append(dim)
-        coeffs = rng.integers(-box, box + 1, size=dim)
-    return coeffs.tolist()
-
-
-#: 0, 0x5EED, the largest 32-bit seed, seeds of three and six
-#: 32-bit words (SeedSequence mixes words past its pool of four differently).
-ORACLE_SEEDS = [*range(300), 0x5EED, 2**31 - 1, 2**64 + 12345, 2**191 + 2**64 + 7]
-
 #: The first two draw_coeffs calls (dim 6, then dim 3) on coeff_stream(seed), seeds 0-9.
 PINNED_COEFFS = [
-    ([7, 3, 0, -4, -4, -9], [-8, -9, -6]),
-    ([-1, 0, 5, 9, -9, -7], [6, 9, -5]),
-    ([6, -5, -7, -4, -2, 6], [-1, -8, -3]),
-    ([6, -8, -6, -5, -6, 6], [7, 2, -9]),
-    ([4, 8, 7, 0, 8, 9], [9, -8, -1]),
-    ([3, 6, -9, 6, -1, 0], [2, -4, 9]),
-    ([-1, 1, 0, -3, 8, -2], [3, -2, -1]),
-    ([8, 2, 3, 8, 1, 5], [6, -5, -8]),
-    ([4, -3, -5, 9, -6, -3], [3, 5, 3]),
-    ([-1, 7, 9, -4, -7, 2], [3, 5, 3]),
+    ([7, 5, -2, -5, 0, -2], [5, -4, 0]),
+    ([-7, 7, 5, -5, 0, -1], [3, 5, -8]),
+    ([9, 9, -8, -8, 6, 4], [3, -4, 2]),
+    ([-5, 1, -2, 2, 2, -8], [-9, 6, -5]),
+    ([-5, -8, -2, -7, -8, -2], [8, 6, 5]),
+    ([2, 5, 6, 8, 5, 8], [-9, -1, 8]),
+    ([6, 6, 0, -5, -9, 3], [-1, 5, -2]),
+    ([-3, -7, 3, -8, 1, -3], [-8, 0, -9]),
+    ([-5, 9, -7, 4, -8, -5], [9, -6, 3]),
+    ([-1, -2, -7, 7, -9, 0], [8, -8, 1]),
 ]
+
+#: Chi-square critical value for 18 degrees of freedom (19 box values) at level 1e-3.
+CHI2_18_BOUND = 42.31
 
 
 class TestCoeffStream:
-    """coeff_stream and draw_coeffs against numpy's default_rng, bit for bit."""
+    """coeff_stream is the standard library's Random; draw_coeffs reads only its random()."""
 
-    def test_words_are_numpy_pcg64_halves(self):
-        for seed in ORACLE_SEEDS[::7]:
-            raw = np.random.default_rng(seed).bit_generator.random_raw(5).tolist()
-            words = coeff_stream(seed)
-            assert [next(words) for _ in range(10)] == [w for r in raw for w in (r & 0xFFFFFFFF, r >> 32)]
-
-    def test_successive_draws_match_numpy(self):
-        redraws = []
-        for seed in ORACLE_SEEDS:
-            words, rng = coeff_stream(seed), np.random.default_rng(seed)
-            # Odd lengths leave a 32-bit half buffered for the next call; dim 1
-            # draws all zeros one time in 19, so some calls redraw.
-            for dim in (1, 3, 49, 1, 7, 2, 5, 1):
-                assert draw_coeffs(words, dim) == _numpy_draw(rng, dim, redraws), (seed, dim)
-        assert redraws.count(1) >= 10
-
-    def test_rejected_draws_match_numpy(self, monkeypatch):
-        # With a box of 9 a word is rejected about once in 7e8 draws; with
-        # span 3 * 2**30 + 1 about one word in four is, and redrawn.
-        box = 3 * 2**29
-        monkeypatch.setattr(construct, "SAMPLE_BOX", box)
-        for seed in range(20):
-            words, rng = coeff_stream(seed), np.random.default_rng(seed)
-            for dim in (5, 8, 3):
-                assert draw_coeffs(words, dim) == _numpy_draw(rng, dim, [], box), (seed, dim)
+    def test_stream_is_stdlib_random(self):
+        rng, oracle = coeff_stream(5), random.Random(5)
+        assert type(rng) is random.Random
+        assert [rng.random() for _ in range(3)] == [oracle.random() for _ in range(3)]
 
     def test_draw_coeffs_values_pinned(self):
         for seed, (first, second) in enumerate(PINNED_COEFFS):
-            words = coeff_stream(seed)
-            assert (draw_coeffs(words, 6), draw_coeffs(words, 3)) == (first, second), seed
+            rng = coeff_stream(seed)
+            assert (draw_coeffs(rng, 6), draw_coeffs(rng, 3)) == (first, second), seed
+
+    def test_draw_coeffs_uniform_over_box(self):
+        rng, n = coeff_stream(2024), 19000
+        counts = collections.Counter(c for _ in range(n // 19) for c in draw_coeffs(rng, 19))
+        assert sorted(counts) == list(range(-SAMPLE_BOX, SAMPLE_BOX + 1))
+        expected = n / len(counts)
+        assert sum((k - expected) ** 2 / expected for k in counts.values()) < CHI2_18_BOUND
+
+    def test_all_zero_draw_is_redrawn(self):
+        # At dim 1 a draw is all zero one time in 19: it is dropped, and the next uniform read.
+        redrawn = 0
+        for seed in range(100):
+            raw = random.Random(seed)
+            values = [int(raw.random() * (2 * SAMPLE_BOX + 1)) - SAMPLE_BOX for _ in range(5)]
+            redrawn += values[0] == 0
+            assert draw_coeffs(coeff_stream(seed), 1) == [next(v for v in values if v)], seed
+        assert redrawn >= 2
 
     @pytest.mark.parametrize("seed", [-1, -(2**70), True, 1.5, "3"])
     def test_bad_seed_rejected(self, seed):
@@ -572,20 +559,20 @@ def _ks_normal(xs) -> float:
 
 
 class TestDrawNormals:
-    """draw_normals: Box-Muller on coeff_stream words, the one Gaussian source."""
+    """draw_normals: Box-Muller on coeff_stream uniforms, the one Gaussian source."""
 
     def test_same_seed_same_draws(self):
         a, b = draw_normals(coeff_stream(7), 50), draw_normals(coeff_stream(7), 50)
         assert a.tolist() == b.tolist()
         assert a.tolist() != draw_normals(coeff_stream(8), 50).tolist()
         # Successive calls continue the stream.
-        words = coeff_stream(7)
-        assert np.concatenate([draw_normals(words, 20), draw_normals(words, 30)]).tolist() == a.tolist()
+        rng = coeff_stream(7)
+        assert np.concatenate([draw_normals(rng, 20), draw_normals(rng, 30)]).tolist() == a.tolist()
 
     def test_first_draw_is_box_muller_of_first_words(self):
         for seed in range(10):
-            words = coeff_stream(seed)
-            u1, u2 = ((next(words) + 0.5) / 2**32 for _ in range(2))
+            rng = coeff_stream(seed)
+            u1, u2 = (1 - rng.random() for _ in range(2))
             radius, angle = math.sqrt(-2 * math.log(u1)), 2 * math.pi * u2
             z = draw_normals(coeff_stream(seed), 1)[0]
             assert z.real == pytest.approx(radius * math.cos(angle), rel=1e-12, abs=1e-12)

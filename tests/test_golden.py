@@ -59,9 +59,9 @@ GOLDEN = {
     "construct_geq_8x8": (0, '6bee7c96cd99decc573d3361e71b13ba9de39de941510851a54de5e75317d402'),
     "construct_geq_16x16": (0, '0ff94998ef8596bbfeaddfeba1819eb1f6c9dfc7622ca005b2e93e67025e30a2'),
     "verify_sample": (0, '545878255a118dc827944b5131737b7074b60cbb550140be1798b5b3cd88ee7a'),
-    "verify_sample_refuted": (3, '897f5da085d64b77ed3cfed5c4ec792f659603516a0e3e37b1d29d1123efa0c5'),
-    "verify_sample_fractional": (3, 'd7427b287d6c45801ef8694fb50a039159dcf3c606f53a57388c072a183cf04c'),
-    "verify_structural": (0, '42c95d23221cd1f799551fd387857fd4507711380a3b4eae29aa8b8799873041'),
+    "verify_sample_refuted": (3, '63b9d68c96712ce629fbe44fbe77f422ff7a4cd51623dfa1c0336bb2edadda4e'),
+    "verify_sample_fractional": (3, 'e39c1c1f31a7995cdb2e50b974008ac8a9b4e0070f2c88fee4511a30c222e53c'),
+    "verify_structural": (0, 'adc049075b8b477c101c017dabb91e85eda7a5f76ec2c8fc8fc2861a8ca7e3bf'),
     "verify_gfp": (0, '2250748496d22c909dac62470373ef31e21edf56a2424202b98949adbfe61a01'),
     "verify_gfp_inconclusive": (4, 'e48857e1b74c4811fb5f35773aad7b3f21e84be643a600a1ded0b23b66e1297e'),
     "bounds_grid": (0, 'fe3ffdcef82e1d9532ed96349d100d2575c6494e1fb2964789b8454f74926d9b'),

@@ -1,5 +1,6 @@
 """README's Library and CLI examples run as written, so a renamed or removed public name or flag fails here."""
 
+import importlib
 import pathlib
 import re
 import shlex
@@ -10,6 +11,9 @@ from entspan.cli import main
 from test_cli import _child_env
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+#: The package modules whose names README's prose may quote as `module.name`.
+MODULES = ("cli", "construct", "verify", "statemat", "bounds", "_kernels")
 
 
 def _block(section: str, language: str) -> str:
@@ -43,3 +47,14 @@ def test_cli_block_runs(tmp_path, monkeypatch, capsys):
     assert ran == [
         "construct", "# dim", "verify", "verify", "verify", "construct", "# dim", "verify", "bounds", "bounds", "report", "report"
     ]
+
+
+def test_quoted_module_names_resolve():
+    # `construct.default_tns(m)` names construct.default_tns; a removed helper fails here.
+    quoted = re.findall(rf"`({'|'.join(MODULES)})\.([A-Za-z_][\w.]*)[^`]*`", README.read_text())
+    assert quoted
+    for module, name in quoted:
+        obj = importlib.import_module(f"entspan.{module}")
+        for part in name.split("."):
+            assert hasattr(obj, part), f"README names {module}.{name}, which does not exist"
+            obj = getattr(obj, part)

@@ -66,7 +66,7 @@ class TestSchmidtRankNumeric:
         assert info.singular_values[0] == pytest.approx(1.0)
 
     def test_zero_matrix(self):
-        m = StateMatrix.zero(3, 2, COMPLEX)
+        m = StateMatrix.complex_([[0, 0]] * 3)
         assert schmidt_rank_numeric(m).rank == 0
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
@@ -124,7 +124,7 @@ class TestRankExact:
         assert rank_exact(rational([[1, 2], [2, 4]])) == 1
 
     def test_zero_matrix(self):
-        assert rank_exact(StateMatrix.zero(3, 4)) == 0
+        assert rank_exact(rational([[0] * 4] * 3)) == 0
 
     def test_vandermonde_full_rank(self):
         rows = [[1, 1, 1], [1, 2, 4], [1, 3, 9]]
@@ -263,7 +263,7 @@ class TestOrderRMinors:
                     cases.append((left @ right).tolist())
         for rows in cases:
             m = rational(rows)
-            if m.is_zero():
+            if not any(m.entries):
                 continue
             rank = rank_exact(m)
             for r in range(1, min(m.rows, m.cols) + 1):
@@ -310,6 +310,10 @@ class TestCombineAndMinorValue:
     def test_minor_value_fractional(self):
         rows = [[Fraction(1, 2), Fraction(2, 3), 1], [3, Fraction(-1, 4), 0], [Fraction(5, 7), 2, -1]]
         assert minor_value(rational(rows), (0, 1, 2), (0, 1, 2)) == perm_det(rows)
+
+    def test_minor_value_refuses_complex(self):
+        with pytest.raises(FieldMismatchError, match="exact field"):
+            minor_value(StateMatrix.complex_([[1, 2j], [3, 4]]), (0, 1), (0, 1))
 
 
 class TestElimination:
@@ -395,7 +399,6 @@ class TestStoredForm:
     def test_values_are_fractions(self):
         m = rational([[Fraction(1, 2), 3], [0, Fraction(-5, 4)]])
         assert (m.entries, m.denominator) == ((2, 12, 0, -5), 4)
-        assert m.at(1, 1) == Fraction(-5, 4) and type(m.at(0, 1)) is Fraction
         assert m.to_lists() == [[Fraction(1, 2), 3], [0, Fraction(-5, 4)]]
         assert all(type(v) is Fraction for v in state_of_matrix(m))
         assert m._nonzero == ((0, 2), (1, 12), (3, -5))
@@ -513,7 +516,7 @@ class TestBlockRank:
 
     def test_empty_and_zero(self):
         assert block_rank([]) == block_rank([[], []]) == 0
-        assert rank_exact(StateMatrix.zero(3, 2)) == 0
+        assert rank_exact(rational([[0, 0]] * 3)) == 0
 
     def test_one_elimination_per_block(self, monkeypatch):
         # diag(A, B) with A 2x2 of rank 1 and B 1x2: two eliminations, each on its own columns.

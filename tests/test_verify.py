@@ -50,7 +50,7 @@ class TestStructuralCertificate:
         basis = construct_min_rank_subspace(3, 3, 2)
         idx = next(
             n for n, m in enumerate(basis.matrices)
-            if diagonal_of(m) == 0 and all(m.at(i, i) == 1 for i in range(3))
+            if diagonal_of(m) == 0 and all(m.to_lists()[i][i] == 1 for i in range(3))
         )
         coeffs = [0] * basis.dimension
         coeffs[idx] = 1
@@ -76,7 +76,8 @@ class TestStructuralCertificate:
                 coeffs[0] = 1
             cert = structural_certificate(basis, coeffs)
             combo = basis.combination(coeffs)
-            rows = [[combo.at(i, j) for j in [c for _, c in cert.positions]] for i in [r for r, _ in cert.positions]]
+            values = combo.to_lists()
+            rows = [[values[i][j] for j in [c for _, c in cert.positions]] for i in [r for r, _ in cert.positions]]
             assert perm_det(rows) == cert.minor_value != 0
             assert rank_exact(combo) >= 3
 
@@ -85,8 +86,8 @@ class TestStructuralCertificate:
         basis = construct_min_rank_subspace(dA, dB, r)
         report = structural_verify(basis, r, 30, seed=dA + dB + r)
         for cert in report.witnesses:
-            combo = basis.combination(cert.coeffs)
-            rows = [[combo.at(i, j) for _, j in cert.positions] for i, _ in cert.positions]
+            combo = basis.combination(cert.coeffs).to_lists()
+            rows = [[combo[i][j] for _, j in cert.positions] for i, _ in cert.positions]
             assert perm_det(rows) == cert.minor_value != 0
 
     def test_kappa_is_max_used_diagonal(self):
@@ -332,10 +333,10 @@ def _sequential_sigma(basis, r, restarts, iters, seed, tol=SIGMA_TOL):
     """
     A = _complex_stack(basis)
     P = np.linalg.pinv(A)
-    words = coeff_stream(seed)
+    rng = coeff_stream(seed)
     best, witness = math.inf, None
     for run in range(1, restarts + 1):
-        val, x = _kernels.sigma_descent(A, P, r, iters, draw_normals(words, basis.dimension), basis.dA, basis.dB)
+        val, x = _kernels.sigma_descent(A, P, r, iters, draw_normals(rng, basis.dimension), basis.dA, basis.dB)
         if val < best:
             best = val
             witness = _accepted_witness(basis, A, x, r) if val < tol else None
@@ -350,23 +351,23 @@ def _sequential_sigma(basis, r, restarts, iters, seed, tol=SIGMA_TOL):
 
 class TestMinimizeSigmaR:
     @pytest.mark.parametrize(
-        "basis, r, restarts, iters, seed, run",
+        "basis, r, restarts, iters, seed, run, witnessed",
         [
             # Consistent: every restart runs, in groups 1 (alone), 8, 8 + 1 (alone) and 8 + 8 + 4.
-            pytest.param(construct_min_rank_subspace(8, 8, 4), 4, 1, 500, 2, 1, id="8x8-1"),
-            pytest.param(construct_min_rank_subspace(8, 8, 4), 4, 8, 500, 0, 8, id="8x8-8"),
-            pytest.param(construct_min_rank_subspace(8, 8, 4), 4, 9, 500, 3, 9, id="8x8-9"),
-            pytest.param(construct_min_rank_subspace(8, 8, 4), 4, 20, 500, 1, 20, id="8x8-20"),
+            pytest.param(construct_min_rank_subspace(8, 8, 4), 4, 1, 500, 2, 1, False, id="8x8-1"),
+            pytest.param(construct_min_rank_subspace(8, 8, 4), 4, 8, 500, 0, 8, False, id="8x8-8"),
+            pytest.param(construct_min_rank_subspace(8, 8, 4), 4, 9, 500, 3, 9, False, id="8x8-9"),
+            pytest.param(construct_min_rank_subspace(8, 8, 4), 4, 20, 500, 1, 20, False, id="8x8-20"),
             # At the bound with a rank drop: refuted at restart 6, mid-way through the first group of 8.
-            pytest.param(_e00_basis(), 2, 16, 200, 23, 6, id="3x3-e00-at-bound"),
-            # Dim 4 above the bound 1: refuted at restart 2 (second lane), 6 (mid-group) and 16
+            pytest.param(_e00_basis(), 2, 16, 200, 52, 6, True, id="3x3-e00-at-bound"),
+            # Dim 4 above the bound 1: a witness at restart 2 (second lane), 6 (mid-group) and 16
             # (last lane of the second group).
-            pytest.param(construct_min_rank_subspace(3, 3, 2), 3, 16, 200, 4, 2, id="3x3-at-r3-seed4"),
-            pytest.param(construct_min_rank_subspace(3, 3, 2), 3, 16, 200, 27, 6, id="3x3-at-r3-seed27"),
-            pytest.param(construct_min_rank_subspace(3, 3, 2), 3, 16, 200, 1, 16, id="3x3-at-r3-seed1"),
+            pytest.param(construct_min_rank_subspace(3, 3, 2), 3, 16, 200, 68, 2, True, id="3x3-at-r3-seed68"),
+            pytest.param(construct_min_rank_subspace(3, 3, 2), 3, 16, 200, 13, 6, True, id="3x3-at-r3-seed13"),
+            pytest.param(construct_min_rank_subspace(3, 3, 2), 3, 16, 200, 618, 16, True, id="3x3-at-r3-seed618"),
         ],
     )
-    def test_rational_search_matches_sequential_descents(self, basis, r, restarts, iters, seed, run):
+    def test_rational_search_matches_sequential_descents(self, basis, r, restarts, iters, seed, run, witnessed):
         # Restarts run in lockstep lanes; read in restart order, they must give
         # exactly what one lone descent after another gives.
         _, value, report = minimize_sigma_r(basis, r, restarts=restarts, iters=iters, seed=seed)
@@ -374,6 +375,7 @@ class TestMinimizeSigmaR:
         got = (report.verdict, report.min_sigma_r, report.witnesses, report.params["restarts_run"])
         assert got == expected
         assert value == report.min_sigma_r and report.params["restarts_run"] == run
+        assert bool(report.witnesses) == witnessed
 
     @pytest.mark.parametrize(
         "basis, r, restarts, schedule",
