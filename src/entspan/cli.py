@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
 
 from . import bounds as bounds_mod
 from . import construct as construct_mod
@@ -66,14 +65,17 @@ def _exact_ints():
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    while True:
+        tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+        try:
+            # Mode 0666 less the umask, which the kernel applies: the mode a plain open() gives.
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
-        # mkstemp makes the file 0600; give it the mode a plain open() would, 0666 less the umask.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

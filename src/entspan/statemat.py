@@ -7,7 +7,7 @@ linear rank of this matrix, which is what every routine here computes.
 
 Two scalar fields are supported: exact rationals and complex doubles.  A
 rational matrix stores int numerators over one positive ``denominator`` in
-lowest terms, so equal matrices compare equal; ``at``, ``to_lists`` and
+lowest terms, so equal matrices compare equal; ``to_lists`` and
 ``state_of_matrix`` give its values as Fractions.  Exact ranks and
 determinants come from Bareiss elimination on the numerators; numeric ranks
 count singular values above a relative tolerance.  GF(p) is no stored field:
@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -121,7 +122,8 @@ class StateMatrix:
         if self.field == RATIONAL:
             if not set(map(type, self.entries)) <= {int}:
                 raise FieldMismatchError("rational entries are int numerators over the matrix's denominator")
-            if not (_is_int(d) and d >= 1 and math.gcd(d, *self.entries) == 1):
+            # gcd(1, ...) is 1, so only a denominator above 1 needs the gcd over all the entries.
+            if not (_is_int(d) and d >= 1 and (d == 1 or math.gcd(d, *self.entries) == 1)):
                 raise DomainError(f"denominator must be a positive int in lowest terms with the entries, got {d!r}")
         elif not (_is_int(d) and d == 1):
             raise DomainError(f"field {self.field!r} takes no denominator, got {d!r}")
@@ -155,9 +157,11 @@ class StateMatrix:
     @cached_property
     def _nonzero(self) -> tuple[tuple[int, object], ...]:
         """(flat index, entry) pairs of the nonzero entries; rational entries are numerators."""
-        # Built from a list: tuple() of a generator resizes its result, and each resized small tuple
-        # is parked in CPython's free list of its new size, which grew a loop of loads by ~1.5 MiB.
-        return tuple([(k, v) for k, v in enumerate(self.entries) if v])
+        e = self.entries
+        # Built from a list: tuple() of an iterator with no length, such as a generator or this zip,
+        # resizes its result, and each resized small tuple is parked in CPython's free list of its new
+        # size, which grew the peak RSS of a loop of loads by 1-1.5 MiB (``TestLoadMemory``).
+        return tuple(list(zip(compress(range(len(e)), e), compress(e, e))))
 
 
 def matrix_of_state(amplitudes: Sequence, dA: int, dB: int, field: str = RATIONAL) -> StateMatrix:
@@ -384,16 +388,29 @@ def block_rank(rows: Sequence[Sequence[tuple[int, int]]]) -> int:
             blocks.setdefault(find(row[0][0]), []).append(row)
     rank = 0
     for block in blocks.values():
-        cols = {c for row in block for c, _ in row}
-        rank += bareiss([[row.get(c, 0) for c in cols] for row in map(dict, block)])[0]
+        # Columns are numbered as they first appear.  The rank does not depend on their order, but the
+        # elimination's cost does: cells in ascending column order, as ``_nonzero`` gives them, put a
+        # constructed basis's small nodes first, which keeps its intermediate minors small.
+        index: dict[int, int] = {}
+        for row in block:
+            for c, _ in row:
+                index.setdefault(c, len(index))
+        dense = []
+        for row in block:
+            values = [0] * len(index)
+            for c, v in row:
+                values[index[c]] = v
+            dense.append(values)
+        rank += bareiss(dense)[0]
     return rank
 
 
 def rank_exact(m: StateMatrix) -> int:
     """Exact linear rank of a rational matrix."""
     if m.field == RATIONAL:
-        c = m.cols
-        return block_rank([[(j, v) for j, v in enumerate(m.entries[i * c : (i + 1) * c]) if v] for i in range(m.rows)])
+        c, e = m.cols, m.entries
+        rows = (e[k : k + c] for k in range(0, len(e), c))
+        return block_rank([list(zip(compress(range(c), row), compress(row, row))) for row in rows])
     raise FieldMismatchError("rank_exact needs an exact field; use schmidt_rank_numeric for complex")
 
 
@@ -420,6 +437,8 @@ def to_json(obj):
     matrix with denominator 1 writes its entries as ints; any other rational
     matrix, and every Fraction, writes reduced ``"n/d"`` strings.
     """
+    if type(obj) in (int, str, float, bool, type(None)):  # most values; subclasses take the chain below
+        return obj
     if isinstance(obj, StateMatrix):
         entries, d = obj.entries, obj.denominator
         if obj.field != RATIONAL:
@@ -483,10 +502,14 @@ def matrix_from_json_dict(d: dict, decoded: dict | None = None) -> StateMatrix:
         raise DomainError("matrix 'entries' must be a list")
     if field != RATIONAL:
         return StateMatrix(rows, cols, field, tuple(_decode_entry(v, field) for v in entries))
-    types = set(map(type, entries))
-    if types <= {int}:  # an integral matrix as written: the ints are its numerators over 1
+    # An integral matrix as written: the ints are its numerators over 1, and the constructor's type check
+    # is the one scan of its entries.  Any other matrix is decoded below, which names a bad entry before
+    # a bad shape; the constructor meets the shape again at the end.
+    try:
         return StateMatrix(rows, cols, field, tuple(entries))
-    if not types <= {str, int}:
+    except (DimensionError, FieldMismatchError):
+        pass
+    if not set(map(type, entries)) <= {str, int}:
         # Only texts share ``decoded``: True and 1.0 hash and compare equal to 1.  An exact int
         # stands for itself; the first entry of any other type raises.
         for v in entries:

@@ -43,7 +43,6 @@ from .statemat import (
     StateMatrix,
     _coerce_entry,
     check_modulus,
-    gfp_eliminate,
     minor_value,
     rank_exact,
     schmidt_rank_numeric,
@@ -274,11 +273,12 @@ def gfp_exhaustive_min_rank(
             f"raise cap to at least that many to run this"
         )
     stack = [[v % p for v in m.entries] for m in basis.matrices]
-    if gfp_eliminate([stack], p)[0] != dim:
-        raise DomainError(f"basis loses linear independence when reduced mod {p}")
     min_rank, argmin, count = _kernels.gfp_min_rank_scan(stack, p, basis.dA, basis.dB)
     if count != points:
         raise CertificateError(f"enumeration bug: visited {count} points, expected {points}")
+    # Only the zero matrix has rank 0: some point's combination vanishes exactly when the basis is dependent mod p.
+    if min_rank == 0:
+        raise DomainError(f"basis loses linear independence when reduced mod {p}")
     return VerificationReport(
         mode="gfp_exhaustive",
         samples_or_points=points,

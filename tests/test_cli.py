@@ -90,6 +90,24 @@ class TestConstruct:
         assert code == 0
         assert out_path.stat().st_mode & 0o777 == 0o666 & ~umask
 
+    def test_artifact_written_without_touching_the_umask(self, capsys, tmp_path, monkeypatch):
+        # Reading the umask by setting it to 0 left every file that another thread created
+        # in that window unmasked.
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        out_path = tmp_path / "basis.json"
+        old = os.umask(0o027)
+        try:
+            monkeypatch.setattr(os, "umask", refuse)
+            code, _, _ = run_cli(capsys, "construct", "--da", "2", "--db", "2", "--r", "2", "--out", str(out_path))
+        finally:
+            monkeypatch.undo()
+            os.umask(old)
+        assert code == 0
+        assert out_path.stat().st_mode & 0o777 == 0o640
+        assert [p.name for p in tmp_path.iterdir()] == ["basis.json"]  # no temp file left behind
+
     def test_artifact_records_flags(self, capsys, tmp_path):
         out_path = tmp_path / "b.json"
         run_cli(capsys, "construct", "--da", "3", "--db", "3", "--r", "2", "--out", str(out_path))
@@ -150,6 +168,19 @@ class TestVerify:
         )
         assert code == 0
         assert "n=40" in out
+
+    def test_gfp_mode_basis_dependent_mod_p_exits_2(self, capsys, tmp_path):
+        # Independent over Q, but M2 = M1 mod 5: the scan finds the zero combination M1 - M2.
+        basis_path, rep_path = tmp_path / "basis.json", tmp_path / "rep.json"
+        matrices = [{"rows": 2, "cols": 2, "field": "rational", "entries": e} for e in ([1, 1, 0, 0], [1, 6, 0, 0])]
+        basis_path.write_text(json.dumps({"da": 2, "db": 2, "r": 1, "kind": "user", "matrices": matrices}))
+        code, out, err = run_cli(
+            capsys, "verify", "--basis", str(basis_path), "--mode", "gfp", "--p", "5", "--out", str(rep_path)
+        )
+        assert (code, out, err) == (2, "", "error: basis loses linear independence when reduced mod 5\n")
+        assert not rep_path.exists()
+        code, _, _ = run_cli(capsys, "verify", "--basis", str(basis_path), "--mode", "gfp", "--p", "3", "--out", str(rep_path))
+        assert code == 0
 
     def test_structural_mode(self, capsys, basis_file, tmp_path):
         rep_path = tmp_path / "rep.json"
@@ -608,6 +639,40 @@ class TestImportFootprint:
     def test_guard_sees_scipy(self, tmp_path):
         pytest.importorskip("scipy")
         assert "scipy" in self._heavy_imports(tmp_path, "import scipy.linalg\n" + _FOOTPRINT)
+
+
+_LOAD_RSS_PROBE = """
+import resource, sys
+from entspan.cli import _load_basis
+for _ in range(20):
+    _load_basis(sys.argv[1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for _ in range(300):
+    _load_basis(sys.argv[1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+#: Runs its arguments as ``python -c``.  Linux carries a process's ru_maxrss over fork and exec, so
+#: a child of the test process starts at the test's own RSS, above any peak the probe reaches; a
+#: child of this small launcher starts at the launcher's.
+_LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', *sys.argv[1:]]).returncode)"
+
+
+class TestLoadMemory:
+    def test_repeated_loads_keep_peak_rss(self, tmp_path):
+        # Each matrix's nonzero cells are a tuple of small tuples.  Built by tuple() from a zip, whose
+        # length it cannot know, the result is resized, and the resized tuples that CPython keeps in its
+        # free lists grew the peak RSS of 300 loads of this basis by 1024-1152 KiB; built from a list, by 0.
+        # The basis is built here: memory that building it frees in the child would hide the growth.
+        pytest.importorskip("resource")
+        basis_path = tmp_path / "basis.json"
+        assert main(["construct", "--da", "12", "--db", "12", "--r", "6", "--out", str(basis_path)]) == 0
+        out = subprocess.run(
+            [sys.executable, "-c", _LAUNCHER, _LOAD_RSS_PROBE, str(basis_path)],
+            capture_output=True, text=True, env=_child_env(), check=True,
+        )
+        grown = int(out.stdout) // (1024 if sys.platform == "darwin" else 1)  # ru_maxrss is in bytes on macOS, KiB on Linux
+        assert grown < 512, f"peak RSS grew by {grown} KiB over 300 loads"
 
 
 class TestNumericScale:

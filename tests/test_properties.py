@@ -29,6 +29,7 @@ from entspan.errors import DomainError, EntspanError
 from entspan.statemat import (
     RATIONAL,
     StateMatrix,
+    block_rank,
     combine,
     gfp_eliminate,
     matrix_from_json_dict,
@@ -111,6 +112,21 @@ class TestGfpEliminate:
             assert ranks[i] == minor_rank(rows, p)
             assert gfp_eliminate(stack[i : i + 1], p).tolist() == [ranks[i]]
         assert np.array_equal(np.array(stack, dtype=object), np.array(before, dtype=object))
+
+
+class TestBlockRank:
+    @given(st.integers(1, 4), st.integers(1, 5), st.sampled_from(["shuffled", "descending"]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_cells_in_any_column_order(self, n_rows, n_cols, order, data):
+        # Mostly zeros, so the rows fall into several blocks.
+        cell = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+        rows = data.draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+        cells = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+        if order == "descending":
+            cells = [row[::-1] for row in cells]
+        else:
+            cells = [data.draw(st.permutations(row), label="cells") for row in cells]
+        assert block_rank(cells) == minor_rank(rows)
 
 
 class TestSigmaSearch:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from entspan import statemat
-from entspan.errors import DimensionError, DomainError, FieldMismatchError, NumericError
+from entspan.errors import DimensionError, DomainError, EntspanError, FieldMismatchError, NumericError
 from entspan.statemat import (
     COMPLEX,
     RATIONAL,
@@ -426,6 +426,24 @@ class TestStoredForm:
         assert StateMatrix.complex_([[1, 2.5, np.complex128(1j), np.int64(3)]]).entries == (1, 2.5, 1j, 3)
 
 
+def _bad_entry(text):
+    return f"bad rational entry {text}; use an int or an 'n' or 'n/d' string"
+
+
+#: Entries of a 2x2 rational matrix the loader refuses: (entries, exact error type, message).
+#: An entry that is neither an int nor an "n/d" text is named before a wrong entry count.
+_REFUSED_ENTRIES = {
+    "bool": ([1, True, 0, 1], DomainError, _bad_entry("True")),
+    "float": ([1, 1.0, 0, 1], DomainError, _bad_entry("1.0")),
+    "nested_list": ([1, [1], 0, 1], DomainError, _bad_entry("[1]")),
+    "exponent_text": ([1, "1e5", 0, 1], DomainError, _bad_entry("'1e5'")),
+    "wrong_count": ([1, 0, 0], DimensionError, "2x2 matrix needs one entry per cell, got 3 entries"),
+    "mixed_int_text_wrong_count": ([1, "1/2", 0, 1, 5], DimensionError, "2x2 matrix needs one entry per cell, got 5 entries"),
+    "exponent_text_wrong_count": ([1, "1e5", 0], DomainError, _bad_entry("'1e5'")),
+    "float_wrong_count": ([1.0, 0, 0], DomainError, _bad_entry("1.0")),
+}
+
+
 class TestJson:
     def test_rational_round_trip(self):
         m = rational([[Fraction(1, 2), 3], [-4, Fraction(-5, 7)]])
@@ -439,6 +457,19 @@ class TestJson:
         d = to_json(m)
         assert d["entries"][0] == [1.0, 2.0]
         assert matrix_from_json_dict(d) == m
+
+    def test_plain_scalars_come_back_unchanged(self):
+        for value in (True, None, 1.5, "x", 7, 2**70):
+            assert to_json(value) is value
+        assert to_json((Fraction(1, 2), 2j, (3, (Fraction(-4, 6), False)))) == ["1/2", [0.0, 2.0], [3, ["-2/3", False]]]
+        assert to_json({"k": (np.float64(0.5), Fraction(5))}) == {"k": [0.5, "5/1"]}
+
+    @pytest.mark.parametrize("case", sorted(_REFUSED_ENTRIES))
+    def test_loader_refusals(self, case):
+        entries, error, message = _REFUSED_ENTRIES[case]
+        with pytest.raises(EntspanError) as exc:
+            matrix_from_json_dict({"rows": 2, "cols": 2, "field": RATIONAL, "entries": entries})
+        assert (type(exc.value), str(exc.value)) == (error, message)
 
 
 def _block_matrix(rng, fractional):
