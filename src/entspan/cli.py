@@ -158,6 +158,9 @@ def _load_basis(path: str):
 
 
 def cmd_verify(args) -> int:
+    # The report would replace the basis it was made from; the next verify on that file would then fail.
+    if os.path.exists(args.out) and os.path.exists(args.basis) and os.path.samefile(args.out, args.basis):
+        raise EntspanError(f"verify --out {args.out} names the --basis file; write the report elsewhere")
     if args.require != "geq" and args.mode != "sample":
         raise EntspanError(f"verify --mode {args.mode} checks rank >= r only; --require {args.require} needs --mode sample")
     basis = _load_basis(args.basis)
@@ -203,6 +206,8 @@ def cmd_verify(args) -> int:
 def cmd_bounds(args) -> int:
     if args.grid:
         rs = range(2, min(bounds_mod._normalize(args.da, args.db)) + 1)
+        if not rs:
+            raise EntspanError(f"bounds --grid covers r = 2..min(dA, dB), empty for --da {args.da} --db {args.db}; use --r 1")
     else:
         if args.r is None:
             raise EntspanError("bounds needs --r or --grid")

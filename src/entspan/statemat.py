@@ -120,7 +120,8 @@ class StateMatrix:
             )
         d = self.denominator
         if self.field == RATIONAL:
-            if not set(map(type, self.entries)) <= {int}:
+            # One C-level pass: bools, numpy ints and int subclasses are not of type int.
+            if list(map(type, self.entries)).count(int) != len(self.entries):
                 raise FieldMismatchError("rational entries are int numerators over the matrix's denominator")
             # gcd(1, ...) is 1, so only a denominator above 1 needs the gcd over all the entries.
             if not (_is_int(d) and d >= 1 and (d == 1 or math.gcd(d, *self.entries) == 1)):
@@ -207,7 +208,8 @@ def combine(matrices: Sequence[StateMatrix], coeffs: Sequence) -> StateMatrix:
                 acc[k] += c * v
     if head.field == RATIONAL:
         g = math.gcd(denominator, *acc)
-        flat, denominator = tuple([a // g for a in acc]), denominator // g
+        flat = tuple(acc) if g == 1 else tuple([a // g for a in acc])
+        denominator //= g
     else:
         flat = tuple(complex(a) for a in acc)
     return StateMatrix(head.rows, head.cols, head.field, flat, denominator)
@@ -264,14 +266,17 @@ def schmidt_rank_numeric(m: StateMatrix, tol: float = DEFAULT_TOL) -> SchmidtInf
 # exact elimination: one routine per field; determinants come from bareiss
 # ---------------------------------------------------------------------------
 
-def bareiss(rows: list[list[int]]) -> tuple[int, int]:
+def bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     """(rank, determinant) of an integer matrix by fraction-free elimination.
 
     Intermediate entries are minors of the input, so all divisions are exact
     and growth stays polynomial in the entry size.  The determinant is 0
     unless the matrix is square and nonsingular (1 for the empty matrix).
+    Each step updates only the columns after its pivot's: the entries below
+    the pivot would become 0, and no later step reads them.  The input rows,
+    lists or tuples, are never written.
     """
-    m = [row[:] for row in rows]
+    m = [list(row) for row in rows]
     n_rows, n_cols = len(m), len(m[0]) if m else 0
     rank = 0
     prev = 1
@@ -289,7 +294,7 @@ def bareiss(rows: list[list[int]]) -> tuple[int, int]:
             # entries must stay genuine minors for later divisions to be exact.
             head = m[i][col]
             row_i, row_p = m[i], m[rank]
-            for j in range(col, n_cols):
+            for j in range(col + 1, n_cols):
                 row_i[j] = (pivot * row_i[j] - head * row_p[j]) // prev
         prev = pivot
         rank += 1
@@ -366,8 +371,17 @@ def block_rank(rows: Sequence[Sequence[tuple[int, int]]]) -> int:
 
     Rows linked by shared columns, directly or through other rows, form a
     block.  Blocks span subspaces on disjoint columns, so the rank is the sum
-    of one ``bareiss`` per block, each over its own columns only.
+    of one ``bareiss`` per block, each over its own columns only.  Rows are
+    grouped by their support, the tuple of their columns, first: rows of one
+    support fall in one block, so the blocks are joined once per distinct
+    support.  A basis loaded for its independence check is such a stack, its
+    matrices' cells one row each; a dense matrix is one block, and
+    ``rank_exact`` hands it to ``bareiss`` directly.
     """
+    groups: dict[tuple, list] = {}
+    for row in rows:
+        if row:
+            groups.setdefault(next(zip(*row)), []).append(row)
     root: dict[int, int] = {}
 
     def find(c: int) -> int:
@@ -375,42 +389,43 @@ def block_rank(rows: Sequence[Sequence[tuple[int, int]]]) -> int:
             root[c] = c = root[root[c]]
         return c
 
-    for row in rows:
-        # One step joins every block the row touches: the row's columns lead to these roots.
-        tops = {find(c) for c, _ in row}
-        if tops:
-            top = tops.pop()
-            for t in tops:
-                root[t] = top
+    for support in groups:
+        # One step joins every block the support touches: its columns lead to these roots.
+        tops = {find(c) for c in support}
+        top = tops.pop()
+        for t in tops:
+            root[t] = top
     blocks: dict[int, list] = {}
-    for row in rows:
-        if row:
-            blocks.setdefault(find(row[0][0]), []).append(row)
+    for support, group in groups.items():
+        blocks.setdefault(find(support[0]), []).append(group)
     rank = 0
     for block in blocks.values():
         # Columns are numbered as they first appear.  The rank does not depend on their order, but the
         # elimination's cost does: cells in ascending column order, as ``_nonzero`` gives them, put a
         # constructed basis's small nodes first, which keeps its intermediate minors small.
         index: dict[int, int] = {}
-        for row in block:
-            for c, _ in row:
+        for group in block:
+            for c, _ in group[0]:
                 index.setdefault(c, len(index))
         dense = []
-        for row in block:
-            values = [0] * len(index)
-            for c, v in row:
-                values[index[c]] = v
-            dense.append(values)
+        for group in block:
+            for row in group:
+                values = [0] * len(index)
+                for c, v in row:
+                    values[index[c]] = v
+                dense.append(values)
         rank += bareiss(dense)[0]
     return rank
 
 
 def rank_exact(m: StateMatrix) -> int:
-    """Exact linear rank of a rational matrix."""
+    """Exact linear rank of a rational matrix: one ``bareiss`` on its numerator rows.
+
+    The common denominator scales every entry alike, so it leaves the rank as it is.
+    """
     if m.field == RATIONAL:
         c, e = m.cols, m.entries
-        rows = (e[k : k + c] for k in range(0, len(e), c))
-        return block_rank([list(zip(compress(range(c), row), compress(row, row))) for row in rows])
+        return bareiss([e[k : k + c] for k in range(0, len(e), c)])[0]
     raise FieldMismatchError("rank_exact needs an exact field; use schmidt_rank_numeric for complex")
 
 

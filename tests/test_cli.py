@@ -203,6 +203,20 @@ class TestVerify:
         assert code == 2
         assert "line" in err and "column" in err
 
+    @pytest.mark.parametrize("spelling", ["same", "through_parent"])
+    def test_out_naming_the_basis_refused(self, capsys, basis_file, spelling):
+        # The report would replace the basis, and the next verify on the file would fail on a missing key.
+        before = basis_file.read_bytes()
+        out = basis_file if spelling == "same" else basis_file.parent / ".." / basis_file.parent.name / basis_file.name
+        code, stdout, err = run_cli(
+            capsys, "verify", "--basis", str(basis_file), "--mode", "sample", "--samples", "5", "--out", str(out)
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--basis" in err
+        assert basis_file.read_bytes() == before
+        assert run_cli(capsys, "verify", "--basis", str(basis_file), "--mode", "sample", "--samples", "5",
+                       "--out", str(basis_file.parent / "report.json"))[0] == 0
+
     def test_round_trip_construct_then_verify(self, capsys, tmp_path):
         # cmd_construct output is accepted unmodified by cmd_verify.
         basis_path = tmp_path / "b.json"
@@ -792,6 +806,15 @@ class TestBoundsCommand:
         code, out, err = run_cli(capsys, "bounds", "--da", dims[0], "--db", dims[1], "--grid")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("dims", [("1", "5"), ("5", "1")], ids=["1x5", "5x1"])
+    def test_empty_grid_exits_2(self, capsys, dims, fmt):
+        # The grid covers r = 2..min(dA, dB); with a side of 1 only r = 1 has a row.
+        code, out, err = run_cli(capsys, "bounds", "--da", dims[0], "--db", dims[1], "--grid", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--r 1" in err
+        assert run_cli(capsys, "bounds", "--da", dims[0], "--db", dims[1], "--r", "1", "--format", fmt)[0] == 0
 
     def test_transposed_dims_match(self, capsys):
         _, a, _ = run_cli(capsys, "bounds", "--da", "5", "--db", "3", "--r", "2")

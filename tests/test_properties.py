@@ -29,11 +29,13 @@ from entspan.errors import DomainError, EntspanError
 from entspan.statemat import (
     RATIONAL,
     StateMatrix,
+    bareiss,
     block_rank,
     combine,
     gfp_eliminate,
     matrix_from_json_dict,
     matrix_of_state,
+    rank_exact,
     state_of_matrix,
     to_json,
 )
@@ -46,7 +48,7 @@ from entspan.verify import (
     sample_verify_exact,
 )
 
-from oracles import minor_rank
+from oracles import minor_rank, perm_det
 from test_verify import _sequential_sigma
 
 pytest.importorskip("hypothesis")
@@ -127,6 +129,58 @@ class TestBlockRank:
         else:
             cells = [data.draw(st.permutations(row), label="cells") for row in cells]
         assert block_rank(cells) == minor_rank(rows)
+
+    @given(st.integers(1, 5), st.sampled_from(["subsets", "chain"]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_overlapping_and_chained_supports(self, n_cols, layout, data):
+        # Rows reuse a few supports, so supports repeat.  Random subsets overlap in part or not at
+        # all; a chain of column pairs links A to C only through B.  Empty supports make empty rows.
+        if layout == "chain":
+            supports = [[c, c + 1] for c in range(n_cols - 1)] + [[]]
+        else:
+            columns = st.lists(st.integers(0, n_cols - 1), unique=True, max_size=n_cols)
+            supports = data.draw(st.lists(columns, min_size=1, max_size=4), label="supports")
+        picks = data.draw(st.lists(st.integers(0, len(supports) - 1), min_size=1, max_size=5), label="picks")
+        value = st.sampled_from([1, -1, 2, 3, -4])
+        cells = [[(c, data.draw(value, label="value")) for c in supports[k]] for k in picks]
+        rows = [[0] * n_cols for _ in cells]
+        for row, row_cells in zip(rows, cells):
+            for c, v in row_cells:
+                row[c] = v
+        assert block_rank(cells) == minor_rank(rows)
+
+
+class TestRankExact:
+    @given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_minor_oracle(self, n_rows, n_cols, dependent, data):
+        # Rational entries with denominators up to 4, some rows and columns zeroed, and now and then
+        # a last row that is a rational combination of the first two.
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+        rows = data.draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+        zero_rows = data.draw(st.sets(st.integers(0, n_rows - 1)), label="zero_rows")
+        zero_cols = data.draw(st.sets(st.integers(0, n_cols - 1)), label="zero_cols")
+        rows = [[0 if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        if dependent and n_rows > 2:
+            rows[-1] = [Fraction(a, 2) - Fraction(2, 3) * b for a, b in zip(rows[0], rows[1])]
+        assert rank_exact(StateMatrix.rational(rows)) == minor_rank(rows)
+
+
+class TestBareiss:
+    @given(st.integers(0, 5), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_determinant_matches_perm_det(self, n, singular, data):
+        # Mostly zeros, so leading entries vanish and pivots need row swaps; a last row that is a
+        # combination of the first two makes the matrix singular.
+        cell = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])
+        rows = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+        if singular and n > 2:
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+        as_drawn = copy.deepcopy(rows)
+        rank, det = bareiss(rows)
+        assert det == perm_det(rows)
+        assert (det != 0) == (rank == n)
+        assert rows == as_drawn
 
 
 class TestSigmaSearch:

@@ -359,6 +359,10 @@ class TestElimination:
         assert gfp_eliminate(np.zeros((1, 0, 0), dtype=np.int64), 5).tolist() == [0]
 
 
+class _IntSubclass(int):
+    pass
+
+
 class TestStoredForm:
     """A rational matrix is int numerators over one positive denominator, in lowest terms."""
 
@@ -367,6 +371,11 @@ class TestStoredForm:
         [
             (RATIONAL, (Fraction(1, 2), 0), 1, FieldMismatchError),
             (RATIONAL, (True, 0), 1, FieldMismatchError),
+            (RATIONAL, (1.0, 0), 1, FieldMismatchError),
+            (RATIONAL, (np.int64(1), 0), 1, FieldMismatchError),
+            (RATIONAL, ("1", 0), 1, FieldMismatchError),
+            (RATIONAL, (None, 0), 1, FieldMismatchError),
+            (RATIONAL, (_IntSubclass(1), 0), 1, FieldMismatchError),
             (RATIONAL, (1, 2), 0, DomainError),
             (RATIONAL, (1, 2), -2, DomainError),
             (RATIONAL, (1, 2), 2.0, DomainError),
@@ -374,7 +383,7 @@ class TestStoredForm:
             (COMPLEX, (1j, 0j), 3, DomainError),
             ("gfp", (1, 2), 1, DomainError),
         ],
-        ids=["fraction", "bool", "zero", "negative", "float", "not-reduced", "complex", "gfp"],
+        ids=["fraction", "bool", "float_entry", "numpy_int", "str", "none", "int_subclass", "zero", "negative", "float", "not-reduced", "complex", "gfp"],
     )
     def test_constructor_rejects(self, field, entries, denominator, error):
         with pytest.raises(error):
@@ -558,6 +567,46 @@ class TestBlockRank:
             return bareiss(rows)
 
         monkeypatch.setattr(statemat, "bareiss", counting)
-        m = rational([[1, 2, 0, 0], [2, 4, 0, 0], [0, 0, 3, 5]])
-        assert rank_exact(m) == 2
+        rows = [[1, 2, 0, 0], [2, 4, 0, 0], [0, 0, 3, 5]]
+        assert block_rank(_cells(rows)) == 2
         assert sorted(calls) == [(1, 2), (2, 2)]
+
+    def test_rows_of_one_support_keep_their_block(self, monkeypatch):
+        # Supports {0, 1} twice, {1, 2} and {2, 3} chain into one block; {5} twice is a second block
+        # and the empty rows none.  Columns are numbered as they first appear, so the first row's
+        # support leads the block's columns.
+        rows = [
+            [(1, 1), (0, 2)],
+            [(5, 3)],
+            [],
+            [(1, 2), (2, 1)],
+            [(1, 2), (0, 4)],
+            [(2, 1), (3, -1)],
+            [(5, -6)],
+            [],
+        ]
+        blocks = []
+
+        def recording(block):
+            blocks.append(block)
+            return bareiss(block)
+
+        monkeypatch.setattr(statemat, "bareiss", recording)
+        assert block_rank(rows) == 4
+        assert blocks == [
+            [[1, 2, 0, 0], [2, 4, 0, 0], [2, 0, 1, 0], [0, 0, 1, -1]],
+            [[3], [-6]],
+        ]
+
+    def test_rank_exact_is_one_elimination(self, monkeypatch):
+        # A matrix goes to bareiss whole, as its numerator rows, whatever its blocks.
+        calls = []
+
+        def counting(rows):
+            calls.append([list(row) for row in rows])
+            return bareiss(rows)
+
+        monkeypatch.setattr(statemat, "bareiss", counting)
+        m = rational([[Fraction(1, 2), 1, 0, 0], [1, 2, 0, 0], [0, 0, 3, 5]])
+        assert rank_exact(m) == 2
+        assert calls == [[[1, 2, 0, 0], [2, 4, 0, 0], [0, 0, 6, 10]]]
