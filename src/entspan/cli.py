@@ -157,9 +157,15 @@ def _load_basis(path: str):
     return basis_from_json_dict(data)
 
 
+def _dir_entry(path: str) -> str:
+    """The directory entry a path names: its directory resolved, its last component kept as given."""
+    return os.path.join(os.path.realpath(os.path.dirname(os.path.abspath(path))), os.path.basename(path))
+
+
 def cmd_verify(args) -> int:
     # The report would replace the basis it was made from; the next verify on that file would then fail.
-    if os.path.exists(args.out) and os.path.exists(args.basis) and os.path.samefile(args.out, args.basis):
+    # ``_write_atomic`` replaces the entry ``--out`` names, so an ``--out`` that links to the basis is harmless.
+    if _dir_entry(args.out) in (_dir_entry(args.basis), os.path.realpath(args.basis)):
         raise EntspanError(f"verify --out {args.out} names the --basis file; write the report elsewhere")
     if args.require != "geq" and args.mode != "sample":
         raise EntspanError(f"verify --mode {args.mode} checks rank >= r only; --require {args.require} needs --mode sample")

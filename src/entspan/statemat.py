@@ -419,13 +419,19 @@ def block_rank(rows: Sequence[Sequence[tuple[int, int]]]) -> int:
 
 
 def rank_exact(m: StateMatrix) -> int:
-    """Exact linear rank of a rational matrix: one ``bareiss`` on its numerator rows.
+    """Exact linear rank of a rational matrix: one ``bareiss`` on its nonzero numerator rows.
 
     The common denominator scales every entry alike, so it leaves the rank as it is.
+    Zero rows would only be rescaled at every pivot, so they are dropped; with
+    more rows left than columns, the transpose's nonzero rows are eliminated
+    instead, which drops the zero columns too.
     """
     if m.field == RATIONAL:
         c, e = m.cols, m.entries
-        return bareiss([e[k : k + c] for k in range(0, len(e), c)])[0]
+        rows = [row for k in range(0, len(e), c) if any(row := e[k : k + c])]
+        if len(rows) > c:
+            rows = [col for col in zip(*rows) if any(col)]
+        return bareiss(rows)[0]
     raise FieldMismatchError("rank_exact needs an exact field; use schmidt_rank_numeric for complex")
 
 

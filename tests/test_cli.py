@@ -203,19 +203,43 @@ class TestVerify:
         assert code == 2
         assert "line" in err and "column" in err
 
-    @pytest.mark.parametrize("spelling", ["same", "through_parent"])
+    @pytest.mark.parametrize("spelling", ["same", "through_parent", "through_linked_dir", "target_of_linked_basis"])
     def test_out_naming_the_basis_refused(self, capsys, basis_file, spelling):
         # The report would replace the basis, and the next verify on the file would fail on a missing key.
         before = basis_file.read_bytes()
-        out = basis_file if spelling == "same" else basis_file.parent / ".." / basis_file.parent.name / basis_file.name
+        basis, out = basis_file, basis_file
+        if spelling == "through_parent":
+            out = basis_file.parent / ".." / basis_file.parent.name / basis_file.name
+        elif spelling == "through_linked_dir":
+            (basis_file.parent / "linked").symlink_to(basis_file.parent)
+            out = basis_file.parent / "linked" / basis_file.name
+        elif spelling == "target_of_linked_basis":
+            basis = basis_file.parent / "link.json"
+            basis.symlink_to(basis_file)
         code, stdout, err = run_cli(
-            capsys, "verify", "--basis", str(basis_file), "--mode", "sample", "--samples", "5", "--out", str(out)
+            capsys, "verify", "--basis", str(basis), "--mode", "sample", "--samples", "5", "--out", str(out)
         )
         assert (code, stdout) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "--basis" in err
         assert basis_file.read_bytes() == before
         assert run_cli(capsys, "verify", "--basis", str(basis_file), "--mode", "sample", "--samples", "5",
                        "--out", str(basis_file.parent / "report.json"))[0] == 0
+
+    @pytest.mark.parametrize("link", ["symlink", "hard_link"])
+    def test_out_linked_to_the_basis_allowed(self, capsys, basis_file, link):
+        # The report replaces the link's own directory entry, so the basis keeps its bytes.
+        before = basis_file.read_bytes()
+        out = basis_file.parent / "out.json"
+        if link == "symlink":
+            out.symlink_to(basis_file)
+        else:
+            os.link(basis_file, out)
+        code, _, _ = run_cli(
+            capsys, "verify", "--basis", str(basis_file), "--mode", "sample", "--samples", "5", "--out", str(out)
+        )
+        assert code == 0
+        assert basis_file.read_bytes() == before
+        assert not out.is_symlink() and json.loads(out.read_text())["verdict"] == "consistent"
 
     def test_round_trip_construct_then_verify(self, capsys, tmp_path):
         # cmd_construct output is accepted unmodified by cmd_verify.

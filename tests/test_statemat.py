@@ -599,7 +599,8 @@ class TestBlockRank:
         ]
 
     def test_rank_exact_is_one_elimination(self, monkeypatch):
-        # A matrix goes to bareiss whole, as its numerator rows, whatever its blocks.
+        # A matrix goes to bareiss in one call, as its nonzero numerator rows, whatever its blocks;
+        # with more such rows than columns, as the transpose's nonzero rows.
         calls = []
 
         def counting(rows):
@@ -607,6 +608,10 @@ class TestBlockRank:
             return bareiss(rows)
 
         monkeypatch.setattr(statemat, "bareiss", counting)
-        m = rational([[Fraction(1, 2), 1, 0, 0], [1, 2, 0, 0], [0, 0, 3, 5]])
+        m = rational([[Fraction(1, 2), 1, 0, 0], [0, 0, 0, 0], [1, 2, 0, 0], [0, 0, 3, 5]])
         assert rank_exact(m) == 2
         assert calls == [[[1, 2, 0, 0], [2, 4, 0, 0], [0, 0, 6, 10]]]
+        calls.clear()
+        tall = rational([[1, 0, 2], [0, 0, 0], [3, 0, 6], [5, 0, 1], [4, 0, 4]])
+        assert rank_exact(tall) == 2
+        assert calls == [[[1, 3, 5, 4], [2, 6, 1, 4]]]
