@@ -1,10 +1,10 @@
 """Hot loops: the GF(p) projective scan and the singular-value descent.
 
-The scan forms its chunks of combinations from one precomputed block, cell
-by cell as (cells, N) arrays; the last leading coordinates, whose points all
-lie in the block, share one chunk.  It ranks each chunk with ``statemat.gfp_eliminate``,
-the package's one GF(p) elimination, which sweeps the shorter side of the
-matrices in that same layout, reduces mod p and returns ranks only.  The
+GF(p) lives here, beside the scan of an integer basis, its one reader.  The
+scan forms its chunks of combinations from one precomputed block, cell by
+cell as (cells, N) arrays; the last leading coordinates, whose points all lie
+in the block, share one chunk.  ``gfp_eliminate``, the one GF(p) elimination,
+ranks each chunk in place as (rows, cols, N), sweeping the shorter side.  The
 descent comes in two forms that share no code: ``sigma_descent`` runs one
 start and can end at a target, ``sigma_descent_lanes`` runs several starts
 in lockstep at target 0, each lane bit-identical to the lone descent.  All of
@@ -18,7 +18,8 @@ import math
 
 import numpy as np
 
-from .statemat import gfp_eliminate, reduce_mod
+from .errors import DomainError
+from .statemat import _is_int
 
 #: No compiled backend exists; perfbench/child.py records this constant in
 #: each run's provenance.
@@ -29,6 +30,88 @@ USING_NUMBA = False
 #: scan, chunks of 128 KiB ran as fast as 1 MiB ones, and the scan's traced
 #: peak was 0.64 MiB instead of 1.5 MiB.
 SCAN_CHUNK_BYTES = 1 << 17
+
+#: GF(p) moduli must be primes below this, so every residue fits a signed
+#: 32-bit word and products of two fit 64 bits.
+MODULUS_LIMIT = 2**31
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def check_modulus(p) -> None:
+    """Reject anything but a prime below MODULUS_LIMIT, range first.
+
+    The range test runs before any trial division, so a huge modulus is
+    refused at once instead of being factored.
+    """
+    if not (_is_int(p) and 2 <= p < MODULUS_LIMIT and is_prime(p)):
+        raise DomainError(f"GF(p) needs a prime p below 2**31, got {p!r}")
+
+
+def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place for an int64 array x, which is returned.
+
+    numpy divides an integer array by a scalar with a multiply and a shift,
+    but computes ``x % p`` with one hardware division per entry, several times
+    slower; x - (x // p) * p is the same residue in [0, p), for any int64 x:
+    where (x // p) * p wraps, the subtraction wraps back.
+    """
+    q = x // p
+    q *= p
+    x -= q
+    return x
+
+
+def gfp_eliminate(a: np.ndarray, p: int) -> np.ndarray:
+    """The (N,) ranks mod p of the N matrices a[:, :, k] of an int64 (rows, cols, N) array, which it overwrites.
+
+    This is a scan chunk's own layout, so every step works on contiguous runs
+    of N values.  Since rank(A) = rank(A^T), the elimination sweeps axis 0,
+    the shorter side as the scan lays it out; an axis 1 that is empty needs
+    an empty axis 0.  It is fraction-free and swap-free: at each index of
+    axis 0 every matrix pivots on its first unused index of axis 1 with a
+    nonzero entry there and marks it used, and each other unused line becomes
+    pivot * line - head * pivot_line, one later index at a time, so no entry
+    needs an inverse.  Residues are below p < 2**31 (``check_modulus``), so
+    both products stay below 2**62 and each step is reduced (``reduce_mod``)
+    after its update.
+    """
+    reduce_mod(a, p)
+    n_cols, n_rows, n_mats = a.shape
+    every = np.arange(n_mats)
+    ranks = np.zeros(n_mats, dtype=np.int64)
+    unused = np.ones((n_rows, n_mats), dtype=bool)
+    for col in range(n_cols):
+        heads = a[col] * unused
+        nonzero = heads != 0
+        piv = nonzero.argmax(axis=0)
+        found = nonzero[piv, every]
+        ranks += found
+        if col + 1 == n_cols:
+            break
+        pivots = np.where(found, heads[piv, every], 1)
+        unused[piv, every] &= ~found
+        heads *= unused
+        scale = np.where(unused, pivots, 1)
+        for rest in a[col + 1 :]:
+            pivot_row = rest[piv, every]
+            rest *= scale
+            rest -= heads * pivot_row
+            reduce_mod(rest, p)
+    return ranks
 
 
 def _projective_point(k, dim, p):
@@ -86,10 +169,10 @@ def gfp_min_rank_scan(stack, p, rows, cols):
     SCAN_CHUNK_BYTES at a time (``_scan_chunks``).  Returns (min_rank,
     coefficients of the first minimizer, point count).
 
-    Each chunk is built cell-major, as (cells, N), so the (N, rows, cols)
-    view ``gfp_eliminate`` ranks is a transposed contiguous array that it
-    reads without a gather.  When rows > cols the basis is transposed first,
-    which keeps every rank, so that the elimination sweeps the shorter side.
+    Each chunk is built cell-major, as (cells, N), so ``gfp_eliminate`` ranks
+    it as a (rows, cols, N) view, in place: every chunk is a new array.  When
+    rows > cols the basis is transposed first, which keeps every rank, so
+    that the elimination sweeps the shorter side.
     """
     basis = np.array(stack, dtype=np.int64).reshape(-1, rows, cols)
     if rows > cols:
@@ -99,7 +182,7 @@ def gfp_min_rank_scan(stack, p, rows, cols):
     best = [0] * dim
     count = 0
     for combos in _scan_chunks(basis.reshape(dim, rows * cols), p, max(1, SCAN_CHUNK_BYTES // (8 * rows * cols))):
-        ranks = gfp_eliminate(combos.reshape(rows, cols, -1).transpose(2, 0, 1), p)
+        ranks = gfp_eliminate(combos.reshape(rows, cols, -1), p)
         k = int(ranks.argmin())
         if ranks[k] < best_rank:
             best_rank, best = int(ranks[k]), _projective_point(count + k, dim, p)

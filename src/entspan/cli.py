@@ -64,23 +64,27 @@ def _exact_ints():
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write text to a new file beside path, then rename it over path; an OSError names path, not that file."""
     directory = os.path.dirname(os.path.abspath(path))
-    while True:
-        tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
-        try:
-            # Mode 0666 less the umask, which the kernel applies: the mode a plain open() gives.
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            continue
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        while True:
+            tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+            try:
+                # Mode 0666 less the umask, which the kernel applies: the mode a plain open() gives.
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                continue
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _say(text: str, *, artifact: bool = False) -> None:

@@ -20,7 +20,7 @@ and seeded random complex subspaces used as optimizer fodder.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -211,6 +211,11 @@ def construct_min_rank_subspace(dA: int, dB: int, r: int) -> SubspaceBasis:
     """Basis of dimension (dA-r+1)(dB-r+1) whose combinations all have rank >= r."""
     if not 2 <= r <= min(dA, dB):
         raise DomainError(f"need 2 <= r <= min(dA, dB) = {min(dA, dB)}, got r={r}")
+    return _diagonal_basis(dA, dB, r, KIND_MIN_RANK)
+
+
+def _diagonal_basis(dA: int, dB: int, r: int, kind: str) -> SubspaceBasis:
+    """The diagonal Vandermonde basis for rank >= r, of the given kind, checked by ``_self_check_rank_floor``."""
     m = min(dA, dB)
     powers = default_tns(m).entries  # (i + 1)**j at i * m + j
     matrices: list[StateMatrix] = []
@@ -225,7 +230,7 @@ def construct_min_rank_subspace(dA: int, dB: int, r: int) -> SubspaceBasis:
     expected = (dA - r + 1) * (dB - r + 1)
     if len(matrices) != expected:
         raise CertificateError(f"diagonal counting bug: built {len(matrices)} matrices, expected {expected}")
-    basis = SubspaceBasis(dA, dB, r, KIND_MIN_RANK, tuple(matrices))
+    basis = SubspaceBasis(dA, dB, r, kind, tuple(matrices))
     _self_check_rank_floor(basis, r)
     return basis
 
@@ -257,8 +262,7 @@ def construct_fixed_rank_subspace(dA: int, dB: int) -> SubspaceBasis:
         raise DomainError(f"need dA <= dB, got {dA} > {dB}; transpose the problem first")
     if dA < 2:
         raise DomainError("fixed-rank construction needs dA >= 2")
-    base = construct_min_rank_subspace(dA, dB, dA)
-    return replace(base, kind=KIND_FIXED_RANK)
+    return _diagonal_basis(dA, dB, dA, KIND_FIXED_RANK)
 
 
 def antisymmetric_basis_3x3() -> SubspaceBasis:

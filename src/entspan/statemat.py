@@ -11,7 +11,7 @@ lowest terms, so equal matrices compare equal; ``to_lists`` and
 ``state_of_matrix`` give its values as Fractions.  Exact ranks and
 determinants come from Bareiss elimination on the numerators; numeric ranks
 count singular values above a relative tolerance.  GF(p) is no stored field:
-``gfp_eliminate`` ranks integer stacks mod p for the scan of an integer basis.
+the projective scan in ``_kernels`` reduces and ranks its own integer chunks.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ _FIELDS = (RATIONAL, COMPLEX)
 #: when strictly greater than DEFAULT_TOL times the largest one.
 DEFAULT_TOL = 1e-9
 
-#: GF(p) moduli must be primes below this, so every residue fits a signed
-#: 32-bit word and products of two fit 64 bits.
-MODULUS_LIMIT = 2**31
-
 #: Rational text the decoder takes: the encoder's "n/d" form, so no exponents.
 #: Fraction(str) would expand "1e999999999" into a billion-digit integer.
 _RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -48,31 +44,6 @@ _RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def check_modulus(p) -> None:
-    """Reject anything but a prime below MODULUS_LIMIT, range first.
-
-    The range test runs before any trial division, so a huge modulus is
-    refused at once instead of being factored.
-    """
-    if not (_is_int(p) and 2 <= p < MODULUS_LIMIT and is_prime(p)):
-        raise DomainError(f"GF(p) needs a prime p below 2**31, got {p!r}")
 
 
 def _coerce_entry(value, field: str):
@@ -301,69 +272,6 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
         if rank == n_rows:
             break
     return rank, sign * prev if rank == n_rows == n_cols else 0
-
-
-def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place for an int64 array x, which is returned.
-
-    numpy divides an integer array by a scalar with a multiply and a shift,
-    but computes ``x % p`` with one hardware division per entry, several times
-    slower; x - (x // p) * p is the same residue in [0, p).
-    """
-    q = x // p
-    q *= p
-    x -= q
-    return x
-
-
-def gfp_eliminate(stack, p: int) -> np.ndarray:
-    """The (N,) ranks mod p of an (N, m, n) stack, one elimination for all N.
-
-    Nested lists of Python ints too large for int64 are reduced mod p before
-    the cast, so any integer input stays exact; the input is never written.
-    Since rank(A) = rank(A^T), the stack is held as (short side, long side, N)
-    and the elimination sweeps the shorter side, each step on contiguous runs
-    of N values; an (N, m, n) view of an (m, n, N) array with m <= n, or of
-    an (n, m, N) one with m > n, is read without a gather.  The elimination
-    is fraction-free and swap-free: at each column every matrix pivots on its
-    first unused row with a nonzero entry there and marks that row used, and
-    each other unused row becomes pivot * row - head * pivot_row, one later
-    column at a time, so no entry needs an inverse.  Residues are below
-    p < 2**31 (``check_modulus``), so both products stay below 2**62 and each
-    column is reduced (``reduce_mod``) after its update.
-    """
-    a = np.asarray(stack)
-    if a.dtype.kind != "i":
-        a = np.asarray(stack, dtype=object) % p
-    if a.ndim != 3:
-        raise DimensionError(f"need an (N, rows, cols) stack, got shape {a.shape}")
-    t = (a.transpose(1, 2, 0) if a.shape[1] <= a.shape[2] else a.transpose(2, 1, 0)).astype(np.int64, copy=False)
-    # reduce_mod into a new C-ordered array: t - (t // p) * p.
-    a = np.floor_divide(t, p, order="C")
-    a *= p
-    np.subtract(t, a, out=a)
-    n_cols, n_rows, n_mats = a.shape
-    every = np.arange(n_mats)
-    ranks = np.zeros(n_mats, dtype=np.int64)
-    unused = np.ones((n_rows, n_mats), dtype=bool)
-    for col in range(n_cols):
-        heads = a[col] * unused
-        nonzero = heads != 0
-        piv = nonzero.argmax(axis=0)
-        found = nonzero[piv, every]
-        ranks += found
-        if col + 1 == n_cols:
-            break
-        pivots = np.where(found, heads[piv, every], 1)
-        unused[piv, every] &= ~found
-        heads *= unused
-        scale = np.where(unused, pivots, 1)
-        for rest in a[col + 1 :]:
-            pivot_row = rest[piv, every]
-            rest *= scale
-            rest -= heads * pivot_row
-            reduce_mod(rest, p)
-    return ranks
 
 
 def block_rank(rows: Sequence[Sequence[tuple[int, int]]]) -> int:

@@ -42,7 +42,6 @@ from .statemat import (
     RATIONAL,
     StateMatrix,
     _coerce_entry,
-    check_modulus,
     minor_value,
     rank_exact,
     schmidt_rank_numeric,
@@ -253,14 +252,15 @@ def gfp_exhaustive_min_rank(
     evidence for the rational statement while a drop below r proves nothing
     about it; the verdict is "inconclusive" in that case, never "refuted".
     """
-    check_modulus(p)
+    _kernels.check_modulus(p)
     r = basis.r if r is None else r
     if r is None:
         raise DomainError("no rank threshold: basis carries none and r was not given")
     # A basis no cap could admit is refused before the cap is read.
     if basis.field != RATIONAL:
         raise FieldMismatchError("GF(p) enumeration needs an exact integer basis")
-    fraction = next((Fraction(v, m.denominator) for m in basis.matrices for v in m.entries if v % m.denominator), None)
+    # Numerators are in lowest terms with their denominator d, so only a matrix with d != 1 holds a fraction.
+    fraction = next((Fraction(v, d) for m in basis.matrices if (d := m.denominator) != 1 for v in m.entries if v % d), None)
     if fraction is not None:
         raise DomainError(f"basis entry {fraction} is not an integer; reduce mod {p} undefined")
     dim = basis.dimension

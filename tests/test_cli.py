@@ -603,11 +603,17 @@ class TestClosedStdout:
         assert (proc.returncode, proc.stderr.decode()) == (2, "i/o error: [Errno 32] Broken pipe\n")
 
     def test_other_os_errors_exit_2(self, capsys, tmp_path):
-        code, out, err = run_cli(
-            capsys, "construct", "--da", "3", "--db", "3", "--r", "2", "--out", str(tmp_path / "missing" / "b.json")
-        )
-        assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1 and err.startswith("i/o error: ")
+        # The line names the --out path, not the temporary file beside it, so two runs print the same line.
+        errs = []
+        for _ in range(2):
+            code, out, err = run_cli(
+                capsys, "construct", "--da", "3", "--db", "3", "--r", "2", "--out", str(tmp_path / "missing" / "b.json")
+            )
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1 and err.startswith("i/o error: ")
+            errs.append(err)
+        assert errs[0] == errs[1]
+        assert errs[0].rstrip().endswith(f"{os.path.join('missing', 'b.json')}'")
 
 
 class TestParserCache:

@@ -27,7 +27,7 @@ from entspan.construct import (
     draw_normals,
     random_subspace,
 )
-from entspan import statemat
+from entspan import construct, statemat
 from entspan.errors import CertificateError, DimensionError, DomainError
 from entspan.statemat import COMPLEX, RATIONAL, StateMatrix, rank_exact, to_json
 from oracles import diagonal_of, minor_rank, perm_det
@@ -411,6 +411,15 @@ class TestFixedRankConstruction:
     def test_orientation_enforced(self):
         with pytest.raises(DomainError):
             construct_fixed_rank_subspace(4, 3)
+
+    def test_stack_ranked_once_and_self_checked(self, monkeypatch):
+        # The basis is built with its own kind, so its stack is ranked once, as the geq basis's is.
+        calls = []
+        for name in ("basis_stack_rank", "_self_check_rank_floor"):
+            monkeypatch.setattr(construct, name, lambda *a, f=getattr(construct, name), n=name: calls.append(n) or f(*a))
+        basis = construct_fixed_rank_subspace(4, 6)
+        assert calls == ["basis_stack_rank", "_self_check_rank_floor"]
+        assert to_json(basis) == {**to_json(construct_min_rank_subspace(4, 6, 4)), "kind": KIND_FIXED_RANK}
 
 
 class TestAntisymmetric:

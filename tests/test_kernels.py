@@ -8,7 +8,7 @@ import pytest
 
 from entspan import _kernels
 from entspan.construct import SubspaceBasis, coeff_stream, construct_min_rank_subspace, draw_normals, random_subspace
-from entspan.statemat import StateMatrix
+from entspan.statemat import StateMatrix, rank_exact
 from entspan.verify import _complex_stack, gfp_exhaustive_min_rank
 
 from oracles import minor_rank
@@ -38,11 +38,16 @@ def _spy_on_eliminate(monkeypatch):
     eliminate, sizes = _kernels.gfp_eliminate, []
 
     def spy(combos, p):
-        sizes.append(len(combos))
+        sizes.append(combos.shape[-1])
         return eliminate(combos, p)
 
     monkeypatch.setattr(_kernels, "gfp_eliminate", spy)
     return sizes
+
+
+def _ranks(matrices, p):
+    """gfp_eliminate's ranks of equal-shape matrices, laid out as a scan chunk: (rows, cols, N), C-ordered."""
+    return _kernels.gfp_eliminate(np.array(matrices, dtype=np.int64).transpose(1, 2, 0).copy(), p).tolist()
 
 
 def _oracle_cases(n):
@@ -130,9 +135,87 @@ class TestGfpScan:
             monkeypatch.setattr(_kernels, "SCAN_CHUNK_BYTES", points * 8 * 6)
         assert _kernels.gfp_min_rank_scan(stack, 3, 3, 2) == _oracle_scan(stack, 3, 3, 2) == (1, [0, 1, 1], 13)
 
+    @pytest.mark.parametrize("points", [1, 2, 3, 7, None])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_each_chunk_is_a_fresh_array(self, monkeypatch, p, points):
+        # gfp_eliminate writes over the chunk it ranks, so no chunk may share memory with the block
+        # the chunks are formed from or with an earlier chunk; every chunk is kept alive, so none
+        # of their memory is reused.
+        rows, cols = 2, 3
+        stack = _random_stack(71 + p, p, 4 if p < 5 else 3, rows * cols)
+        if points is not None:
+            monkeypatch.setattr(_kernels, "SCAN_CHUNK_BYTES", points * 8 * rows * cols)
+        scan_chunks, eliminate, blocks, chunks = _kernels._scan_chunks, _kernels.gfp_eliminate, [], []
+
+        def chunks_spy(basis, p, chunk):
+            gen = scan_chunks(basis, p, chunk)
+            for combos in gen:
+                blocks.append(gen.gi_frame.f_locals["block"])
+                yield combos
+
+        def eliminate_spy(combos, p):
+            chunks.append(combos)
+            return eliminate(combos, p)
+
+        monkeypatch.setattr(_kernels, "_scan_chunks", chunks_spy)
+        monkeypatch.setattr(_kernels, "gfp_eliminate", eliminate_spy)
+        assert _kernels.gfp_min_rank_scan(stack, p, rows, cols) == _oracle_scan(stack, p, rows, cols)
+        assert chunks and len(chunks) == len(blocks)
+        for i, combos in enumerate(chunks):
+            assert not np.shares_memory(combos, blocks[i])
+            assert not any(np.shares_memory(combos, earlier) for earlier in chunks[:i])
+
     def test_end_to_end_verdict(self):
         rep = gfp_exhaustive_min_rank(construct_min_rank_subspace(3, 3, 2), 3)
         assert [rep.verdict, rep.min_rank_observed, rep.samples_or_points] == ["consistent", 2, 40]
+
+
+class TestGfpEliminate:
+    """The one GF(p) elimination on the scan's chunk layout, against the brute-force oracles."""
+
+    def test_rank_drop(self):
+        # det = 1*4 - 2*2 = 0 over Q; [[1,2],[2,4]] rank 1 over GF(5) as well
+        assert _ranks([[[1, 2], [2, 4]]], 5) == [1]
+        # [[1,2],[2,9]] has det 5, so rank 2 over Q but 1 over GF(5)
+        assert rank_exact(StateMatrix.rational([[1, 2], [2, 9]])) == 2
+        assert _ranks([[[1, 2], [2, 9]]], 5) == [1]
+
+    def test_monotonicity(self):
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            dA, dB = rng.integers(1, 5, size=2)
+            rows = rng.integers(-9, 10, size=(dA, dB)).tolist()
+            rq = rank_exact(StateMatrix.rational(rows))
+            for p in (2, 3, 5):
+                assert _ranks([rows], p)[0] <= rq
+
+    def test_matches_oracles(self):
+        rng = np.random.default_rng(16)
+        for p in (2, 3, 7, 2**31 - 1):
+            for _ in range(80):
+                n_rows, n_cols = (int(v) for v in rng.integers(1, 5, size=2))
+                rows = rng.integers(-10**12, 10**12, size=(n_rows, n_cols)).tolist()
+                if rng.random() < 0.3:
+                    rows[-1] = [v + p * 5 for v in rows[0]]
+                assert _ranks([rows], p) == [minor_rank(rows, p)]
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+    def test_mixed_rank_stack(self, p):
+        # One call over 4x4 matrices of rational rank 0 to 4, rows shuffled so
+        # that pivots need swaps, entries shifted by the largest multiple of p below 2**62.
+        rng = np.random.default_rng(17)
+        shift = 2**62 // p * p
+        stack = []
+        for target in range(5):
+            for _ in range(6):
+                left = rng.integers(-9, 10, size=(4, target))
+                rows = (left @ rng.integers(-9, 10, size=(target, 4))).tolist()
+                rng.shuffle(rows)
+                stack.append([[v + shift for v in row] for row in rows])
+        assert _ranks(stack, p) == [minor_rank(rows, p) for rows in stack]
+
+    def test_empty_matrix(self):
+        assert _kernels.gfp_eliminate(np.zeros((0, 0, 1), dtype=np.int64), 5).tolist() == [0]
 
 
 class TestSigmaDescent:

@@ -13,7 +13,6 @@ from entspan.statemat import (
     bareiss,
     block_rank,
     combine,
-    gfp_eliminate,
     matrix_from_json_dict,
     matrix_of_state,
     minor_value,
@@ -169,22 +168,6 @@ class TestRankExact:
         with pytest.raises(FieldMismatchError):
             rank_exact(StateMatrix.complex_([[1, 0], [0, 1]]))
 
-    def test_gfp_rank_drop(self):
-        # det = 1*4 - 2*2 = 0 over Q; [[1,2],[2,4]] rank 1 over GF(5) as well
-        assert gfp_eliminate([[[1, 2], [2, 4]]], 5).tolist() == [1]
-        # [[1,2],[2,9]] has det 5, so rank 2 over Q but 1 over GF(5)
-        assert rank_exact(rational([[1, 2], [2, 9]])) == 2
-        assert gfp_eliminate([[[1, 2], [2, 9]]], 5).tolist() == [1]
-
-    def test_gfp_monotonicity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(500):
-            dA, dB = rng.integers(1, 5, size=2)
-            rows = rng.integers(-9, 10, size=(dA, dB)).tolist()
-            rq = rank_exact(rational(rows))
-            for p in (2, 3, 5):
-                assert gfp_eliminate([rows], p)[0] <= rq
-
     def test_numeric_agrees_with_exact_500_trials(self):
         rng = np.random.default_rng(8)
         for _ in range(500):
@@ -317,7 +300,7 @@ class TestCombineAndMinorValue:
 
 
 class TestElimination:
-    """Both eliminations against the permutation-expansion oracles."""
+    """The Bareiss elimination against the permutation-expansion oracles."""
 
     def test_bareiss_matches_oracles(self):
         rng = np.random.default_rng(15)
@@ -330,33 +313,8 @@ class TestElimination:
             assert rank == minor_rank(rows)
             assert det == (perm_det(rows) if n_rows == n_cols else 0)
 
-    def test_gfp_eliminate_matches_oracles(self):
-        rng = np.random.default_rng(16)
-        for p in (2, 3, 7, 2**31 - 1):
-            for _ in range(80):
-                n_rows, n_cols = (int(v) for v in rng.integers(1, 5, size=2))
-                rows = rng.integers(-10**12, 10**12, size=(n_rows, n_cols)).tolist()
-                if rng.random() < 0.3:
-                    rows[-1] = [v + p * 5 for v in rows[0]]
-                assert gfp_eliminate([rows], p).tolist() == [minor_rank(rows, p)]
-
-    @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
-    def test_gfp_eliminate_mixed_rank_stack(self, p):
-        # One call over 4x4 matrices of rational rank 0 to 4, rows shuffled so
-        # that pivots need swaps, entries shifted by p * 10**20 beyond int64.
-        rng = np.random.default_rng(17)
-        stack = []
-        for target in range(5):
-            for _ in range(6):
-                left = rng.integers(-9, 10, size=(4, target))
-                rows = (left @ rng.integers(-9, 10, size=(target, 4))).tolist()
-                rng.shuffle(rows)
-                stack.append([[v + p * 10**20 for v in row] for row in rows])
-        assert gfp_eliminate(stack, p).tolist() == [minor_rank(rows, p) for rows in stack]
-
     def test_empty_matrix(self):
         assert bareiss([]) == (0, 1)
-        assert gfp_eliminate(np.zeros((1, 0, 0), dtype=np.int64), 5).tolist() == [0]
 
 
 class _IntSubclass(int):

@@ -222,6 +222,24 @@ class TestGfpExhaustive:
         with pytest.raises(DomainError, match="1/2 is not an integer"):
             gfp_exhaustive_min_rank(_single_matrix_basis(m, r=2), 3, cap=0)
 
+    def test_entries_past_int64_read_as_their_residues(self):
+        # The scan's elimination takes int64 only, so verify reduces each entry mod p first.
+        from entspan.construct import SubspaceBasis
+
+        p, base, draws = 5, construct_min_rank_subspace(3, 4, 2), coeff_stream(61)
+
+        def shifted(shift):
+            return SubspaceBasis(3, 4, 2, "user", tuple(
+                StateMatrix(3, 4, "rational", tuple(shift(v) for v in m.entries)) for m in base.matrices
+            ))
+
+        wide = shifted(lambda v: v + p * (2**64 + int(2**62 * draws.random())) * (1 if draws.random() < 0.5 else -1))
+        reduced = shifted(lambda v: v % p)
+        assert min(abs(v) for m in wide.matrices for v in m.entries) > 2**63
+        report = gfp_exhaustive_min_rank(wide, p)
+        assert report == gfp_exhaustive_min_rank(reduced, p)
+        assert (report.verdict, report.samples_or_points) == (VERDICT_CONSISTENT, 3906)
+
     def test_independence_loss_mod_p_rejected(self):
         # Independent over the rationals, but diag(1, 4) is I mod 3.
         a = StateMatrix.rational([[1, 0], [0, 1]])
