@@ -37,7 +37,6 @@ from .errors import (
     NumericError,
 )
 from .statemat import (
-    SchmidtInfo,
     StateMatrix,
     matrix_from_json_dict,
     matrix_of_state,

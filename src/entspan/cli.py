@@ -106,8 +106,10 @@ def _say(text: str, *, artifact: bool = False) -> None:
             raise
 
 
-def _flagset(args, names) -> dict:
-    return {name: getattr(args, name) for name in names}
+def _flagset(args, *unrecorded: str) -> dict:
+    """The run's flag set: every parsed flag but the subcommand, its handler, --out and ``unrecorded``."""
+    skip = {"command", "func", "out", *unrecorded}
+    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 def cmd_construct(args) -> int:
@@ -141,7 +143,7 @@ def cmd_construct(args) -> int:
         bound = None  # --dim is the size asked for, not a bound
     with _exact_ints():
         payload = to_json(basis)
-        payload["run"] = _flagset(args, ("da", "db", "r", "kind", "dim", "seed"))
+        payload["run"] = _flagset(args)
         _write_atomic(args.out, _dump_json(payload))
     _say(f"dim={basis.dimension}" + ("" if bound is None else f" bound={bound}") + f"\nartifact: {args.out}\n")
     return EXIT_OK
@@ -193,9 +195,7 @@ def cmd_verify(args) -> int:
         report = verify_mod.structural_verify(basis, r, args.samples, args.seed)
     with _exact_ints():
         payload = verify_mod.report_to_json_dict(report)
-        payload["run"] = _flagset(
-            args, ("basis", "mode", "r", "samples", "seed", "p", "restarts", "iters", "tol", "require", "cap")
-        )
+        payload["run"] = _flagset(args)
         _write_atomic(args.out, _dump_json(payload))
     bits = [f"mode={report.mode}", f"verdict={report.verdict}"]
     if report.min_rank_observed is not None:
@@ -225,12 +225,7 @@ def cmd_bounds(args) -> int:
     rows = [bounds_mod.bounds_table(args.da, args.db, r) for r in rs]
     with _exact_ints():
         if args.format == "json":
-            text = _dump_json(
-                {
-                    "run": _flagset(args, ("da", "db", "r", "grid", "format")),
-                    "rows": to_json(rows),
-                }
-            )
+            text = _dump_json({"run": _flagset(args), "rows": to_json(rows)})
         else:
             text = bounds_mod.bounds_table_text(rows) + "\n"
     if args.out:
@@ -260,7 +255,7 @@ def cmd_report(args) -> int:
             f"da={rep.dA} db={rep.dB} k={rep.k} exact_dim={rep.exact_dim} "
             f"asymptotic={rep.asymptotic:.1f} threshold_k={rep.threshold_k:.4f}"
         )
-    payload["run"] = _flagset(args, ("kind", "d", "p", "da", "db", "k"))
+    payload["run"] = _flagset(args, "format")  # the --out artifact is JSON whatever --format says
     if args.out:
         _write_atomic(args.out, _dump_json(payload))
         _say(f"{line}\nartifact: {args.out}\n")

@@ -22,19 +22,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CertificateError, DimensionError, DomainError, FieldMismatchError
 from .statemat import (
+    DEFAULT_TOL,
     RATIONAL,
     StateMatrix,
     _is_int,
     block_rank,
     combine,
     matrix_from_json_dict,
-    schmidt_rank_numeric,
+    unit_scaled,
 )
 
 KIND_MIN_RANK = "min_rank_geq_r"
@@ -113,7 +115,7 @@ def diagonals(dA: int, dB: int) -> list[DiagonalIndex]:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Ordered basis of a matrix subspace; construction checks its independence."""
+    """Ordered basis of a matrix subspace; construction checks its independence (``basis_stack_rank``)."""
 
     dA: int
     dB: int
@@ -153,13 +155,25 @@ class SubspaceBasis:
     def combination(self, coeffs: Sequence) -> StateMatrix:
         return combine(self.matrices, coeffs)
 
+    @cached_property
+    def float_form(self) -> tuple[np.ndarray, tuple[tuple[float, int], ...]]:
+        """(A, scales): column i of the read-only stack A is M_i * 2**-e_i / n_i, and scales[i] is (n_i, e_i).
+
+        ``unit_scaled(M_i)`` is M_i * 2**-e_i, and n_i its Frobenius norm, or 1 for a zero matrix, a zero
+        column.  A complex basis's independence check ranks A and sigma mode descends on it; built once.
+        """
+        scaled = [(a.ravel(), e) for a, e in map(unit_scaled, self.matrices)]
+        scales = tuple((float(np.linalg.norm(v)) or 1.0, e) for v, e in scaled)
+        A = np.column_stack([v / n for (v, _), (n, _) in zip(scaled, scales)])
+        A.flags.writeable = False
+        return A, scales
+
 
 def basis_stack_rank(basis: SubspaceBasis) -> int:
-    """Exact (or, for complex, numeric) rank of the vectorized basis stack."""
+    """Rank of the vectorized basis: exact over the rationals, numeric on the complex ``float_form``."""
     if basis.field == RATIONAL:
         return block_rank([m._nonzero for m in basis.matrices])
-    flat = tuple(v for m in basis.matrices for v in m.entries)
-    return schmidt_rank_numeric(StateMatrix(basis.dimension, basis.dA * basis.dB, basis.field, flat)).rank
+    return int(np.linalg.matrix_rank(basis.float_form[0], rtol=DEFAULT_TOL))
 
 
 def _self_check_rank_floor(basis: SubspaceBasis, r: int) -> None:

@@ -9,9 +9,10 @@ Two scalar fields are supported: exact rationals and complex doubles.  A
 rational matrix stores int numerators over one positive ``denominator`` in
 lowest terms, so equal matrices compare equal; ``to_lists`` and
 ``state_of_matrix`` give its values as Fractions.  Exact ranks and
-determinants come from Bareiss elimination on the numerators; numeric ranks
-count singular values above a relative tolerance.  GF(p) is no stored field:
-the projective scan in ``_kernels`` reduces and ranks its own integer chunks.
+determinants come from Bareiss elimination on the numerators; a numeric rank
+is the int count of singular values above a relative tolerance, taken after
+``unit_scaled`` brings the matrix near 1 by a power of two.  GF(p) is no stored
+field: the projective scan in ``_kernels`` reduces and ranks its own chunks.
 """
 
 from __future__ import annotations
@@ -186,15 +187,6 @@ def combine(matrices: Sequence[StateMatrix], coeffs: Sequence) -> StateMatrix:
     return StateMatrix(head.rows, head.cols, head.field, flat, denominator)
 
 
-@dataclass(frozen=True)
-class SchmidtInfo:
-    """Rank plus the singular values backing it (numeric mode only)."""
-
-    rank: int
-    singular_values: tuple[float, ...] = ()
-    tolerance_used: float | None = None
-
-
 def unit_scaled(m: StateMatrix) -> tuple[np.ndarray, int]:
     """(a, e): m as a complex128 matrix a * 2**e whose largest real or imaginary part lies in [1/2, 1).
 
@@ -218,7 +210,7 @@ def unit_scaled(m: StateMatrix) -> tuple[np.ndarray, int]:
     return np.ldexp(parts, -e).view(np.complex128).reshape(m.rows, m.cols), shift + e
 
 
-def schmidt_rank_numeric(m: StateMatrix, tol: float = DEFAULT_TOL) -> SchmidtInfo:
+def schmidt_rank_numeric(m: StateMatrix, tol: float = DEFAULT_TOL) -> int:
     """Numeric Schmidt rank: singular values above ``tol * sigma_max`` count.
 
     The zero matrix has rank 0.  ``tol`` is relative, so the answer is
@@ -226,11 +218,7 @@ def schmidt_rank_numeric(m: StateMatrix, tol: float = DEFAULT_TOL) -> SchmidtInf
     """
     if not 0 < tol < math.inf:  # also refuses NaN, which no comparison admits
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    scaled, e = unit_scaled(m)
-    sv = np.linalg.svd(scaled, compute_uv=False)
-    rank = int(np.sum(sv > tol * sv[0])) if sv[0] > 0.0 else 0
-    with np.errstate(over="ignore"):
-        return SchmidtInfo(rank, tuple(float(s) for s in np.ldexp(sv, e)), tol)
+    return int(np.linalg.matrix_rank(unit_scaled(m)[0], rtol=tol))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ tool settles it.  This module layers four kinds of evidence:
   one-sided (rank can only drop when reducing mod p);
 * numerical descent on the r-th singular value, a heuristic search for the
   low-rank element whose existence is guaranteed above the dimension bound;
-  it stops at the first witness it accepts.
+  it runs on the basis's ``float_form``, the unit columns that a complex
+  basis's independence check ranks, and stops at the first witness it accepts.
 
 Verdicts are "consistent", "refuted" or "inconclusive".  A refutation
 carries a checkable witness, except one that sigma mode reads from the
@@ -46,7 +47,6 @@ from .statemat import (
     rank_exact,
     schmidt_rank_numeric,
     to_json,
-    unit_scaled,
 )
 
 VERDICT_CONSISTENT = "consistent"
@@ -69,9 +69,9 @@ SIGMA_STOP = 1e-3
 #: 2-core Xeon, best of 7 at 500 iterations, an 8x8 descent took 30 µs per
 #: iteration alone and 41-43 µs as a single lane, and per lane 28 µs at 2
 #: lanes, 24 µs at 3 and 18-19 µs at 8 and at 16; larger groups save little
-#: and discard more lanes after a refutation mid-group.  A group of fewer than
-#: 3 starts runs them one by one on the lone kernel: faster than one lane, and
-#: about 6% slower than two.
+#: and discard more lanes after a refutation mid-group.  A group of one start
+#: runs on the lone kernel, which is faster than one lane; two starts run as 2
+#: lanes, about 6% faster than one after the other.
 SIGMA_LANES = 8
 
 #: Residual bound every reported pencil root must satisfy.
@@ -288,20 +288,14 @@ def gfp_exhaustive_min_rank(
     )
 
 
-def _complex_stack(basis: SubspaceBasis) -> np.ndarray:
-    """Vectorized basis as columns of a complex matrix, unit Frobenius each."""
-    cols = [unit_scaled(m)[0].ravel() for m in basis.matrices]
-    return np.column_stack([v / np.linalg.norm(v) for v in cols])
-
-
 def _exact_drop(basis: SubspaceBasis, x: np.ndarray, r: int) -> bool:
     """Whether the witness x, phase-normalized and rounded to rationals, has exact rank below r.
 
-    Column i of the descent's stack is M_i * 2**-e_i / n_i (``_complex_stack``), so x weighs M_i
-    by x_i * 2**-e_i / n_i; the weights are scaled so the largest has size about 1, turned by its
-    phase, and each real part is rounded by ``limit_denominator``.
+    Column i of the descent's stack is M_i * 2**-e_i / n_i (``SubspaceBasis.float_form``), so x
+    weighs M_i by x_i * 2**-e_i / n_i; the weights are scaled so the largest has size about 1,
+    turned by its phase, and each real part is rounded by ``limit_denominator``.
     """
-    weights = [(c / np.linalg.norm(a), e) for c, (a, e) in zip(x, map(unit_scaled, basis.matrices))]
+    weights = [(c / n, e) for c, (n, e) in zip(x, basis.float_form[1])]
     top = max(math.frexp(abs(c))[1] - e for c, e in weights if c)
     z = [complex(math.ldexp(c.real, -e - top), math.ldexp(c.imag, -e - top)) for c, e in weights]
     turn = abs(lead := max(z, key=abs)) / lead
@@ -316,10 +310,10 @@ def _accepted_witness(basis: SubspaceBasis, A: np.ndarray, x: np.ndarray, r: int
     ``_exact_drop`` must also confirm the drop with an exact rank.
     """
     combo = StateMatrix.complex_((A @ x).reshape(basis.dA, basis.dB).tolist())
-    info = schmidt_rank_numeric(combo, tol=1e-6)
-    if info.rank >= r or (basis.field != COMPLEX and not _exact_drop(basis, x, r)):
+    rank = schmidt_rank_numeric(combo, tol=1e-6)
+    if rank >= r or (basis.field != COMPLEX and not _exact_drop(basis, x, r)):
         return None
-    return RankCertificate(kind=CERT_WITNESS_LT, coeffs=tuple(complex(c) for c in x), rank_found=info.rank, matrix=combo)
+    return RankCertificate(kind=CERT_WITNESS_LT, coeffs=tuple(complex(c) for c in x), rank_found=rank, matrix=combo)
 
 
 def _descents(basis: SubspaceBasis, A: np.ndarray, r: int, restarts: int, iters: int, seed: int, tol: float):
@@ -328,8 +322,8 @@ def _descents(basis: SubspaceBasis, A: np.ndarray, r: int, restarts: int, iters:
     On a complex basis each restart runs alone and ends below ``tol * SIGMA_STOP``,
     so the search usually ends after the first.  On a rational basis every descent
     runs to its own end, ``SIGMA_LANES`` at a time on the stacked kernel, whose
-    lanes equal lone descents bit for bit; a group of fewer than 3 starts runs
-    them one by one on the lone kernel, which is faster there.
+    lanes equal lone descents bit for bit; a group of one start runs on the lone
+    kernel, which is faster than one lane.
     """
     P = np.linalg.pinv(A)
     rng = coeff_stream(seed)
@@ -339,8 +333,8 @@ def _descents(basis: SubspaceBasis, A: np.ndarray, r: int, restarts: int, iters:
             yield _kernels.sigma_descent(A, P, r, iters, x0, basis.dA, basis.dB, tol * SIGMA_STOP)
         return
     while lanes := list(itertools.islice(starts, SIGMA_LANES)):
-        if len(lanes) < 3:
-            yield from (_kernels.sigma_descent(A, P, r, iters, x0, basis.dA, basis.dB) for x0 in lanes)
+        if len(lanes) == 1:
+            yield _kernels.sigma_descent(A, P, r, iters, lanes[0], basis.dA, basis.dB)
         else:
             yield from _kernels.sigma_descent_lanes(A, P, r, iters, np.array(lanes), basis.dA, basis.dB)
 
@@ -384,7 +378,7 @@ def minimize_sigma_r(
     if not 0 < tol < 1:
         # sigma_r / sigma_1 <= 1, so a tol of 1 or more would take every restart for a drop.
         raise DomainError(f"tol must lie in (0, 1), got {tol}")
-    A = _complex_stack(basis)
+    A = basis.float_form[0]
     best_val = math.inf
     best_x = None
     witness = None

@@ -9,7 +9,7 @@ import pytest
 from entspan import _kernels
 from entspan.construct import SubspaceBasis, coeff_stream, construct_min_rank_subspace, draw_normals, random_subspace
 from entspan.statemat import StateMatrix, rank_exact
-from entspan.verify import _complex_stack, gfp_exhaustive_min_rank
+from entspan.verify import gfp_exhaustive_min_rank
 
 from oracles import minor_rank
 
@@ -221,7 +221,7 @@ class TestGfpEliminate:
 class TestSigmaDescent:
     def test_descent_is_monotone_enough_to_converge(self):
         basis = random_subspace(3, 3, 5, seed=7)
-        A = _complex_stack(basis)
+        A = basis.float_form[0]
         P = np.linalg.pinv(A)
         rng = np.random.default_rng(54)
         best = np.inf
@@ -235,7 +235,7 @@ class TestSigmaDescent:
         # The floor of this construction is near 0.14, so no iterate falls
         # below the target and the descent must run exactly as without one.
         basis = construct_min_rank_subspace(4, 4, 2)
-        A = _complex_stack(basis)
+        A = basis.float_form[0]
         P = np.linalg.pinv(A)
         rng = np.random.default_rng(56)
         for _ in range(3):
@@ -247,7 +247,7 @@ class TestSigmaDescent:
 
     def test_target_ends_descent_at_first_iterate_below_it(self, monkeypatch):
         basis = random_subspace(3, 3, 5, seed=1)
-        A = _complex_stack(basis)
+        A = basis.float_form[0]
         P = np.linalg.pinv(A)
         svd, calls = np.linalg.svd, []
 
@@ -288,7 +288,7 @@ class TestSigmaDescentLanes:
         ],
     )
     def test_each_lane_is_the_lone_descent(self, monkeypatch, basis, r, iters, lanes, staggered):
-        A = _complex_stack(basis)
+        A = basis.float_form[0]
         P = np.linalg.pinv(A)
         words = coeff_stream(58)
         X0 = np.array([draw_normals(words, basis.dimension) for _ in range(lanes)])
@@ -315,7 +315,7 @@ class TestSigmaDescentLanes:
         # At r = 1 the truncation is zero, so every lane's refit has norm 0: all
         # lanes leave after their first iterate, and none is divided by its norm.
         basis = construct_min_rank_subspace(4, 5, 3)
-        A = _complex_stack(basis)
+        A = basis.float_form[0]
         P = np.linalg.pinv(A)
         words = coeff_stream(60)
         X0 = np.array([draw_normals(words, basis.dimension) for _ in range(5)])
@@ -332,7 +332,7 @@ class TestSigmaDescentLanes:
         # E00 alone has sigma_2 = 0 exactly: the lane ends at its first iterate
         # while the lanes beside it run on.
         basis = _units_basis()
-        A = _complex_stack(basis)
+        A = basis.float_form[0]
         P = np.linalg.pinv(A)
         words = coeff_stream(59)
         X0 = np.array([draw_normals(words, 3), [1, 0, 0], draw_normals(words, 3)], dtype=complex)

@@ -50,23 +50,21 @@ class TestMatrixOfState:
 class TestSchmidtRankNumeric:
     def test_identity(self):
         m = StateMatrix.complex_([[1, 0], [0, 1]])
-        assert schmidt_rank_numeric(m, 1e-9).rank == 2
+        assert schmidt_rank_numeric(m, 1e-9) == 2
 
     def test_outer_product_is_rank_one(self):
         u = np.array([1.0, 2.0, -0.5])
         v = np.array([0.3, 1.0, 2.0, -1.0])
         m = StateMatrix.complex_(np.outer(u, v).tolist())
-        assert schmidt_rank_numeric(m).rank == 1
+        assert schmidt_rank_numeric(m) == 1
 
     def test_tiny_singular_value_below_tolerance(self):
         m = StateMatrix.complex_([[1, 0], [0, 1e-14]])
-        info = schmidt_rank_numeric(m, 1e-9)
-        assert info.rank == 1
-        assert info.singular_values[0] == pytest.approx(1.0)
+        assert schmidt_rank_numeric(m, 1e-9) == 1
 
     def test_zero_matrix(self):
         m = StateMatrix.complex_([[0, 0]] * 3)
-        assert schmidt_rank_numeric(m).rank == 0
+        assert schmidt_rank_numeric(m) == 0
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
     def test_tolerance_outside_0_inf_refused(self, tol):
@@ -84,19 +82,17 @@ class TestSchmidtRankNumeric:
         # The largest singular value, 2e308, overflows unless the matrix is
         # scaled first; it read rank 0 with singular values (inf, 0).
         m = StateMatrix.complex_([[1e308, 1e308], [1e308, 1e308]])
-        assert schmidt_rank_numeric(m).rank == 1
-        assert schmidt_rank_numeric(StateMatrix.complex_([[1e308, 0], [0, -1e308]])).rank == 2
+        assert schmidt_rank_numeric(m) == 1
+        assert schmidt_rank_numeric(StateMatrix.complex_([[1e308, 0], [0, -1e308]])) == 2
 
     def test_rank_invariant_under_power_of_two_scaling(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             a = np.outer(rng.standard_normal(3), rng.standard_normal(4)) + 1j * np.eye(3, 4)
-            info = schmidt_rank_numeric(StateMatrix.complex_(a.tolist()))
+            rank = schmidt_rank_numeric(StateMatrix.complex_(a.tolist()))
             for shift in (-1000, -600, 600, 1020):
                 scaled = schmidt_rank_numeric(StateMatrix.complex_(np.ldexp(a.real, shift) + 1j * np.ldexp(a.imag, shift)))
-                assert scaled.rank == info.rank
-                if abs(shift) == 600:
-                    assert scaled.singular_values == tuple(np.ldexp(info.singular_values, shift))
+                assert scaled == rank
 
     @pytest.mark.parametrize("s", [Fraction(10**400), Fraction(1, 10**400)], ids=["10^400", "1/10^400"])
     def test_rational_entries_beyond_double_range(self, s):
@@ -108,14 +104,7 @@ class TestSchmidtRankNumeric:
             [[0, 0], [0, 0]],
         ):
             m = rational(rows)
-            assert schmidt_rank_numeric(m).rank == rank_exact(m)
-
-    def test_singular_values_descending(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-            info = schmidt_rank_numeric(StateMatrix.complex_(a.tolist()))
-            assert list(info.singular_values) == sorted(info.singular_values, reverse=True)
+            assert schmidt_rank_numeric(m) == rank_exact(m)
 
 
 class TestRankExact:
@@ -174,7 +163,7 @@ class TestRankExact:
             dA, dB = rng.integers(1, 7, size=2)
             rows = rng.integers(-9, 10, size=(dA, dB)).tolist()
             exact = rank_exact(rational(rows))
-            numeric = schmidt_rank_numeric(StateMatrix.complex_(rows), 1e-9).rank
+            numeric = schmidt_rank_numeric(StateMatrix.complex_(rows), 1e-9)
             assert numeric == exact
 
     def test_invariance_under_invertible_factors(self):

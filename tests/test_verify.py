@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entspan import _kernels
+from entspan import verify as verify_mod
 from entspan.construct import (
     antisymmetric_basis_3x3,
     basis_from_json_dict,
@@ -16,7 +17,9 @@ from entspan.construct import (
     random_subspace,
 )
 from entspan.errors import DomainError, FieldMismatchError
-from entspan.statemat import StateMatrix, rank_exact, schmidt_rank_numeric, to_json, unit_scaled
+from entspan import construct, statemat
+from entspan.cli import main
+from entspan.statemat import StateMatrix, rank_exact, schmidt_rank_numeric, to_json
 from entspan.verify import (
     CERT_STRUCTURAL,
     CERT_WITNESS_GT,
@@ -27,7 +30,6 @@ from entspan.verify import (
     VERDICT_REFUTED,
     PencilResult,
     _accepted_witness,
-    _complex_stack,
     _exact_drop,
     gfp_exhaustive_min_rank,
     minimize_sigma_r,
@@ -349,7 +351,7 @@ def _sequential_sigma(basis, r, restarts, iters, seed, tol=SIGMA_TOL):
     Returns (verdict, min_sigma_r, witnesses, restarts_run) under the search's stop rule;
     with no witness, a dimension above the paper's bound (dA-r+1)(dB-r+1) reads "refuted".
     """
-    A = _complex_stack(basis)
+    A = basis.float_form[0]
     P = np.linalg.pinv(A)
     rng = coeff_stream(seed)
     best, witness = math.inf, None
@@ -398,11 +400,13 @@ class TestMinimizeSigmaR:
     @pytest.mark.parametrize(
         "basis, r, restarts, schedule",
         [
-            # Rational: groups of 8 lanes, and a group of fewer than 3 starts runs them alone.
+            # Rational: groups of 8 lanes, and a group of one start runs alone.
             pytest.param(construct_min_rank_subspace(3, 3, 2), 2, 1, [("lone", 1)], id="rational-1"),
+            pytest.param(construct_min_rank_subspace(3, 3, 2), 2, 2, [("lanes", 2)], id="rational-2"),
             pytest.param(construct_min_rank_subspace(3, 3, 2), 2, 3, [("lanes", 3)], id="rational-3"),
             pytest.param(construct_min_rank_subspace(3, 3, 2), 2, 8, [("lanes", 8)], id="rational-8"),
-            pytest.param(construct_min_rank_subspace(3, 3, 2), 2, 10, [("lanes", 8)] + [("lone", 1)] * 2, id="rational-10"),
+            pytest.param(construct_min_rank_subspace(3, 3, 2), 2, 9, [("lanes", 8), ("lone", 1)], id="rational-9"),
+            pytest.param(construct_min_rank_subspace(3, 3, 2), 2, 10, [("lanes", 8), ("lanes", 2)], id="rational-10"),
             pytest.param(
                 construct_min_rank_subspace(3, 3, 2), 3, 20, [("lanes", 8), ("lanes", 8), ("lanes", 4)], id="rational-20"
             ),
@@ -427,7 +431,7 @@ class TestMinimizeSigmaR:
         w = report.witnesses[0]
         assert w.kind == CERT_WITNESS_LT
         assert w.rank_found < 2
-        assert schmidt_rank_numeric(w.matrix, 1e-6).rank < 2
+        assert schmidt_rank_numeric(w.matrix, 1e-6) < 2
 
     def test_explicit_rank_one_member_found_immediately(self):
         rng = np.random.default_rng(2)
@@ -524,7 +528,7 @@ class TestMinimizeSigmaR:
         assert len(runs) == first + 1 == report.params["restarts_run"] < report.samples_or_points
         assert {target for target, _ in runs} == {SIGMA_TOL * 1e-3}
         assert value == report.min_sigma_r == values[first] < SIGMA_TOL
-        assert schmidt_rank_numeric(report.witnesses[0].matrix, 1e-6).rank < 3
+        assert schmidt_rank_numeric(report.witnesses[0].matrix, 1e-6) < 3
 
         monkeypatch.undo()
         untargeted_runs = _record_targets(monkeypatch, force=0.0)
@@ -571,7 +575,8 @@ class TestMinimizeSigmaR:
 
         m1, m2 = StateMatrix.rational([[2**600, 0], [0, 1]]), StateMatrix.rational([[0, 0], [0, 1]])
         basis = SubspaceBasis(2, 2, None, "user", (m1, m2))
-        x = np.array([np.linalg.norm(unit_scaled(m)[0]) * 2.0 ** (unit_scaled(m)[1] - 601) for m in (m1, m2)])
+        assert basis.float_form[1] == ((0.5, 601), (0.5, 1))
+        x = np.array([n * 2.0 ** (e - 601) for n, e in basis.float_form[1]])
         x = x * np.array([1, -1]) * np.exp(1.5707j)  # real parts near 0 until turned
         assert _exact_drop(basis, x, 2)
         assert not _exact_drop(basis, x * np.array([1, 2]), 2)
@@ -582,6 +587,76 @@ class TestMinimizeSigmaR:
             minimize_sigma_r(basis, 0)
         with pytest.raises(DomainError):
             minimize_sigma_r(basis, 4)
+
+
+def _complex_2x2_basis(*entries):
+    matrices = tuple(StateMatrix(2, 2, "complex", tuple(complex(v) for v in e)) for e in entries)
+    return construct.SubspaceBasis(2, 2, None, "user", matrices)
+
+
+class TestFloatForm:
+    """One float form per basis: the complex independence check ranks it and sigma descends on it."""
+
+    @pytest.mark.parametrize(
+        "e11, e12", [(1.0, 1e-9), (1e308, 1e-200)], ids=["E11+1e-9E12", "1e308E11+1e-200E12"]
+    )
+    def test_orthogonal_basis_of_any_scale_loads_and_runs_sigma(self, tmp_path, capsys, e11, e12):
+        # Both read "stack rank 1 != 2" when the check scaled the whole stack by one power of two.
+        basis = _complex_2x2_basis((e11, 0, 0, 0), (0, e12, 0, 0))
+        A, scales = basis.float_form
+        assert np.allclose(A, np.eye(4, 2), rtol=0, atol=1e-15)  # two orthonormal columns
+        assert not A.flags.writeable  # shared by every reader of the basis
+        assert [math.ldexp(n, e) for n, e in scales] == pytest.approx([e11, e12])
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps(to_json(basis)))
+        argv = ["verify", "--basis", str(path), "--mode", "sigma", "--r", "2", "--restarts", "4", "--iters", "50"]
+        # Every element of this 2x2 subspace of dimension 2 > 1 = the bound at r=2 has a rank-1 member.
+        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 3
+        assert "verdict=refuted" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "entries",
+        [((1, 0, 0, 0), (1, 1e-12, 0, 0)), ((1, 0, 0, 0), (0, 0, 0, 0)), ((0, 0, 0, 0),)],
+        ids=["near-dependent", "zero-matrix", "only-zero"],
+    )
+    def test_dependent_complex_basis_refused_without_warning(self, entries):
+        # A zero matrix is a zero column, never divided by its norm 0: pytest turns that RuntimeWarning into an error.
+        with pytest.raises(DomainError, match="not linearly independent"):
+            _complex_2x2_basis(*entries)
+
+    @staticmethod
+    def _spy_conversions(monkeypatch):
+        calls = []
+        convert = statemat.unit_scaled
+
+        def spy(m):
+            calls.append(m)
+            return convert(m)
+
+        for module in (construct, statemat, verify_mod):
+            monkeypatch.setattr(module, "unit_scaled", spy, raising=False)
+        return calls
+
+    def test_complex_basis_converted_once_for_load_and_sigma(self, monkeypatch):
+        calls = self._spy_conversions(monkeypatch)
+        source = random_subspace(3, 3, 5, seed=1)
+        calls.clear()
+        basis = basis_from_json_dict(to_json(source))
+        assert [id(m) for m in calls] == [id(m) for m in basis.matrices]  # the check converted each matrix, nothing else
+        _, _, report = minimize_sigma_r(basis, 2, restarts=8, iters=200, seed=0)
+        assert report.verdict == VERDICT_REFUTED and report.witnesses
+        assert sum(any(m is b for b in basis.matrices) for m in calls) == basis.dimension  # sigma converted none again
+
+    def test_rational_basis_converted_only_for_sigma(self, monkeypatch):
+        calls = self._spy_conversions(monkeypatch)
+        units = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]
+        basis = basis_from_json_dict(to_json(construct.SubspaceBasis(2, 2, None, "user", tuple(StateMatrix.rational(m) for m in units))))
+        sample_verify_exact(basis, 1, 5, 0)
+        assert calls == [] and "float_form" not in vars(basis)
+        _, _, report = minimize_sigma_r(basis, 2, restarts=8, iters=100, seed=0)
+        # The refutation checked its witness exactly, reading the scales instead of converting again.
+        assert report.verdict == VERDICT_REFUTED and report.witnesses
+        assert [id(m) for m in calls if any(m is b for b in basis.matrices)] == [id(m) for m in basis.matrices]
 
 
 class TestPencil:
