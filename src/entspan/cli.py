@@ -1,11 +1,13 @@
 """Command-line front end: construct, verify, bounds, report.
 
 Every command is deterministic given its flag set (randomness only ever
-flows from --seed), repeats that flag set as its JSON artifact's top-level
-``run``, and writes artifacts atomically.  Exit codes: 0 success/consistent,
-2 usage or input errors, 3 refuted, 4 inconclusive.  A reader that closes stdout early
-loses the summary lines of an artifact written to --out, never the exit code;
-when stdout carries the output itself, a cut-short output exits 2.
+flows from --seed).  ``_emit`` writes every command's artifact, its JSON
+payload with that flag set, less --out and --format, as the top-level ``run``;
+``_READS`` lists the None-default flags that each kind or mode reads.  Exit
+codes: 0 success/consistent, 2 usage or input errors, 3 refuted, 4 inconclusive.
+A reader that closes stdout early loses the text form of an artifact written
+to --out, never the exit code; when stdout carries the output itself, a
+cut-short output exits 2.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ _VERDICT_EXIT = {
     verify_mod.VERDICT_INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
 
-_KIND_FLAGS = {
-    "geq": construct_mod.KIND_MIN_RANK,
-    "flanders": construct_mod.KIND_MAX_RANK,
-    "fixed": construct_mod.KIND_FIXED_RANK,
-    "antisym": construct_mod.KIND_ANTISYMMETRIC,
-    "random": construct_mod.KIND_RANDOM,
+#: Per command, the flag naming its kind or mode, and the None-default flags each kind or mode reads:
+#: it needs each of them and takes none of the others in its command's rows.
+_READS = {
+    "construct": ("kind", {"antisym": (), "fixed": (), "flanders": ("r",), "geq": ("r",), "random": ("dim",)}),
+    "report": ("kind", {"mixed": ("d", "p"), "random": ("da", "db", "k")}),
+    "verify": ("mode", {"sample": (), "gfp": ("p",), "sigma": (), "structural": ()}),
 }
 
 
@@ -90,8 +92,8 @@ def _write_atomic(path: str, text: str) -> None:
 def _say(text: str, *, artifact: bool = False) -> None:
     """Write text to stdout now.
 
-    For the summary lines of an artifact already written to --out, a reader that
-    has gone away loses them, not the exit code.  When stdout carries the artifact
+    For the text form of an artifact already written to --out, a reader that
+    has gone away loses it, not the exit code.  When stdout carries the artifact
     itself, that reader cut it short, and the BrokenPipeError goes on to exit 2.
     """
     try:
@@ -106,46 +108,54 @@ def _say(text: str, *, artifact: bool = False) -> None:
             raise
 
 
-def _flagset(args, *unrecorded: str) -> dict:
-    """The run's flag set: every parsed flag but the subcommand, its handler, --out and ``unrecorded``."""
-    skip = {"command", "func", "out", *unrecorded}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+def _check_reads(args) -> None:
+    """Refuse a None-default flag that the kind or mode does not read, and require each one that it does."""
+    choice, table = _READS[args.command]
+    value = getattr(args, choice)
+    for flag in dict.fromkeys(f for reads in table.values() for f in reads):
+        given = getattr(args, flag) is not None
+        if given != (flag in table[value]):
+            raise EntspanError(f"{args.command} --{choice} {value} {'does not take' if given else 'needs'} --{flag}")
+
+
+def _emit(args, obj, text: str, encode=to_json) -> None:
+    """Write the command's artifact, ``encode(obj)`` with the run's flags as its ``run``, and show ``text``.
+
+    ``text`` is the command's text form: its summary line or table.  With --out the artifact
+    goes to that file, and stdout shows ``text`` and the path.  Without it (bounds and report),
+    stdout shows the artifact under --format json and ``text`` otherwise.
+    """
+    with _exact_ints():
+        payload = encode(obj)
+        # --out names the artifact, and --format only picks what stdout shows.
+        payload["run"] = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out", "format")}
+        # construct and verify have no --format and always write: an --out of '' fails there as an i/o error.
+        if args.out or "format" not in args:
+            _write_atomic(args.out, _dump_json(payload))
+            _say(f"{text}\nartifact: {args.out}\n")
+        else:
+            _say(_dump_json(payload) if args.format == "json" else text + "\n", artifact=True)
 
 
 def cmd_construct(args) -> int:
-    bounds_mod._normalize(args.da, args.db)  # every kind rejects non-positive dimensions alike
-    for flag, readers in (("r", ("geq", "flanders")), ("dim", ("random",))):
-        if getattr(args, flag) is not None and args.kind not in readers:
-            raise EntspanError(f"construct --kind {args.kind} does not take --{flag}")
-    kind = _KIND_FLAGS[args.kind]
-    if kind == construct_mod.KIND_MIN_RANK:
-        if args.r is None:
-            raise EntspanError("construct --kind geq needs --r")
-        basis = construct_mod.construct_min_rank_subspace(args.da, args.db, args.r)
-        bound = bounds_mod.max_dim_geq(args.da, args.db, args.r)
-    elif kind == construct_mod.KIND_MAX_RANK:
-        if args.r is None:
-            raise EntspanError("construct --kind flanders needs --r")
-        basis = construct_mod.construct_max_rank_leq_subspace(args.da, args.db, args.r)
-        bound = bounds_mod.flanders_max_leq(args.da, args.db, args.r)
-    elif kind == construct_mod.KIND_FIXED_RANK:
-        basis = construct_mod.construct_fixed_rank_subspace(args.da, args.db)
-        bound = bounds_mod.westwick_range(args.da, args.db, min(args.da, args.db))[0]
-    elif kind == construct_mod.KIND_ANTISYMMETRIC:
-        if (args.da, args.db) != (3, 3):
+    da, db, r = args.da, args.db, args.r
+    bounds_mod._normalize(da, db)  # every kind rejects non-positive dimensions alike
+    _check_reads(args)
+    if args.kind == "geq":
+        basis, bound = construct_mod.construct_min_rank_subspace(da, db, r), bounds_mod.max_dim_geq(da, db, r)
+    elif args.kind == "flanders":
+        basis, bound = construct_mod.construct_max_rank_leq_subspace(da, db, r), bounds_mod.flanders_max_leq(da, db, r)
+    elif args.kind == "fixed":
+        basis = construct_mod.construct_fixed_rank_subspace(da, db)
+        bound = bounds_mod.westwick_range(da, db, min(da, db))[0]
+    elif args.kind == "antisym":
+        if (da, db) != (3, 3):
             raise EntspanError("the antisymmetric construction is specific to --da 3 --db 3")
-        basis = construct_mod.antisymmetric_basis_3x3()
-        bound = bounds_mod.westwick_range(3, 3, 2)[2]
+        basis, bound = construct_mod.antisymmetric_basis_3x3(), bounds_mod.westwick_range(3, 3, 2)[2]
     else:
-        if args.dim is None:
-            raise EntspanError("construct --kind random needs --dim")
-        basis = construct_mod.random_subspace(args.da, args.db, args.dim, args.seed)
+        basis = construct_mod.random_subspace(da, db, args.dim, args.seed)
         bound = None  # --dim is the size asked for, not a bound
-    with _exact_ints():
-        payload = to_json(basis)
-        payload["run"] = _flagset(args)
-        _write_atomic(args.out, _dump_json(payload))
-    _say(f"dim={basis.dimension}" + ("" if bound is None else f" bound={bound}") + f"\nartifact: {args.out}\n")
+    _emit(args, basis, f"dim={basis.dimension}" + ("" if bound is None else f" bound={bound}"))
     return EXIT_OK
 
 
@@ -175,6 +185,7 @@ def cmd_verify(args) -> int:
         raise EntspanError(f"verify --out {args.out} names the --basis file; write the report elsewhere")
     if args.require != "geq" and args.mode != "sample":
         raise EntspanError(f"verify --mode {args.mode} checks rank >= r only; --require {args.require} needs --mode sample")
+    _check_reads(args)
     basis = _load_basis(args.basis)
     r = args.r if args.r is not None else basis.r
     if r is None:
@@ -184,8 +195,6 @@ def cmd_verify(args) -> int:
     if args.mode == "sample":
         report = verify_mod.sample_verify_exact(basis, r, args.samples, args.seed, require=args.require)
     elif args.mode == "gfp":
-        if args.p is None:
-            raise EntspanError("gfp mode needs --p")
         report = verify_mod.gfp_exhaustive_min_rank(basis, args.p, r=r, cap=args.cap)
     elif args.mode == "sigma":
         _, _, report = verify_mod.minimize_sigma_r(
@@ -193,10 +202,6 @@ def cmd_verify(args) -> int:
         )
     else:
         report = verify_mod.structural_verify(basis, r, args.samples, args.seed)
-    with _exact_ints():
-        payload = verify_mod.report_to_json_dict(report)
-        payload["run"] = _flagset(args)
-        _write_atomic(args.out, _dump_json(payload))
     bits = [f"mode={report.mode}", f"verdict={report.verdict}"]
     if report.min_rank_observed is not None:
         bits.append(f"min_rank_observed={report.min_rank_observed}")
@@ -209,7 +214,7 @@ def cmd_verify(args) -> int:
         bits.append(f"restarts_run={report.params['restarts_run']}")
     if "dimension_bound" in (report.params or {}):
         bits.append("dim={dim}>bound={bound}".format(**report.params["dimension_bound"]))
-    _say(" ".join(bits) + f"\nartifact: {args.out}\n")
+    _emit(args, report, " ".join(bits), verify_mod.report_to_json_dict)
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -223,44 +228,27 @@ def cmd_bounds(args) -> int:
             raise EntspanError("bounds needs --r or --grid")
         rs = [args.r]
     rows = [bounds_mod.bounds_table(args.da, args.db, r) for r in rs]
-    with _exact_ints():
-        if args.format == "json":
-            text = _dump_json({"run": _flagset(args), "rows": to_json(rows)})
-        else:
-            text = bounds_mod.bounds_table_text(rows) + "\n"
-    if args.out:
-        _write_atomic(args.out, text)
-        _say(f"artifact: {args.out}\n")
-    else:
-        _say(text, artifact=True)
+    with _exact_ints():  # the table of a huge --da or --db holds ints past str()'s default digit limit
+        text = bounds_mod.bounds_table_text(rows)
+    _emit(args, {"rows": rows}, text)
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
+    _check_reads(args)
     if args.kind == "mixed":
-        if args.d is None or args.p is None:
-            raise EntspanError("report --kind mixed needs --d and --p")
         rep = bounds_mod.mixed_state_report(args.d, args.p)
-        payload = to_json(rep)
         line = (
             f"d={rep.d} p={rep.p} r={rep.r} dim={rep.dim} entropy_bits={rep.entropy_bits:.4f} "
             f"schmidt_measure_lb={rep.schmidt_measure_lb}"
         )
     else:
-        if args.da is None or args.db is None or args.k is None:
-            raise EntspanError("report --kind random needs --da, --db and --k")
         rep = bounds_mod.random_comparison(args.da, args.db, args.k)
-        payload = to_json(rep)
         line = (
             f"da={rep.dA} db={rep.dB} k={rep.k} exact_dim={rep.exact_dim} "
             f"asymptotic={rep.asymptotic:.1f} threshold_k={rep.threshold_k:.4f}"
         )
-    payload["run"] = _flagset(args, "format")  # the --out artifact is JSON whatever --format says
-    if args.out:
-        _write_atomic(args.out, _dump_json(payload))
-        _say(f"{line}\nartifact: {args.out}\n")
-    else:
-        _say(_dump_json(payload) if args.format == "json" else line + "\n", artifact=True)
+    _emit(args, rep, line)
     return EXIT_OK
 
 
@@ -276,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--da", type=int, required=True)
     c.add_argument("--db", type=int, required=True)
     c.add_argument("--r", type=int, default=None)
-    c.add_argument("--kind", choices=sorted(_KIND_FLAGS), default="geq")
+    c.add_argument("--kind", choices=tuple(_READS["construct"][1]), default="geq")
     c.add_argument("--dim", type=int, default=None, help="dimension for --kind random")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default="basis.json")
@@ -284,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification mode against a basis file")
     v.add_argument("--basis", required=True)
-    v.add_argument("--mode", choices=("sample", "gfp", "sigma", "structural"), required=True)
+    v.add_argument("--mode", choices=tuple(_READS["verify"][1]), required=True)
     v.add_argument("--r", type=int, default=None)
     v.add_argument("--samples", type=int, default=1000)
     v.add_argument("--seed", type=int, default=0)
@@ -307,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("report", help="mixed-state projector report or random-subspace comparison")
-    p.add_argument("--kind", choices=("mixed", "random"), required=True)
+    p.add_argument("--kind", choices=tuple(_READS["report"][1]), required=True)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--da", type=int, default=None)

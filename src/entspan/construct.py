@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import CertificateError, DimensionError, DomainError, FieldMismatchError
 from .statemat import (
+    COMPLEX,
     DEFAULT_TOL,
     RATIONAL,
     StateMatrix,
@@ -302,8 +303,8 @@ def random_subspace(dA: int, dB: int, dim: int, seed: int) -> SubspaceBasis:
     """
     if not 1 <= dim <= dA * dB:
         raise DomainError(f"need 1 <= dim <= {dA * dB}, got {dim}")
-    draws = draw_normals(coeff_stream(seed), dim * dA * dB).reshape(dim, dA, dB)
-    matrices = tuple(StateMatrix.complex_(a.tolist()) for a in draws)
+    draws = draw_normals(coeff_stream(seed), dim * dA * dB).reshape(dim, dA * dB)
+    matrices = tuple(StateMatrix(dA, dB, COMPLEX, tuple(a.tolist())) for a in draws)
     return SubspaceBasis(dA, dB, None, KIND_RANDOM, matrices)
 
 

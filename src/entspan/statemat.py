@@ -17,6 +17,7 @@ field: the projective scan in ``_kernels`` reduces and ranks its own chunks.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
@@ -62,18 +63,16 @@ def _coerce_entry(value, field: str):
             # complex() would also parse strings and read bools as 0 and 1.
             if isinstance(value, (str, bytes, bool, np.bool_)):
                 raise TypeError
-            z = complex(value)
+            return complex(value)
         except TypeError:
             raise FieldMismatchError(f"complex matrices take numbers, got {type(value).__name__}") from None
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise NumericError(f"non-finite entry {value!r}")
-        return z
     raise DomainError(f"unknown field {field!r}")
 
 
 @dataclass(frozen=True)
 class StateMatrix:
-    """Immutable dA x dB matrix over one field; rational ``entries`` are numerators over ``denominator``."""
+    """Immutable dA x dB matrix over one field: rational ``entries`` are int numerators over ``denominator``,
+    complex ones finite Python complexes."""
 
     rows: int
     cols: int
@@ -98,8 +97,14 @@ class StateMatrix:
             # gcd(1, ...) is 1, so only a denominator above 1 needs the gcd over all the entries.
             if not (_is_int(d) and d >= 1 and (d == 1 or math.gcd(d, *self.entries) == 1)):
                 raise DomainError(f"denominator must be a positive int in lowest terms with the entries, got {d!r}")
-        elif not (_is_int(d) and d == 1):
-            raise DomainError(f"field {self.field!r} takes no denominator, got {d!r}")
+        else:
+            if not (_is_int(d) and d == 1):
+                raise DomainError(f"field {self.field!r} takes no denominator, got {d!r}")
+            # One C-level pass each: numpy complexes and complex subclasses are not of type complex.
+            if list(map(type, self.entries)).count(complex) != len(self.entries):
+                raise FieldMismatchError("complex entries are Python complex numbers")
+            if not all(map(cmath.isfinite, self.entries)):
+                raise NumericError("complex entries must be finite")
 
     @classmethod
     def from_rows(cls, rows_of_entries, field: str = RATIONAL) -> "StateMatrix":
@@ -173,6 +178,9 @@ def combine(matrices: Sequence[StateMatrix], coeffs: Sequence) -> StateMatrix:
         scales = [c.denominator * m.denominator for c, m in zip(cs, matrices)]
         denominator = math.lcm(*scales)
         cs = [c.numerator * (denominator // s) for c, s in zip(cs, scales)]
+    elif not all(map(cmath.isfinite, cs)):
+        # The constructor checks the entries, and a coefficient on a zero matrix leaves none of its own.
+        raise NumericError("complex coefficients must be finite")
     acc = [0] * (head.rows * head.cols)
     for c, m in zip(cs, matrices):
         if c:
@@ -204,8 +212,6 @@ def unit_scaled(m: StateMatrix) -> tuple[np.ndarray, int]:
         a = np.zeros(m.rows * m.cols, dtype=np.complex128)
         a[[k for k, _ in cells]] = [(v << lift) / den for _, v in cells]
     parts = a.view(np.float64)
-    if not np.all(np.isfinite(parts)):
-        raise NumericError("matrix contains non-finite entries")
     e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
     return np.ldexp(parts, -e).view(np.complex128).reshape(m.rows, m.cols), shift + e
 
@@ -396,12 +402,9 @@ def _decode_entry(value, field: str):
         real, imag = value
         if isinstance(real, bool) or isinstance(imag, bool):
             raise TypeError
-        z = complex(real, imag)
+        return complex(real, imag)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"complex entries are [re, im] number pairs, got {value!r:.60}") from None
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise NumericError(f"non-finite entry {value!r}")
-    return z
 
 
 def matrix_from_json_dict(d: dict, decoded: dict | None = None) -> StateMatrix:

@@ -303,21 +303,21 @@ def _exact_drop(basis: SubspaceBasis, x: np.ndarray, r: int) -> bool:
     return any(coeffs) and rank_exact(basis.combination(coeffs)) < r
 
 
-def _accepted_witness(basis: SubspaceBasis, A: np.ndarray, x: np.ndarray, r: int) -> RankCertificate | None:
+def _accepted_witness(basis: SubspaceBasis, x: np.ndarray, r: int) -> RankCertificate | None:
     """The witness the descent's coefficients x give, or None if it is not accepted.
 
     The combination must have numeric rank below r at 1e-6, and on a rational basis
     ``_exact_drop`` must also confirm the drop with an exact rank.
     """
-    combo = StateMatrix.complex_((A @ x).reshape(basis.dA, basis.dB).tolist())
+    combo = StateMatrix(basis.dA, basis.dB, COMPLEX, tuple((basis.float_form[0] @ x).tolist()))
     rank = schmidt_rank_numeric(combo, tol=1e-6)
     if rank >= r or (basis.field != COMPLEX and not _exact_drop(basis, x, r)):
         return None
     return RankCertificate(kind=CERT_WITNESS_LT, coeffs=tuple(complex(c) for c in x), rank_found=rank, matrix=combo)
 
 
-def _descents(basis: SubspaceBasis, A: np.ndarray, r: int, restarts: int, iters: int, seed: int, tol: float):
-    """(value, coefficients) of each restart's descent, in restart order.
+def _descents(basis: SubspaceBasis, r: int, restarts: int, iters: int, seed: int, tol: float):
+    """(value, coefficients) of each restart's descent on the basis's ``float_form``, in restart order.
 
     On a complex basis each restart runs alone and ends below ``tol * SIGMA_STOP``,
     so the search usually ends after the first.  On a rational basis every descent
@@ -325,16 +325,14 @@ def _descents(basis: SubspaceBasis, A: np.ndarray, r: int, restarts: int, iters:
     lanes equal lone descents bit for bit; a group of one start runs on the lone
     kernel, which is faster than one lane.
     """
+    A = basis.float_form[0]
     P = np.linalg.pinv(A)
     rng = coeff_stream(seed)
     starts = (draw_normals(rng, basis.dimension) for _ in range(restarts))
-    if basis.field == COMPLEX:
-        for x0 in starts:
-            yield _kernels.sigma_descent(A, P, r, iters, x0, basis.dA, basis.dB, tol * SIGMA_STOP)
-        return
-    while lanes := list(itertools.islice(starts, SIGMA_LANES)):
+    group, target = (1, tol * SIGMA_STOP) if basis.field == COMPLEX else (SIGMA_LANES, 0.0)
+    while lanes := list(itertools.islice(starts, group)):
         if len(lanes) == 1:
-            yield _kernels.sigma_descent(A, P, r, iters, lanes[0], basis.dA, basis.dB)
+            yield _kernels.sigma_descent(A, P, r, iters, lanes[0], basis.dA, basis.dB, target)
         else:
             yield from _kernels.sigma_descent_lanes(A, P, r, iters, np.array(lanes), basis.dA, basis.dB)
 
@@ -378,14 +376,13 @@ def minimize_sigma_r(
     if not 0 < tol < 1:
         # sigma_r / sigma_1 <= 1, so a tol of 1 or more would take every restart for a drop.
         raise DomainError(f"tol must lie in (0, 1), got {tol}")
-    A = basis.float_form[0]
     best_val = math.inf
     best_x = None
     witness = None
-    for run, (val, x) in enumerate(_descents(basis, A, r, restarts, iters, seed, tol), 1):
+    for run, (val, x) in enumerate(_descents(basis, r, restarts, iters, seed, tol), 1):
         if val < best_val:
             best_val, best_x = val, x
-            witness = _accepted_witness(basis, A, x, r) if val < tol else None
+            witness = _accepted_witness(basis, x, r) if val < tol else None
             if witness is not None:
                 break
     params = {"r": r, "restarts": restarts, "iters": iters, "restarts_run": run}

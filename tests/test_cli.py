@@ -350,7 +350,54 @@ BAD_INPUTS = {
     "report_mixed_d_10_200": (None, ["report", "--kind", "mixed", "--d", str(10**200), "--p", "0.5"]),
     "report_random_db_10_400": (None, ["report", "--kind", "random", "--da", "3", "--db", str(10**400), "--k", "0.5"]),
     "report_random_10_300_square": (None, ["report", "--kind", "random", "--da", str(10**300), "--db", str(10**300), "--k", "0.5"]),
+    "no_matrices": ({**_RANK_ONE, "matrices": []}, ["--mode", "sample"]),
+    "mixed_fields": (
+        {**_RANK_ONE, "matrices": [*_RANK_ONE["matrices"], *_user_basis("complex", [[1, 0], [0, 0], [0, 0], [1, 0]])["matrices"]]},
+        ["--mode", "sample"],
+    ),
+    # json reads 1e999 as inf.
+    "complex_entry_1e999": (
+        json.dumps(_user_basis("complex", [[1, 0], [0, 0], [0, 0], [1, 0]])).replace("[1, 0]", "[1e999, 0]", 1),
+        ["--mode", "sigma"],
+    ),
 }
+
+#: A run of each construct and report kind and each verify mode ("{basis}" is a basis file), with every flag it needs.
+FLAG_RUNS = {
+    ("construct", "geq"): ["construct", "--kind", "geq", "--da", "3", "--db", "3", "--r", "2"],
+    ("construct", "flanders"): ["construct", "--kind", "flanders", "--da", "3", "--db", "3", "--r", "1"],
+    ("construct", "fixed"): ["construct", "--kind", "fixed", "--da", "2", "--db", "4"],
+    ("construct", "antisym"): ["construct", "--kind", "antisym", "--da", "3", "--db", "3"],
+    ("construct", "random"): ["construct", "--kind", "random", "--da", "3", "--db", "3", "--dim", "2"],
+    ("report", "mixed"): ["report", "--kind", "mixed", "--d", "10", "--p", "0.5"],
+    ("report", "random"): ["report", "--kind", "random", "--da", "4", "--db", "5", "--k", "0.5"],
+    ("verify", "sample"): ["verify", "--basis", "{basis}", "--mode", "sample"],
+    ("verify", "gfp"): ["verify", "--basis", "{basis}", "--mode", "gfp", "--p", "3"],
+    ("verify", "sigma"): ["verify", "--basis", "{basis}", "--mode", "sigma"],
+    ("verify", "structural"): ["verify", "--basis", "{basis}", "--mode", "structural"],
+}
+#: The None-default flags of each command that some kind or mode reads, each with a value to give it.
+#: ``report --kind mixed ... --k 3`` and ``verify --mode sample --p 5`` exited 0 and recorded the flag
+#: they never read in the artifact's run.
+KIND_FLAGS = {
+    "construct": {"r": "2", "dim": "2"},
+    "report": {"d": "10", "p": "0.5", "da": "4", "db": "5", "k": "3"},
+    "verify": {"p": "5"},
+}
+
+
+def _flag_cases():
+    """(argv, stderr) for each run above without one flag it needs, or with one it does not take."""
+    for (command, value), argv in FLAG_RUNS.items():
+        choice = "mode" if command == "verify" else "kind"
+        for flag, given in KIND_FLAGS[command].items():
+            if f"--{flag}" in argv:
+                i = argv.index(f"--{flag}")
+                argv_, rule = argv[:i] + argv[i + 2:], "needs"
+            else:
+                argv_, rule = argv + [f"--{flag}", given], "does not take"
+            message = f"error: {command} --{choice} {value} {rule} --{flag}\n"
+            yield pytest.param(argv_, message, id=f"{command}-{value}-{rule.replace(' ', '-')}-{flag}")
 
 
 class TestBadInput:
@@ -385,6 +432,25 @@ class TestBadInput:
         )
         assert (code, err) == (2, "error: dimensions must be positive, got 0, 3\n")
 
+    @pytest.mark.parametrize("argv, message", list(_flag_cases()))
+    def test_each_kind_needs_the_flags_it_reads_and_takes_no_other(self, capsys, tmp_path, argv, message):
+        basis_path, out_path = tmp_path / "basis.json", tmp_path / "out.json"
+        basis_path.write_text(json.dumps(_DIAGONAL))
+        argv = [a.format(basis=basis_path) for a in argv]
+        assert run_cli(capsys, *argv, "--out", str(out_path)) == (2, "", message)
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["construct", "verify"])
+    def test_empty_out_exits_2(self, capsys, tmp_path, monkeypatch, command):
+        # Only bounds and report print to stdout; an --out of '' names no file to write.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "basis.json").write_text(json.dumps(_DIAGONAL))
+        argv = {"construct": FLAG_RUNS["construct", "geq"], "verify": [*FLAG_RUNS["verify", "sample"], "--samples", "2"]}[command]
+        code, out, err = run_cli(capsys, *[a.format(basis="basis.json") for a in argv], "--out", "")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("i/o error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["basis.json"]
+
     def test_construct_ignored_flag_named(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "construct", "--kind", "fixed", "--da", "2", "--db", "4", "--dim", "7",
@@ -411,7 +477,8 @@ class TestBadInput:
     def test_require_geq_outside_sample_mode_runs(self, capsys, tmp_path, mode):
         basis_path = tmp_path / "basis.json"
         run_cli(capsys, "construct", "--da", "3", "--db", "3", "--r", "2", "--out", str(basis_path))
-        flags = ["verify", "--basis", str(basis_path), "--mode", mode, "--p", "3", "--restarts", "2", "--iters", "20"]
+        p = ["--p", "3"] if mode == "gfp" else []  # only gfp mode takes --p
+        flags = ["verify", "--basis", str(basis_path), "--mode", mode, *p, "--restarts", "2", "--iters", "20"]
         assert run_cli(capsys, *flags, "--out", str(tmp_path / "default.json"))[0] == 0
         assert run_cli(capsys, *flags, "--require", "geq", "--out", str(tmp_path / "geq.json"))[0] == 0
         assert (tmp_path / "geq.json").read_bytes() == (tmp_path / "default.json").read_bytes()
@@ -872,6 +939,18 @@ class TestBoundsCommand:
         assert payload["run"]["grid"] is True
 
 
+    def test_text_format_writes_json_artifact(self, capsys, tmp_path):
+        # --format picks only what stdout shows: the table, then the path.  The artifact is JSON as ever.
+        out_path = tmp_path / "table.txt"
+        code, out, err = run_cli(capsys, "bounds", "--da", "3", "--db", "4", "--grid", "--format", "text", "--out", str(out_path))
+        assert (code, err) == (0, "")
+        table = run_cli(capsys, "bounds", "--da", "3", "--db", "4", "--grid")[1]
+        assert out == f"{table}artifact: {out_path}\n"
+        payload = json.loads(out_path.read_text())
+        assert payload["run"] == {"da": 3, "db": 4, "grid": True, "r": None}
+        assert payload == json.loads(run_cli(capsys, "bounds", "--da", "3", "--db", "4", "--grid", "--format", "json")[1])
+
+
 class TestReportCommand:
     def test_mixed(self, capsys):
         code, out, _ = run_cli(capsys, "report", "--kind", "mixed", "--d", "10", "--p", "0.5")
@@ -930,8 +1009,8 @@ def test_every_artifact_carries_its_flag_set_as_top_level_run(capsys, tmp_path, 
     monkeypatch.chdir(tmp_path)
     for argv in ARTIFACT_RUNS:
         assert main(argv) in (0, 3, 4), argv
-        # --out names the artifact itself, and a report artifact is JSON whatever --format says.
-        unrecorded = {"command", "func", "out"} | ({"format"} if argv[0] == "report" else set())
+        # --out names the artifact itself, and an artifact is JSON whatever --format says.
+        unrecorded = {"command", "func", "out", "format"}
         flags = {k: v for k, v in vars(build_parser().parse_args(argv)).items() if k not in unrecorded}
         doc = json.loads((tmp_path / argv[-1]).read_text())
         assert doc["run"] == flags, argv

@@ -64,7 +64,7 @@ GOLDEN = {
     "verify_structural": (0, 'adc049075b8b477c101c017dabb91e85eda7a5f76ec2c8fc8fc2861a8ca7e3bf'),
     "verify_gfp": (0, '2250748496d22c909dac62470373ef31e21edf56a2424202b98949adbfe61a01'),
     "verify_gfp_inconclusive": (4, 'e48857e1b74c4811fb5f35773aad7b3f21e84be643a600a1ded0b23b66e1297e'),
-    "bounds_grid": (0, 'fe3ffdcef82e1d9532ed96349d100d2575c6494e1fb2964789b8454f74926d9b'),
+    "bounds_grid": (0, '9f94259ee5debd6a6028ee4768d7ed1b7938b7489c485cfd898c0c600df9aa72'),
     "report_mixed": (0, 'afb1cb51474a25effac77040d65db2105d9e2fd13ea6228c76702478431f39f7'),
     "report_random": (0, '694c19658772c561bf45b04eae4dd2d4c1214cc5dc54719f4d5d2030fe106ced'),
 }

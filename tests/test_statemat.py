@@ -77,6 +77,9 @@ class TestSchmidtRankNumeric:
             StateMatrix.complex_([[1, float("inf")], [0, 1]])
         with pytest.raises(NumericError):  # built directly, so no entry was coerced
             schmidt_rank_numeric(StateMatrix(1, 2, COMPLEX, (1j, complex("nan"))))
+        for c in (float("nan"), float("inf")):
+            with pytest.raises(NumericError):  # on a zero matrix, so no entry of the combination is non-finite
+                combine([StateMatrix.complex_([[0, 0]]), StateMatrix.complex_([[1, 0]])], [c, 1])
 
     def test_entries_near_overflow(self):
         # The largest singular value, 2e308, overflows unless the matrix is
@@ -328,9 +331,18 @@ class TestStoredForm:
             (RATIONAL, (1, 2), 2.0, DomainError),
             (RATIONAL, (2, 4), 2, DomainError),
             (COMPLEX, (1j, 0j), 3, DomainError),
+            # Each built: the first left a basis of it to raise a bare ValueError, the second wrote a bare inf.
+            (COMPLEX, ("a", float("nan")), 1, FieldMismatchError),
+            (COMPLEX, (1 + 0j, float("inf")), 1, FieldMismatchError),
+            (COMPLEX, (1j, np.complex128(1)), 1, FieldMismatchError),
+            (COMPLEX, (1j, complex("inf")), 1, NumericError),
+            (COMPLEX, (1j, complex(0, float("nan"))), 1, NumericError),
             ("gfp", (1, 2), 1, DomainError),
         ],
-        ids=["fraction", "bool", "float_entry", "numpy_int", "str", "none", "int_subclass", "zero", "negative", "float", "not-reduced", "complex", "gfp"],
+        ids=[
+            "fraction", "bool", "float_entry", "numpy_int", "str", "none", "int_subclass", "zero", "negative", "float",
+            "not-reduced", "complex", "complex_str", "complex_float_inf", "complex_numpy", "complex_inf", "complex_nan", "gfp",
+        ],
     )
     def test_constructor_rejects(self, field, entries, denominator, error):
         with pytest.raises(error):

@@ -194,6 +194,11 @@ class TestGfpExhaustive:
         report = gfp_exhaustive_min_rank(basis, 5)
         assert report.samples_or_points == 6  # (5^2 - 1) / 4
 
+    def test_needs_a_threshold(self):
+        basis = _single_matrix_basis(StateMatrix.rational([[1, 0], [0, 1]]), r=None)
+        with pytest.raises(DomainError, match="no rank threshold"):
+            gfp_exhaustive_min_rank(basis, 3)
+
     def test_composite_p_rejected(self):
         basis = construct_min_rank_subspace(3, 3, 2)
         with pytest.raises(DomainError, match="prime"):
@@ -359,7 +364,7 @@ def _sequential_sigma(basis, r, restarts, iters, seed, tol=SIGMA_TOL):
         val, x = _kernels.sigma_descent(A, P, r, iters, draw_normals(rng, basis.dimension), basis.dA, basis.dB)
         if val < best:
             best = val
-            witness = _accepted_witness(basis, A, x, r) if val < tol else None
+            witness = _accepted_witness(basis, x, r) if val < tol else None
             if witness is not None:
                 break
     if witness is not None or basis.dimension > (basis.dA - r + 1) * (basis.dB - r + 1):
